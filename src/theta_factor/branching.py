@@ -35,6 +35,12 @@ class BranchingTable:
         """Sum of dim_left * dim_right over all rows."""
         return sum(left * right for _, left, right in self.rows)
 
+    def identity(self):
+        """(lhs, rhs, lhs == rhs): dim S_{(m^r)}(C^{2r}) against product_sum()."""
+        lhs = dim_schur(Partition((self.m,) * self.r), 2 * self.r)
+        rhs = self.product_sum()
+        return lhs, rhs, lhs == rhs
+
     def to_json_dict(self) -> dict:
         return {
             "rank": self.r,
@@ -71,10 +77,7 @@ def verify_branching_identity(r: int, m: int):
     Returns (lhs, rhs, equal) where lhs = dim S_{(m^r)}(C^{2r}) and
     rhs = sum over the box of dim_left * dim_right.
     """
-    table = decompose_rectangular(r, m)
-    lhs = dim_schur(Partition((m,) * r), 2 * r)
-    rhs = table.product_sum()
-    return lhs, rhs, lhs == rhs
+    return decompose_rectangular(r, m).identity()
 
 
 def mu_to_highest_weight(mu, r: int):

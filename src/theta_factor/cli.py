@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .branching import decompose_rectangular, verify_branching_identity
@@ -59,9 +57,10 @@ def _sha256_bytes(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _params_hash(params: dict) -> str:
+def _canonical_sha256(value) -> str:
+    """sha256 of the sorted, compact JSON of value (parameters or a spec)."""
     return _sha256_bytes(
-        json.dumps(params, sort_keys=True, separators=(",", ":")).encode()
+        json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
     )
 
 
@@ -73,71 +72,29 @@ def _read_file(path: str) -> bytes:
         raise CLIError("io", f"cannot read {path}: {exc}") from exc
 
 
-def _load_spec(path: str) -> tuple[ModuliSpec, str]:
-    blob = _read_file(path)
+def _load_spec(path: str, blob: bytes) -> ModuliSpec:
     try:
         data = json.loads(blob)
     except json.JSONDecodeError as exc:
         raise CLIError("validation", f"{path} is not valid JSON: {exc}") from exc
-    try:
-        spec = ModuliSpec.from_json_dict(data)
-    except ValueError as exc:
-        raise CLIError("validation", str(exc)) from exc
-    return spec, _sha256_bytes(blob)
+    return ModuliSpec.from_json_dict(data)
 
 
-def _parse_int_list(text: str, flag: str) -> tuple:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CLIError("usage", f"{flag} expects a JSON array of integers: {exc}") from exc
-    if not isinstance(data, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in data
-    ):
-        raise CLIError("usage", f"{flag} expects a JSON array of integers, got {text!r}")
-    return tuple(data)
+def _int_array(flag: str):
+    """argparse type for a flag whose value is a JSON array of integers."""
 
+    def parse(text: str) -> list:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CLIError("usage", f"{flag} expects a JSON array of integers: {exc}") from exc
+        if not isinstance(data, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in data
+        ):
+            raise CLIError("usage", f"{flag} expects a JSON array of integers, got {text!r}")
+        return data
 
-def _thread_count() -> int:
-    raw = os.environ.get("THETA_FACTOR_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise CLIError("validation", f"THETA_FACTOR_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, threads)
-
-
-def _run_cases(worker, cases, threads: int) -> list:
-    """Run worker over cases, in order, optionally on a thread pool.
-
-    Results always come back in submission order, so reports do not
-    depend on scheduling.
-    """
-    if threads > 1 and len(cases) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, cases))
-    return [worker(case) for case in cases]
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {key: _jsonable(inner) for key, inner in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(inner) for inner in value]
-    return value
-
-
-def _envelope(command: str, input_sha256: str, result: dict) -> dict:
-    return {
-        "tool": {"name": TOOL_NAME, "version": __version__},
-        "command": command,
-        "input_sha256": input_sha256,
-        "result": _jsonable(result),
-    }
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -147,7 +104,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify-star", help="evaluate the level balance condition on a spec file")
     p.add_argument("spec", help="path to a ModuliSpec JSON file")
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("decompose", help="build the degeneration tree of a spec file")
     p.add_argument("spec", help="path to a ModuliSpec JSON file")
@@ -157,51 +113,56 @@ def _build_parser() -> _Parser:
         default=None,
         help="leaf values: const:V or a JSON file mapping leaf sha256 to integer",
     )
-    p.add_argument("--format", choices=("json", "text", "csv"), default="json")
 
     p = sub.add_parser("branch", help="rectangular branching table and dimension identity")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--power", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text", "csv"), default="json")
 
     p = sub.add_parser("dims", help="Schur module dimension")
-    p.add_argument("--partition", required=True, help="JSON array, e.g. [3,1]")
+    p.add_argument(
+        "--partition", type=_int_array("--partition"), required=True, help="JSON array, e.g. [3,1]"
+    )
     p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("codim", help="codimension and dimension formulas")
     kinds = p.add_subparsers(dest="kind", required=True)
 
     k = kinds.add_parser("schubert", help="flag incidence codimension")
     k.add_argument("--r1", type=int, required=True)
-    k.add_argument("--n", required=True, help="JSON array of flag multiplicities")
-    k.add_argument("--m", required=True, help="JSON array splitting r1")
-    k.add_argument("--format", choices=("json", "text"), default="json")
+    k.add_argument(
+        "--n", type=_int_array("--n"), required=True, help="JSON array of flag multiplicities"
+    )
+    k.add_argument("--m", type=_int_array("--m"), required=True, help="JSON array splitting r1")
 
     for name in ("quot", "gps"):
         k = kinds.add_parser(name, help=f"{name} stratum codimension bounds")
         k.add_argument("--rank", type=int, required=True)
         k.add_argument("--genus-tilde", type=int, required=True)
         k.add_argument("--points", type=int, required=True, help="number of marked points")
-        k.add_argument("--format", choices=("json", "text"), default="json")
 
     k = kinds.add_parser("doubledet", help="double determinantal variety dimension")
     for flag in ("--a", "--b", "--p", "--q", "--rank"):
         k.add_argument(flag, type=int, required=True)
-    k.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("identities", help="run the identity sweeps (balance, telescoping, branching)")
     p.add_argument("--max-rank", type=int, default=5, help="balance sweep rank bound")
     p.add_argument("--max-level", type=int, default=6, help="balance sweep level bound")
-    p.add_argument("--format", choices=("json", "text"), default="json")
+
+    # --format comes last on every command; csv only where a row writer exists
+    parsers = {**sub.choices, **{f"codim.{kind}": k for kind, k in kinds.choices.items()}}
+    for command in _HANDLERS:
+        csv = ("csv",) if command in _CSV_ROWS else ()
+        parsers[command].add_argument("--format", choices=("json", "text") + csv, default="json")
     return parser
 
 
-def _cmd_verify_star(args):
-    spec, digest = _load_spec(args.spec)
+# Each handler takes the parsed flags as keyword arguments (a file-driven
+# command gets its parsed spec) and returns the report's result dict.
+
+
+def _verify_star(spec: ModuliSpec) -> dict:
     lhs, rhs, holds = check_star(spec)
-    result = {"lhs": lhs, "rhs": rhs, "holds": holds, "derived_n": spec.derived_n()}
-    return _envelope("verify-star", digest, result), 0
+    return {"lhs": lhs, "rhs": rhs, "holds": holds, "derived_n": spec.derived_n()}
 
 
 def _parse_oracle(text: str | None):
@@ -232,24 +193,20 @@ def _parse_oracle(text: str | None):
     return lookup, f"table:{_sha256_bytes(blob)}"
 
 
-def _cmd_decompose(args):
-    spec, digest = _load_spec(args.spec)
-    depth = spec.genus if args.depth is None else args.depth
-    oracle, oracle_desc = _parse_oracle(args.oracle)
-    try:
-        tree = build_tree(spec, depth)
-    except ValueError as exc:
-        raise CLIError("validation", str(exc)) from exc
+def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
+    depth = spec.genus if depth is None else depth
+    leaf_value, oracle_desc = _parse_oracle(oracle)
+    tree = build_tree(spec, depth)
     aggregate = None
-    if oracle is not None:
+    if leaf_value is not None:
         try:
-            aggregate = aggregate_dimension(tree, oracle)
+            aggregate = aggregate_dimension(tree, leaf_value)
         except LeafOracleError as exc:
             raise CLIError(
                 "validation",
                 f"leaf oracle failed: {exc} (leaf spec: {exc.spec.canonical_json()})",
             ) from exc
-    result = {
+    return {
         "depth": depth,
         "oracle": oracle_desc,
         "nodes": tree.node_count(),
@@ -257,102 +214,43 @@ def _cmd_decompose(args):
         "aggregate": aggregate,
         "tree": tree.to_json_dict(),
     }
-    return _envelope("decompose", digest, result), 0
 
 
-def _cmd_branch(args):
-    if args.rank < 1 or args.power < 0:
-        raise CLIError("validation", "need rank >= 1 and power >= 0")
-    table = decompose_rectangular(args.rank, args.power)
-    lhs, rhs, equal = verify_branching_identity(args.rank, args.power)
-    result = dict(table.to_json_dict())
-    result.update({"lhs": lhs, "rhs": rhs, "equal": equal})
-    digest = _params_hash({"command": "branch", "rank": args.rank, "power": args.power})
-    return _envelope("branch", digest, result), 0
+def _branch(rank: int, power: int) -> dict:
+    if rank < 1 or power < 0:
+        raise ValueError("need rank >= 1 and power >= 0")
+    table = decompose_rectangular(rank, power)
+    lhs, rhs, equal = table.identity()
+    return {**table.to_json_dict(), "lhs": lhs, "rhs": rhs, "equal": equal}
 
 
-def _cmd_dims(args):
-    parts = _parse_int_list(args.partition, "--partition")
-    try:
-        lam = Partition(parts)
-        if args.vars < 0:
-            raise ValueError(f"--vars must be nonnegative, got {args.vars}")
-        value = dim_schur(lam, args.vars)
-    except ValueError as exc:
-        raise CLIError("validation", str(exc)) from exc
-    digest = _params_hash({"command": "dims", "partition": list(parts), "vars": args.vars})
-    result = {"partition": list(lam), "vars": args.vars, "dimension": value}
-    return _envelope("dims", digest, result), 0
+def _dims(partition: list, vars: int) -> dict:
+    lam = Partition(partition)
+    if vars < 0:
+        raise ValueError(f"--vars must be nonnegative, got {vars}")
+    return {"partition": list(lam), "vars": vars, "dimension": dim_schur(lam, vars)}
 
 
-def _cmd_codim(args):
-    if args.kind == "schubert":
-        n = _parse_int_list(args.n, "--n")
-        m = _parse_int_list(args.m, "--m")
-        try:
-            datum = StratumDatum(args.r1, n, m)
-        except ValueError as exc:
-            raise CLIError("validation", str(exc)) from exc
-        digest = _params_hash(
-            {"command": "codim.schubert", "r1": args.r1, "n": list(n), "m": list(m)}
-        )
-        result = {"r1": args.r1, "n": list(n), "m": list(m), "codim": schubert_codim(datum)}
-        return _envelope("codim.schubert", digest, result), 0
-    if args.kind in ("quot", "gps"):
-        if args.rank < 1 or args.genus_tilde < 0 or args.points < 0:
-            raise CLIError("validation", "need rank >= 1, genus-tilde >= 0, points >= 0")
-        has_parabolic = args.points > 0
-        params = {
-            "command": f"codim.{args.kind}",
-            "rank": args.rank,
-            "genus_tilde": args.genus_tilde,
-            "points": args.points,
-        }
-        if args.kind == "quot":
-            ss_minus_s, f_minus_ss = quot_codim_bounds(args.rank, args.genus_tilde, has_parabolic)
-            result = {
-                "rank": args.rank,
-                "genus_tilde": args.genus_tilde,
-                "points": args.points,
-                "ss_minus_s": ss_minus_s,
-                "f_minus_ss": f_minus_ss,
-            }
-        else:
-            h_minus_ss, nonstable = gps_codim_bounds(args.rank, args.genus_tilde, has_parabolic)
-            result = {
-                "rank": args.rank,
-                "genus_tilde": args.genus_tilde,
-                "points": args.points,
-                "h_minus_ss": h_minus_ss,
-                "nonstable": nonstable,
-            }
-        return _envelope(f"codim.{args.kind}", _params_hash(params), result), 0
-    # doubledet
-    try:
-        value = double_det_dim(args.a, args.b, args.p, args.q, args.rank)
-    except ValueError as exc:
-        raise CLIError("validation", str(exc)) from exc
-    params = {
-        "command": "codim.doubledet",
-        "a": args.a,
-        "b": args.b,
-        "p": args.p,
-        "q": args.q,
-        "rank": args.rank,
-    }
-    result = {
-        "a": args.a,
-        "b": args.b,
-        "p": args.p,
-        "q": args.q,
-        "rank": args.rank,
-        "dimension": value,
-    }
-    return _envelope("codim.doubledet", _params_hash(params), result), 0
+def _schubert(r1: int, n: list, m: list) -> dict:
+    codim = schubert_codim(StratumDatum(r1, n, m))
+    return {"r1": r1, "n": n, "m": m, "codim": codim}
 
 
-def _balance_cases(max_rank: int, max_level: int):
-    return [(r, k) for r in range(1, max_rank + 1) for k in range(1, max_level + 1)]
+def _codim_bounds(bounds, names):
+    """Handler for a stratum bound table: bounds(rank, genus_tilde, has_parabolic)."""
+
+    def handler(rank: int, genus_tilde: int, points: int) -> dict:
+        if rank < 1 or genus_tilde < 0 or points < 0:
+            raise ValueError("need rank >= 1, genus-tilde >= 0, points >= 0")
+        values = dict(zip(names, bounds(rank, genus_tilde, points > 0)))
+        return {"rank": rank, "genus_tilde": genus_tilde, "points": points, **values}
+
+    return handler
+
+
+def _doubledet(a: int, b: int, p: int, q: int, rank: int) -> dict:
+    value = double_det_dim(a, b, p, q, rank)
+    return {"a": a, "b": b, "p": p, "q": q, "rank": rank, "dimension": value}
 
 
 def _balance_worker(case):
@@ -395,98 +293,76 @@ def _branching_worker(case):
     return 1, failure
 
 
-def _cmd_identities(args):
-    if args.max_rank < 1 or args.max_level < 1:
-        raise CLIError("validation", "need --max-rank >= 1 and --max-level >= 1")
-    threads = _thread_count()
-    sweeps = []
-
-    outcomes = _run_cases(_balance_worker, _balance_cases(args.max_rank, args.max_level), threads)
-    sweeps.append(_merge_sweep("balance", outcomes))
-
-    outcomes = _run_cases(_telescoping_worker, list(range(1, 9)), threads)
-    sweeps.append(_merge_sweep("telescoping", outcomes))
-
-    cases = [(r, m) for r in (1, 2, 3) for m in range(0, 5)]
-    outcomes = _run_cases(_branching_worker, cases, threads)
-    sweeps.append(_merge_sweep("branching", outcomes))
-
-    all_pass = all(not sweep["failures"] for sweep in sweeps)
-    digest = _params_hash(
-        {"command": "identities", "max_rank": args.max_rank, "max_level": args.max_level}
-    )
-    result = {"sweeps": sweeps, "all_pass": all_pass}
-    return _envelope("identities", digest, result), 0 if all_pass else 2
+def _sweep(name: str, worker, cases) -> dict:
+    outcomes = [worker(case) for case in cases]
+    return {
+        "name": name,
+        "cases": sum(count for count, _ in outcomes),
+        "failures": [failure for _, chunk in outcomes for failure in chunk],
+    }
 
 
-def _merge_sweep(name: str, outcomes) -> dict:
-    cases = sum(count for count, _ in outcomes)
-    failures = [failure for _, chunk in outcomes for failure in chunk]
-    return {"name": name, "cases": cases, "failures": failures}
+def _identities(max_rank: int, max_level: int) -> dict:
+    if max_rank < 1 or max_level < 1:
+        raise ValueError("need --max-rank >= 1 and --max-level >= 1")
+    balance = [(r, k) for r in range(1, max_rank + 1) for k in range(1, max_level + 1)]
+    branching = [(r, m) for r in (1, 2, 3) for m in range(0, 5)]
+    sweeps = [
+        _sweep("balance", _balance_worker, balance),
+        _sweep("telescoping", _telescoping_worker, range(1, 9)),
+        _sweep("branching", _branching_worker, branching),
+    ]
+    return {"sweeps": sweeps, "all_pass": all(not sweep["failures"] for sweep in sweeps)}
 
 
 def _mu_text(values) -> str:
     return "[" + ",".join(str(v) for v in values) + "]"
 
 
-def _header_lines(envelope: dict) -> list:
-    return [
-        f"# {TOOL_NAME} {envelope['tool']['version']}",
-        f"# command: {envelope['command']}",
-        f"# input sha256: {envelope['input_sha256']}",
-    ]
-
-
 def _bool_text(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _render_text(envelope: dict) -> str:
-    command = envelope["command"]
-    result = envelope["result"]
-    lines = _header_lines(envelope)
+def _text_rows(command: str, result: dict):
     if command == "branch":
         rows = result["rows"]
         mu_width = max(2, *(len(_mu_text(row["mu"])) for row in rows))
-        lines.append(f"{'mu'.ljust(mu_width)}  dim_left  dim_right")
+        yield f"{'mu'.ljust(mu_width)}  dim_left  dim_right"
         for row in rows:
-            lines.append(
+            yield (
                 f"{_mu_text(row['mu']).ljust(mu_width)}  "
                 f"{str(row['dim_left']).ljust(8)}  {row['dim_right']}"
             )
-        lines.append(f"lhs = {result['lhs']}")
-        lines.append(f"rhs = {result['rhs']}")
-        lines.append(f"equal = {_bool_text(result['equal'])}")
+        yield f"lhs = {result['lhs']}"
+        yield f"rhs = {result['rhs']}"
+        yield f"equal = {_bool_text(result['equal'])}"
     elif command == "identities":
         for sweep in result["sweeps"]:
-            lines.append(
-                f"{sweep['name']}: {sweep['cases']} cases, {len(sweep['failures'])} failures"
-            )
+            yield f"{sweep['name']}: {sweep['cases']} cases, {len(sweep['failures'])} failures"
             for failure in sweep["failures"]:
-                lines.append(f"  FAIL {json.dumps(failure, sort_keys=True)}")
-        lines.append("all identities hold" if result["all_pass"] else "IDENTITY FAILURES FOUND")
+                yield f"  FAIL {json.dumps(failure, sort_keys=True)}"
+        yield "all identities hold" if result["all_pass"] else "IDENTITY FAILURES FOUND"
     elif command == "decompose":
-        lines.append(f"depth = {result['depth']}")
-        lines.append(f"nodes = {result['nodes']}")
-        lines.append(f"leaves = {result['leaves']}")
+        yield f"depth = {result['depth']}"
+        yield f"nodes = {result['nodes']}"
+        yield f"leaves = {result['leaves']}"
         if result["aggregate"] is not None:
-            lines.append(f"aggregate = {result['aggregate']}")
+            yield f"aggregate = {result['aggregate']}"
         for depth, path, node in _tree_rows(result["tree"]):
             spec = node["spec"]
             label = ">".join(_mu_text(mu) for mu in path) or "(root)"
-            lines.append(
+            yield (
                 "  " * depth
                 + f"{label}: genus={spec['genus']} degree={spec['degree']} points={len(spec['points'])}"
             )
     else:
         for key, value in result.items():
             if isinstance(value, bool):
-                lines.append(f"{key} = {_bool_text(value)}")
+                yield f"{key} = {_bool_text(value)}"
             elif isinstance(value, (int, str)):
-                lines.append(f"{key} = {value}")
+                yield f"{key} = {value}"
             elif isinstance(value, list):
-                lines.append(f"{key} = {_mu_text(value)}")
-    return "\n".join(lines) + "\n"
+                yield f"{key} = {_mu_text(value)}"
 
 
 def _tree_rows(tree_dict: dict, depth: int = 0, path: tuple = ()):
@@ -495,57 +371,80 @@ def _tree_rows(tree_dict: dict, depth: int = 0, path: tuple = ()):
         yield from _tree_rows(edge["node"], depth + 1, path + (tuple(edge["mu"]),))
 
 
-def _render_csv(envelope: dict) -> str:
-    command = envelope["command"]
-    result = envelope["result"]
-    lines = _header_lines(envelope)
-    if command == "branch":
-        lines.append("mu,dim_left,dim_right")
-        for row in result["rows"]:
-            lines.append(f"\"{_mu_text(row['mu'])}\",{row['dim_left']},{row['dim_right']}")
-    elif command == "decompose":
-        lines.append("level,mu_path,leaf_sha256")
-        for depth, path, node in _tree_rows(result["tree"]):
-            if node["children"]:
-                continue
+def _branch_csv(result: dict):
+    yield "mu,dim_left,dim_right"
+    for row in result["rows"]:
+        yield f"\"{_mu_text(row['mu'])}\",{row['dim_left']},{row['dim_right']}"
+
+
+def _decompose_csv(result: dict):
+    yield "level,mu_path,leaf_sha256"
+    for depth, path, node in _tree_rows(result["tree"]):
+        if not node["children"]:
             mu_path = ">".join(_mu_text(mu) for mu in path)
-            digest = ModuliSpec.from_json_dict(node["spec"]).sha256()
-            lines.append(f"{depth},\"{mu_path}\",{digest}")
-    else:
-        raise CLIError("usage", f"csv output is not available for {command}")
-    return "\n".join(lines) + "\n"
+            # a leaf's node["spec"] is its to_json_dict(), so this is its sha256()
+            yield f"{depth},\"{mu_path}\",{_canonical_sha256(node['spec'])}"
 
 
-def _render(envelope: dict, fmt: str) -> str:
+# The commands that offer --format csv, with their row writers.
+_CSV_ROWS = {"branch": _branch_csv, "decompose": _decompose_csv}
+
+
+def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(envelope, indent=2) + "\n"
-    if fmt == "text":
-        return _render_text(envelope)
-    return _render_csv(envelope)
+        return json.dumps(report, indent=2) + "\n"
+    command, result = report["command"], report["result"]
+    rows = _text_rows(command, result) if fmt == "text" else _CSV_ROWS[command](result)
+    header = [
+        f"# {TOOL_NAME} {report['tool']['version']}",
+        f"# command: {command}",
+        f"# input sha256: {report['input_sha256']}",
+    ]
+    return "\n".join([*header, *rows]) + "\n"
 
 
 _HANDLERS = {
-    "verify-star": _cmd_verify_star,
-    "decompose": _cmd_decompose,
-    "branch": _cmd_branch,
-    "dims": _cmd_dims,
-    "codim": _cmd_codim,
-    "identities": _cmd_identities,
+    "verify-star": _verify_star,
+    "decompose": _decompose,
+    "branch": _branch,
+    "dims": _dims,
+    "codim.schubert": _schubert,
+    "codim.quot": _codim_bounds(quot_codim_bounds, ("ss_minus_s", "f_minus_ss")),
+    "codim.gps": _codim_bounds(gps_codim_bounds, ("h_minus_ss", "nonstable")),
+    "codim.doubledet": _doubledet,
+    "identities": _identities,
 }
 
 
 def run(argv=None) -> int:
     """Parse arguments, run one subcommand, print its report."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        envelope, exit_code = _HANDLERS[args.command](args)
-        sys.stdout.write(_render(envelope, args.format))
-        return exit_code
+        params = vars(_build_parser().parse_args(argv))
+        command = params.pop("command")
+        if command == "codim":
+            command += "." + params.pop("kind")
+        fmt = params.pop("format")
+        if "spec" in params:
+            blob = _read_file(params["spec"])
+            input_sha256 = _sha256_bytes(blob)
+            params["spec"] = _load_spec(params["spec"], blob)
+        else:
+            input_sha256 = _canonical_sha256({"command": command, **params})
+        result = _HANDLERS[command](**params)
+        report = {
+            "tool": {"name": TOOL_NAME, "version": __version__},
+            "command": command,
+            "input_sha256": input_sha256,
+            "result": result,
+        }
+        sys.stdout.write(_render(report, fmt))
+        return 2 if result.get("all_pass") is False else 0
     except CLIError as err:
-        payload = {"error": {"type": err.kind, "message": str(err)}}
-        sys.stderr.write(json.dumps(payload) + "\n")
-        return 1
+        error = {"type": err.kind, "message": str(err)}
+    except ValueError as exc:
+        error = {"type": "validation", "message": str(exc)}
+    sys.stderr.write(json.dumps({"error": error}) + "\n")
+    return 1
 
 
 def main(argv=None) -> int:

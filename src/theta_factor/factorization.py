@@ -32,27 +32,22 @@ class BoundaryData:
 
     l is the number of jumps (nonzero consecutive differences) of mu.
     point2 carries the reversed jump data, which is the convention the
-    balance check needs; point2_weights_direct records the weight vector
-    the unreversed shorthand would assign at the second point (it equals
-    point1's weights) for reference only.
+    balance check needs.
     """
 
     l: int
     point1: MarkedPoint
     point2: MarkedPoint
-    point2_weights_direct: WeightVector
 
 
-def mu_indices(r: int, k: int, inclusive: bool = False):
+def mu_indices(r: int, k: int):
     """Yield the mu indices for rank r and level k in enumeration order.
 
-    The box is r x (k-1); with inclusive=True the bound becomes k, which
-    is the range of the companion decomposition, not of the factorization
-    itself.
+    The box is r x (k-1).
     """
     if k < 1:
         raise ValueError(f"level must be a positive integer, got {k!r}")
-    return enumerate_in_box(r, k if inclusive else k - 1)
+    return enumerate_in_box(r, k - 1)
 
 
 def _validate_mu(mu, r: int, k: int) -> Partition:
@@ -98,12 +93,7 @@ def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
         weights=_weights_from_jumps(base, reversed_jumps),
         alpha=k - padded[0],
     )
-    return BoundaryData(
-        l=len(positions),
-        point1=point1,
-        point2=point2,
-        point2_weights_direct=_weights_from_jumps(base, jumps),
-    )
+    return BoundaryData(l=len(positions), point1=point1, point2=point2)
 
 
 def _flag_from_positions(positions, r: int) -> FlagType:

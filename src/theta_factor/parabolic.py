@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import partial_sums
@@ -105,6 +105,11 @@ class MarkedPoint:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MarkedPoint":
+        if not isinstance(data, dict):
+            raise ValueError(f"marked point must be a JSON object, got {data!r}")
+        for key in ("flag", "weights"):
+            if key in data and not isinstance(data[key], list):
+                raise ValueError(f"marked point {key} must be a JSON array, got {data[key]!r}")
         try:
             return cls(
                 label=data["label"],
@@ -132,15 +137,15 @@ class ModuliSpec:
     points: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if not isinstance(self.genus, int) or isinstance(self.genus, bool) or self.genus < 0:
             raise ValueError(f"genus must be a nonnegative integer, got {self.genus!r}")
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
         if not isinstance(self.degree, int) or isinstance(self.degree, bool):
             raise ValueError(f"degree must be an integer, got {self.degree!r}")
-        if not isinstance(self.level, int) or self.level < 1:
+        if not isinstance(self.level, int) or isinstance(self.level, bool) or self.level < 1:
             raise ValueError(f"level must be a positive integer, got {self.level!r}")
-        if not isinstance(self.ell, int) or self.ell < 1:
+        if not isinstance(self.ell, int) or isinstance(self.ell, bool) or self.ell < 1:
             raise ValueError(f"ell must be a positive integer, got {self.ell!r}")
         object.__setattr__(self, "points", tuple(self.points))
         for pt in self.points:
@@ -158,9 +163,6 @@ class ModuliSpec:
     def derived_n(self) -> int:
         return self.degree + self.rank * (1 - self.genus)
 
-    def with_points(self, extra) -> "ModuliSpec":
-        return replace(self, points=self.points + tuple(extra))
-
     def to_json_dict(self) -> dict:
         return {
             "genus": self.genus,
@@ -175,6 +177,9 @@ class ModuliSpec:
     def from_json_dict(cls, data: dict) -> "ModuliSpec":
         if not isinstance(data, dict):
             raise ValueError("spec must be a JSON object")
+        points = data.get("points", [])
+        if not isinstance(points, list):
+            raise ValueError(f"points must be a JSON array, got {points!r}")
         try:
             return cls(
                 genus=data["genus"],
@@ -182,9 +187,7 @@ class ModuliSpec:
                 degree=data["degree"],
                 level=data["level"],
                 ell=data["ell"],
-                points=tuple(
-                    MarkedPoint.from_json_dict(p) for p in data.get("points", ())
-                ),
+                points=tuple(MarkedPoint.from_json_dict(p) for p in points),
             )
         except KeyError as missing:
             raise ValueError(f"spec is missing field {missing}") from None

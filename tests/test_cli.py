@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: formats, hashing, determinism, exit codes."""
 
+import csv
 import hashlib
 import json
 
@@ -51,6 +52,33 @@ class TestVerifyStar:
         bad.write_text('{"genus": 1}')
         code, _, err = run_cli(capsys, ["verify-star", str(bad)])
         assert code == 1
+        assert json.loads(err)["error"]["type"] == "validation"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("genus", True),
+            ("rank", True),
+            ("level", True),
+            ("ell", True),
+            ("points", 5),
+            ("points", [5]),
+            ("points", [{"label": "x", "flag": 2, "weights": [0], "alpha": 0}]),
+        ],
+    )
+    def test_malformed_field_is_a_validation_error(self, capsys, tmp_path, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SPEC, **{field: value})))
+        code, out, err = run_cli(capsys, ["verify-star", str(bad)])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["type"] == "validation"
+
+    def test_undecodable_bytes_are_a_validation_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"genus": "\xff"}')
+        code, out, err = run_cli(capsys, ["verify-star", str(bad)])
+        assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "validation"
 
 
@@ -124,6 +152,23 @@ class TestDecompose:
         assert body[0].startswith('1,"[0,0]",')
         digest = body[0].rsplit(",", 1)[1]
         assert len(digest) == 64
+
+    def test_csv_digests_match_json_leaves(self, capsys, spec_file):
+        from theta_factor import ModuliSpec
+
+        _, out, _ = run_cli(capsys, ["decompose", str(spec_file), "--format", "csv"])
+        rows = list(csv.reader(out.splitlines()[4:]))
+        _, out, _ = run_cli(capsys, ["decompose", str(spec_file)])
+        tree = json.loads(out)["result"]["tree"]
+        leaves = [
+            (f"{edge['mu']}>{inner['mu']}".replace(" ", ""), inner["node"]["spec"])
+            for edge in tree["children"]
+            for inner in edge["node"]["children"]
+        ]
+        assert len(rows) == len(leaves) == 36
+        for (depth, mu_path, digest), (path, spec) in zip(rows, leaves):
+            assert (depth, mu_path) == ("2", path)
+            assert digest == ModuliSpec.from_json_dict(spec).sha256()
 
     def test_bad_oracle_argument(self, capsys, spec_file):
         code, _, err = run_cli(
@@ -281,18 +326,6 @@ class TestIdentities:
         result = json.loads(out)["result"]
         assert result["all_pass"] is False
         assert result["sweeps"][0]["failures"] == [{"rank": 1, "level": 1}]
-
-    def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
-        _, single, _ = run_cli(capsys, ["identities", "--max-rank", "2", "--max-level", "2"])
-        monkeypatch.setenv("THETA_FACTOR_THREADS", "3")
-        _, pooled, _ = run_cli(capsys, ["identities", "--max-rank", "2", "--max-level", "2"])
-        assert single == pooled
-
-    def test_invalid_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("THETA_FACTOR_THREADS", "many")
-        code, _, err = run_cli(capsys, ["identities"])
-        assert code == 1
-        assert json.loads(err)["error"]["type"] == "validation"
 
 
 class TestHarness:

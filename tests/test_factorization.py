@@ -38,9 +38,6 @@ class TestMuIndices:
         assert len(list(mu_indices(2, 3))) == box_count(2, 2) == 6
         assert len(list(mu_indices(1, 2))) == 2
 
-    def test_inclusive_bound(self):
-        assert len(list(mu_indices(2, 3, inclusive=True))) == box_count(2, 3) == 10
-
     def test_all_fit_the_box(self):
         for mu in mu_indices(3, 4):
             assert mu.fits_in_box(3, 3)
@@ -59,7 +56,6 @@ class TestMuToBoundary:
         assert p2.flag.partial_sums()[:2] == (1, 2)
         assert tuple(p2.weights.differences()) == (1, 2)
         assert p2.alpha == 4 - 3
-        assert tuple(data.point2_weights_direct) == tuple(p1.weights)
 
     def test_single_jump(self):
         data = mu_to_boundary(Partition((1,)), 2, 2)

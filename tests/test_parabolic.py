@@ -120,6 +120,25 @@ class TestModuliSpec:
         with pytest.raises(ValueError):
             ModuliSpec.from_json_dict({"genus": 1})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("genus", True),
+            ("rank", True),
+            ("level", True),
+            ("ell", True),
+            ("points", 5),
+            ("points", [5]),
+            ("points", [{"label": "x", "flag": 2, "weights": [0], "alpha": 0}]),
+            ("points", [{"label": "x", "flag": [2], "weights": 0, "alpha": 0}]),
+        ],
+    )
+    def test_from_json_rejects_malformed_field(self, field, value):
+        data = {"genus": 1, "rank": 2, "degree": 0, "level": 2, "ell": 1, "points": []}
+        data[field] = value
+        with pytest.raises(ValueError):
+            ModuliSpec.from_json_dict(data)
+
 
 class TestCheckStar:
     def test_no_points_balanced(self):
