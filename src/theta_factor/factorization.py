@@ -208,17 +208,23 @@ def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
     """Degenerate recursively until genus 0 or the depth bound.
 
     Children appear in mu enumeration order, so the tree is deterministic.
+    Balance is checked here for the root only; each degenerate step still
+    checks its parent, and no child needs a check of its own, since the
+    boundary-balance identity (verify_boundary_balance) keeps every child
+    of a balanced spec balanced.
     """
     if not isinstance(depth, int) or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
     lhs, rhs, ok = check_star(spec)
     if not ok:
         raise ValueError(f"spec fails the balance condition: lhs={lhs} rhs={rhs}")
+    return _grow(spec, depth)
+
+
+def _grow(spec: ModuliSpec, depth: int) -> DecompositionTree:
     if depth == 0 or spec.genus == 0:
         return DecompositionTree(spec, ())
-    children = tuple(
-        (mu, build_tree(child, depth - 1)) for mu, child in degenerate(spec)
-    )
+    children = tuple((mu, _grow(child, depth - 1)) for mu, child in degenerate(spec))
     return DecompositionTree(spec, children)
 
 

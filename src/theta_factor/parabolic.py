@@ -1,7 +1,9 @@
 """Parabolic bookkeeping: flags, weights, marked points, and the level balance.
 
-All validation happens when values are constructed, so the arithmetic
-operations below never see malformed data.  Rationals are exact.
+All validation of values happens when they are constructed, so the
+arithmetic operations below never see malformed data.  The from_json_dict
+readers also reject what only a JSON spec can get wrong: unknown keys and
+repeated point labels.  Rationals are exact.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ class MarkedPoint:
     def from_json_dict(cls, data: dict) -> "MarkedPoint":
         if not isinstance(data, dict):
             raise ValueError(f"marked point must be a JSON object, got {data!r}")
+        _reject_unknown_keys(data, ("label", "flag", "weights", "alpha"), "marked point")
         for key in ("flag", "weights"):
             if key in data and not isinstance(data[key], list):
                 raise ValueError(f"marked point {key} must be a JSON array, got {data[key]!r}")
@@ -177,26 +180,34 @@ class ModuliSpec:
     def from_json_dict(cls, data: dict) -> "ModuliSpec":
         if not isinstance(data, dict):
             raise ValueError("spec must be a JSON object")
+        _reject_unknown_keys(data, ("genus", "rank", "degree", "level", "ell", "points"), "spec")
         points = data.get("points", [])
         if not isinstance(points, list):
             raise ValueError(f"points must be a JSON array, got {points!r}")
         try:
-            return cls(
-                genus=data["genus"],
-                rank=data["rank"],
-                degree=data["degree"],
-                level=data["level"],
-                ell=data["ell"],
-                points=tuple(MarkedPoint.from_json_dict(p) for p in points),
-            )
+            fields = {key: data[key] for key in ("genus", "rank", "degree", "level", "ell")}
         except KeyError as missing:
             raise ValueError(f"spec is missing field {missing}") from None
+        points = tuple(MarkedPoint.from_json_dict(p) for p in points)
+        labels = set()
+        for pt in points:
+            if pt.label in labels:
+                raise ValueError(f"duplicate point label {pt.label!r}")
+            labels.add(pt.label)
+        return cls(**fields, points=points)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+def _reject_unknown_keys(data: dict, known, where: str) -> None:
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        names = ", ".join(repr(key) for key in unknown)
+        raise ValueError(f"{where} has unknown key(s) {names}; expected only {', '.join(known)}")
 
 
 def check_star(spec: ModuliSpec):

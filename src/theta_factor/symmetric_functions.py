@@ -2,14 +2,14 @@
 
 Two deliberately separate routes are kept side by side: lr_coefficient
 counts lattice-word tableaux directly, while skew_schur_expand evaluates
-the Jacobi-Trudi determinant in the h-basis and converts to Schur terms
-through horizontal-strip (Kostka) counts.  Tests insist the two agree.
+the Jacobi-Trudi determinant in the h-basis and converts each h-product
+to Schur terms by a Pieri chain: horizontal strips added one part at a
+time from the empty shape, never leaving lam.  Tests insist the two agree.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from itertools import permutations
 
 from .partitions import Partition, partitions_of
@@ -153,29 +153,26 @@ def _strip_extensions(cur, outer, size):
     yield from rec(0, [], size)
 
 
-@lru_cache(maxsize=None)
-def _kostka(nu, alpha) -> int:
-    """Number of semistandard tableaux of shape nu and content alpha.
+def _pieri_chain(alpha, outer, chains) -> dict:
+    """Expansion of h_alpha in Schur terms, cut down to shapes inside outer.
 
-    Counted as chains of horizontal strips: step i grows the shape by
-    alpha[i] cells with no two in one column.  Level-by-level dictionary
-    of reachable shapes, so repeated subchains are shared.
+    Walks horizontal strips of sizes alpha[0], alpha[1], ... from the empty
+    shape (Pieri's rule), keeping one level dictionary shape -> number of
+    strip chains, so the final level holds K(nu, alpha) for every nu inside
+    outer.  chains maps each alpha prefix already walked to its level; the
+    walk resumes from the longest one present and records the new ones.
     """
-    nu = tuple(nu)
-    alpha = tuple(alpha)
-    if sum(alpha) != sum(nu):
-        return 0
-    length = len(nu)
-    levels = {(0,) * length: 1}
-    for s in alpha:
+    start = len(alpha)
+    while alpha[:start] not in chains:
+        start -= 1
+    levels = chains[alpha[:start]]
+    for i in range(start, len(alpha)):
         grown = {}
         for cur, ways in levels.items():
-            for ext in _strip_extensions(cur, nu, s):
+            for ext in _strip_extensions(cur, outer, alpha[i]):
                 grown[ext] = grown.get(ext, 0) + ways
-        if not grown:
-            return 0
-        levels = grown
-    return levels.get(nu, 0)
+        levels = chains[alpha[: i + 1]] = grown
+    return levels
 
 
 def _perm_sign(w) -> int:
@@ -188,12 +185,16 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
 
     Evaluates the Jacobi-Trudi determinant det(h_{lam_i - mu_j - i + j})
     by expanding over permutations, collecting equal h-products under one
-    signed coefficient, then converts each h-product to Schur terms via
-    Kostka numbers: the coefficient of s_nu is the signed sum of
-    K(nu, degrees).  Partitions with more rows than the determinant size
-    cannot receive a nonzero Kostka count (their first column would need
-    more distinct entries than the content has), so the candidate list
-    stops there.
+    signed coefficient, then expands each h-product h_alpha by successive
+    Pieri steps from the empty shape: the coefficient of s_nu is the signed
+    sum of the strip-chain counts K(nu, alpha).  Walks for alphas with a
+    common prefix share their levels through a memo that lives for this
+    call only.
+
+    Every intermediate shape is kept inside lam.  This is exact: a chain
+    ending at nu only passes through shapes inside nu, and s_nu occurs in
+    s_{lam/mu} only when nu is inside lam, so the shapes dropped are those
+    whose signed total is zero anyway.
     """
     lam = Partition(lam)
     mu = Partition(mu)
@@ -220,12 +221,12 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
         signed[key] = signed.get(key, 0) + _perm_sign(w)
     signed = {key: c for key, c in signed.items() if c}
 
-    degree = lam.size - mu.size
-    terms = {}
-    for nu in partitions_of(degree, max_parts=n):
-        coeff = sum(c * _kostka(tuple(nu.padded(n)), alpha) for alpha, c in signed.items())
-        if coeff:
-            terms[nu] = coeff
+    chains = {(): {(0,) * n: 1}}
+    totals = {}
+    for alpha, c in signed.items():
+        for shape, ways in _pieri_chain(alpha, lamp, chains).items():
+            totals[shape] = totals.get(shape, 0) + c * ways
+    terms = {Partition(shape): c for shape, c in totals.items() if c}
     return SchurExpansion(terms)
 
 

@@ -74,6 +74,36 @@ class TestVerifyStar:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"]["type"] == "validation"
 
+    @pytest.mark.parametrize(
+        "spec,named",
+        [
+            (dict(SPEC, colour="red"), "'colour'"),
+            (
+                dict(SPEC, points=[{"label": "p", "flag": [2], "weights": [0], "alpha": 0, "mult": 2}]),
+                "'mult'",
+            ),
+        ],
+        ids=["top-level", "in-point"],
+    )
+    def test_unknown_key_is_a_validation_error(self, capsys, tmp_path, spec, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, ["verify-star", str(bad)])
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation"
+        assert named in error["message"]
+
+    def test_duplicate_label_is_a_validation_error(self, capsys, tmp_path):
+        point = {"label": "p", "flag": [2], "weights": [0], "alpha": 0}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SPEC, points=[point, dict(point, alpha=1)])))
+        code, out, err = run_cli(capsys, ["decompose", str(bad)])
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation"
+        assert "duplicate point label 'p'" in error["message"]
+
     def test_undecodable_bytes_are_a_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"genus": "\xff"}')

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from theta_factor import factorization
 from theta_factor import (
     BoxViolationError,
     FlagType,
@@ -215,6 +216,27 @@ class TestBuildTree:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_tree(balanced_spec(), -1)
+
+    def test_balance_checked_once_per_internal_node(self, monkeypatch):
+        calls = []
+
+        def counting_check_star(spec):
+            calls.append(spec)
+            return check_star(spec)
+
+        monkeypatch.setattr(factorization, "check_star", counting_check_star)
+        tree = build_tree(balanced_spec(genus=3), 3)
+        internal = sum(1 for _, _, node in tree.walk() if not node.is_leaf())
+        assert internal == 1 + 6 + 36
+        assert 0 < len(calls) <= internal + 1
+        # no leaf is checked: children stay balanced by construction
+        assert all(spec.genus > 0 for spec in calls)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_unbalanced_root_rejected(self, depth):
+        spec = ModuliSpec(genus=2, rank=2, degree=5, level=3, ell=3, points=())
+        with pytest.raises(ValueError, match="balance"):
+            build_tree(spec, depth)
 
 
 class TestAggregate:

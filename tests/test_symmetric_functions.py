@@ -5,6 +5,8 @@ Jacobi-Trudi determinant); the polynomial expansion in oracles.py is a
 third, independent route used to pin expected values.
 """
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,84 @@ from theta_factor import (
 )
 
 from oracles import lr_via_polynomials
+
+
+@st.composite
+def skew_in_4x4_box(draw):
+    """A pair (lam, mu) with lam in the 4x4 box and mu inside lam."""
+    rows = sorted(draw(st.lists(st.integers(0, 4), max_size=4)), reverse=True)
+    # any bound-respecting choice, sorted, stays inside lam row by row
+    inner = [draw(st.integers(0, row)) for row in rows]
+    return Partition(rows), Partition(sorted(inner, reverse=True))
+
+
+def skew_tableau_count(outer, inner=()):
+    """f^{outer/inner}: standard fillings, by removing one outer corner at a time."""
+    outer = tuple(outer)
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    memo = {inner: 1}
+
+    def count(shape):
+        if shape not in memo:
+            total = 0
+            for i, row in enumerate(shape):
+                below = shape[i + 1] if i + 1 < len(shape) else 0
+                if row > inner[i] and row > below:
+                    total += count(shape[:i] + (row - 1,) + shape[i + 1 :])
+            memo[shape] = total
+        return memo[shape]
+
+    return count(outer)
+
+
+def horizontal_strips(cur, size):
+    """Every shape cur + (horizontal strip of the given size), rows unbounded."""
+    if not cur:
+        if size == 0:
+            yield ()
+        return
+    head, rest = cur[0], cur[1:]
+    for grow in range(size + 1):
+        for tail in horizontal_strips(rest, size - grow):
+            # a strip has at most one cell per column: row i+1 stays within old row i
+            if not tail or tail[0] <= head:
+                yield (head + grow,) + tail
+
+
+def unpruned_h_product(alpha):
+    """K(nu, alpha) for every nu, from strip chains with no outer bound."""
+    levels = {(0,) * len(alpha): 1}
+    for part in alpha:
+        grown = {}
+        for cur, ways in levels.items():
+            for shape in horizontal_strips(cur, part):
+                grown[shape] = grown.get(shape, 0) + ways
+        levels = grown
+    return {Partition(shape): ways for shape, ways in levels.items()}
+
+
+def unpruned_jacobi_trudi(lam, mu):
+    """s_{lam/mu} from the full Jacobi-Trudi expansion, no shape ever dropped.
+
+    Also returns every shape that some h-product reaches outside lam.
+    """
+    n = max(len(lam), 1)
+    lamp = tuple(lam) + (0,) * (n - len(lam))
+    mup = tuple(mu) + (0,) * (n - len(mu))
+    totals = {}
+    outside = set()
+    for w in permutations(range(n)):
+        parts = [lamp[i] - mup[w[i]] - i + w[i] for i in range(n)]
+        if min(parts) < 0:
+            continue
+        inversions = sum(w[i] > w[j] for i in range(n) for j in range(i + 1, n))
+        sign = -1 if inversions % 2 else 1
+        alpha = sorted((p for p in parts if p), reverse=True)
+        for nu, ways in unpruned_h_product(alpha).items():
+            totals[nu] = totals.get(nu, 0) + sign * ways
+            if not Partition(lam).contains(nu):
+                outside.add(nu)
+    return {nu: c for nu, c in totals.items() if c}, outside
 
 
 def small_partition(max_rows=3, max_cols=3):
@@ -110,6 +190,36 @@ class TestSkewSchurExpand:
                         mu,
                         nu,
                     )
+
+
+class TestPieriChainRoute:
+    @given(skew_in_4x4_box())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_polynomial_oracle(self, shape):
+        lam, mu = shape
+        expansion = skew_schur_expand(lam, mu)
+        for nu in partitions_of(lam.size - mu.size):
+            want = lr_via_polynomials(tuple(mu), tuple(nu), tuple(lam))
+            assert expansion.coefficient(nu) == want, (lam, mu, nu)
+
+    def test_seven_row_staircase(self):
+        lam, mu = Partition((7, 6, 5, 4, 3, 2, 1)), Partition((3, 2, 1))
+        expansion = skew_schur_expand(lam, mu)
+        for nu, coeff in expansion.items():
+            assert coeff == lr_coefficient(mu, nu, lam), nu
+        total = sum(coeff * skew_tableau_count(nu) for nu, coeff in expansion.items())
+        assert total == skew_tableau_count(lam, mu)
+
+    @pytest.mark.parametrize(
+        "lam,mu",
+        [((1, 1), ()), ((2, 2), ()), ((3, 2, 1), (1,)), ((2, 2, 2), (1, 1))],
+    )
+    def test_shapes_outside_lam_cancel(self, lam, mu):
+        full, outside = unpruned_jacobi_trudi(lam, mu)
+        # some h-product reaches past lam, and all of it cancels
+        assert outside
+        assert not outside & set(full)
+        assert skew_schur_expand(Partition(lam), Partition(mu)) == full
 
 
 class TestSchurExpansion:
