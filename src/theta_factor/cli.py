@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -37,6 +38,25 @@ from .partitions import Partition, dim_schur
 
 TOOL_NAME = "theta-factor"
 
+# Work bounds, checked against a closed-form size before anything is built.
+# Every mu is padded to rank entries, so the rank of branch, identities and
+# decompose is capped too.
+MAX_RANK = 1_000
+# A decompose tree of depth d with N = C(rank+level-1, rank) children per
+# node has N^0 + ... + N^d nodes; the cap admits the genus-5, rank-2,
+# level-3 tree (9,331 nodes).  The depth cap matters only at level 1,
+# where N = 1 and the tree is a chain: every node repeats all inherited
+# points, indented two spaces per nesting level, so the JSON report grows
+# with the cube of the depth (12 MB at 64, 332 MB at 200).  The JSON
+# encoder nests three containers per tree level and fails past about 330
+# levels, so 64 is also far inside what it can render.
+MAX_TREE_NODES = 10_000
+MAX_TREE_DEPTH = 64
+# branch writes one row per mu in the rank x power box, C(rank+power, rank).
+MAX_BRANCH_ROWS = 10_000
+# The identities balance sweep checks C(r+k-1, r) cases for every rank r
+# and level k up to its bounds; the other two sweeps are fixed.
+MAX_BALANCE_CASES = 50_000
 
 class CLIError(Exception):
     """A reportable failure: carries the machine-readable error type."""
@@ -193,9 +213,36 @@ def _parse_oracle(text: str | None):
     return lookup, f"table:{_sha256_bytes(blob)}"
 
 
+def _binomial(n: int, k: int, cap: int) -> int | None:
+    """C(n, k), or None when it plainly exceeds cap: C(n, k) >= n for 0 < k < n."""
+    if 0 < k < n and n > cap:
+        return None
+    return math.comb(n, k)
+
+
+def _check_work(what: str, size: int | None, cap: int) -> None:
+    """Reject work whose closed-form size is above cap (None: far above)."""
+    if size is None or size > cap:
+        estimate = f"more than {cap}" if size is None else size
+        raise ValueError(f"{what} would be {estimate}, above the cap of {cap}")
+
+
+def _check_tree_size(spec: ModuliSpec, depth: int) -> None:
+    levels = min(depth, spec.genus)
+    if levels < 1:
+        return
+    _check_work("decompose rank", spec.rank, MAX_RANK)
+    _check_work("decompose tree depth", levels, MAX_TREE_DEPTH)
+    n = _binomial(spec.rank + spec.level - 1, spec.rank, MAX_TREE_NODES)
+    # a tree with one level has 1 + n nodes, so n above the cap settles it
+    nodes = None if n is None or n > MAX_TREE_NODES else sum(n**i for i in range(levels + 1))
+    _check_work("decompose node count", nodes, MAX_TREE_NODES)
+
+
 def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
     depth = spec.genus if depth is None else depth
     leaf_value, oracle_desc = _parse_oracle(oracle)
+    _check_tree_size(spec, depth)
     tree = build_tree(spec, depth)
     aggregate = None
     if leaf_value is not None:
@@ -219,6 +266,8 @@ def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
 def _branch(rank: int, power: int) -> dict:
     if rank < 1 or power < 0:
         raise ValueError("need rank >= 1 and power >= 0")
+    _check_work("branch rank", rank, MAX_RANK)
+    _check_work("branch row count", _binomial(rank + power, rank, MAX_BRANCH_ROWS), MAX_BRANCH_ROWS)
     table = decompose_rectangular(rank, power)
     lhs, rhs, equal = table.identity()
     return {**table.to_json_dict(), "lhs": lhs, "rhs": rhs, "equal": equal}
@@ -302,9 +351,23 @@ def _sweep(name: str, worker, cases) -> dict:
     }
 
 
+def _balance_cases(max_rank: int, max_level: int) -> int | None:
+    """Sum over r <= R, k <= K of C(r+k-1, r) = C(R+K+1, R+1) - K - 1.
+
+    Every (r, k) adds at least one case, so R*K above the cap settles it
+    (None) without the binomial.
+    """
+    if max_rank * max_level > MAX_BALANCE_CASES:
+        return None
+    return math.comb(max_rank + max_level + 1, max_rank + 1) - max_level - 1
+
+
 def _identities(max_rank: int, max_level: int) -> dict:
     if max_rank < 1 or max_level < 1:
         raise ValueError("need --max-rank >= 1 and --max-level >= 1")
+    _check_work("identities rank", max_rank, MAX_RANK)
+    cases = _balance_cases(max_rank, max_level)
+    _check_work("identities balance case count", cases, MAX_BALANCE_CASES)
     balance = [(r, k) for r in range(1, max_rank + 1) for k in range(1, max_level + 1)]
     branching = [(r, m) for r in (1, 2, 3) for m in range(0, 5)]
     sweeps = [

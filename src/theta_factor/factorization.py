@@ -134,6 +134,30 @@ def _next_label_level(points) -> int:
     return top + 1
 
 
+def _check_balanced(spec: ModuliSpec) -> None:
+    lhs, rhs, ok = check_star(spec)
+    if not ok:
+        raise ValueError(f"spec fails the balance condition: lhs={lhs} rhs={rhs}")
+
+
+def _boundary_row(mus, r: int, k: int, level: int):
+    """(mu, point1, point2) for each mu, the points labeled x1@level, x2@level.
+
+    The one place boundary points are made: degenerate builds one row per
+    call, build_tree one row per tree level.
+    """
+    labels = (f"x1@{level}", f"x2@{level}")
+    row = []
+    for mu in mus:
+        data = mu_to_boundary(mu, r, k, labels=labels)
+        row.append((mu, data.point1, data.point2))
+    return row
+
+
+def _child(spec: ModuliSpec, point1: MarkedPoint, point2: MarkedPoint) -> ModuliSpec:
+    return replace(spec, genus=spec.genus - 1, points=spec.points + (point1, point2))
+
+
 def degenerate(spec: ModuliSpec, level: int | None = None):
     """One degeneration step: the list of (mu, child spec) pairs.
 
@@ -144,22 +168,11 @@ def degenerate(spec: ModuliSpec, level: int | None = None):
     """
     if spec.genus < 1:
         raise ValueError("cannot degenerate a genus-0 spec")
-    lhs, rhs, ok = check_star(spec)
-    if not ok:
-        raise ValueError(f"spec fails the balance condition: lhs={lhs} rhs={rhs}")
+    _check_balanced(spec)
     if level is None:
         level = _next_label_level(spec.points)
-    labels = (f"x1@{level}", f"x2@{level}")
-    out = []
-    for mu in mu_indices(spec.rank, spec.level):
-        data = mu_to_boundary(mu, spec.rank, spec.level, labels=labels)
-        child = replace(
-            spec,
-            genus=spec.genus - 1,
-            points=spec.points + (data.point1, data.point2),
-        )
-        out.append((mu, child))
-    return out
+    row = _boundary_row(mu_indices(spec.rank, spec.level), spec.rank, spec.level, level)
+    return [(mu, _child(spec, point1, point2)) for mu, point1, point2 in row]
 
 
 @dataclass(frozen=True)
@@ -167,6 +180,9 @@ class DecompositionTree:
     """A recursion tree: specs at nodes, mu labels on edges.
 
     children is an ordered tuple of (mu, subtree) pairs, empty at leaves.
+    walk, the counts and aggregate_dimension use an explicit stack, so a
+    tree of any depth can be walked, counted and aggregated.  to_json_dict
+    recurses per level, like the JSON encoder that renders its result.
     """
 
     spec: ModuliSpec
@@ -177,9 +193,12 @@ class DecompositionTree:
 
     def walk(self, depth: int = 0, path: tuple = ()):
         """Yield (depth, mu path, node) for every node, preorder."""
-        yield depth, path, self
-        for mu, child in self.children:
-            yield from child.walk(depth + 1, path + (mu,))
+        stack = [(depth, path, self)]
+        while stack:
+            depth, path, node = stack.pop()
+            yield depth, path, node
+            for mu, child in reversed(node.children):
+                stack.append((depth + 1, path + (mu,), child))
 
     def leaves(self):
         for _, path, node in self.walk():
@@ -205,27 +224,40 @@ class DecompositionTree:
 
 
 def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
-    """Degenerate recursively until genus 0 or the depth bound.
+    """Degenerate repeatedly until genus 0 or the depth bound.
 
-    Children appear in mu enumeration order, so the tree is deterministic.
-    Balance is checked here for the root only; each degenerate step still
-    checks its parent, and no child needs a check of its own, since the
+    Children appear in mu enumeration order, so the tree is deterministic
+    and equal to the one that chaining degenerate gives.  Every node at
+    tree level d gets the same boundary points, labeled x1@L, x2@L with
+    L = _next_label_level(spec.points) + d, so they are made once per
+    (mu, level) and shared.  Balance is checked for the root only: the
     boundary-balance identity (verify_boundary_balance) keeps every child
-    of a balanced spec balanced.
+    of a balanced spec balanced.  The tree is grown on an explicit stack.
     """
     if not isinstance(depth, int) or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
-    lhs, rhs, ok = check_star(spec)
-    if not ok:
-        raise ValueError(f"spec fails the balance condition: lhs={lhs} rhs={rhs}")
-    return _grow(spec, depth)
-
-
-def _grow(spec: ModuliSpec, depth: int) -> DecompositionTree:
-    if depth == 0 or spec.genus == 0:
+    _check_balanced(spec)
+    levels = min(depth, spec.genus)
+    if levels == 0:
+        # a leaf: the mu box, which can be huge, is never enumerated
         return DecompositionTree(spec, ())
-    children = tuple((mu, _grow(child, depth - 1)) for mu, child in degenerate(spec))
-    return DecompositionTree(spec, children)
+    r, k = spec.rank, spec.level
+    mus = list(mu_indices(r, k))
+    first = _next_label_level(spec.points)
+    rows = [_boundary_row(mus, r, k, first + d) for d in range(levels)]
+    # post-order: a frame is (node spec, its tree level, its finished subtrees)
+    stack = [(spec, 0, [])]
+    while True:
+        node, d, done = stack[-1]
+        if d < len(rows) and len(done) < len(mus):
+            _, point1, point2 = rows[d][len(done)]
+            stack.append((_child(node, point1, point2), d + 1, []))
+            continue
+        stack.pop()
+        tree = DecompositionTree(node, tuple(zip(mus, done)))
+        if not stack:
+            return tree
+        stack[-1][2].append(tree)
 
 
 class LeafOracleError(RuntimeError):
@@ -244,14 +276,15 @@ def aggregate_dimension(tree: DecompositionTree, leaf_oracle) -> int:
     not base-case values.  Any oracle failure aborts the whole
     aggregation with the offending leaf spec attached.
     """
-    if tree.is_leaf():
+    total = 0
+    for _, leaf in tree.leaves():
         try:
-            value = leaf_oracle(tree.spec)
+            value = leaf_oracle(leaf.spec)
         except LeafOracleError:
             raise
         except Exception as exc:
-            raise LeafOracleError(tree.spec, exc) from exc
+            raise LeafOracleError(leaf.spec, exc) from exc
         if not isinstance(value, int) or isinstance(value, bool):
-            raise LeafOracleError(tree.spec, f"oracle returned a non-integer: {value!r}")
-        return value
-    return sum(aggregate_dimension(child, leaf_oracle) for _, child in tree.children)
+            raise LeafOracleError(leaf.spec, f"oracle returned a non-integer: {value!r}")
+        total += value
+    return total

@@ -116,15 +116,18 @@ def enumerate_in_box(r: int, m: int):
     """
     if r < 0 or m < 0:
         raise ValueError(f"box dimensions must be nonnegative, got {r}x{m}")
-
-    def rec(prefix, slots, bound):
-        if slots == 0:
-            yield Partition(prefix)
+    parts = [0] * r
+    while True:
+        yield Partition(parts)
+        # raise the last part that stays below its left neighbour (or m)
+        # and reset every part after it: the next tuple lexicographically
+        i = r - 1
+        while i >= 0 and parts[i] == (parts[i - 1] if i else m):
+            i -= 1
+        if i < 0:
             return
-        for v in range(bound + 1):
-            yield from rec(prefix + (v,), slots - 1, v)
-
-    yield from rec((), r, m)
+        parts[i] += 1
+        parts[i + 1:] = [0] * (r - 1 - i)
 
 
 def box_count(r: int, m: int) -> int:

@@ -34,12 +34,14 @@ class SchurExpansion:
 
     def __init__(self, terms):
         clean = {}
-        for key in sorted(Partition(p) for p in terms):
-            coeff = terms[key]
+        for key, coeff in terms.items():
+            p = Partition(key)
+            if p in clean:
+                raise ValueError(f"two keys name the partition {tuple(p)!r}")
             if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff < 1:
-                raise ValueError(f"multiplicity of {tuple(key)!r} must be a positive integer")
-            clean[key] = coeff
-        self._terms = clean
+                raise ValueError(f"multiplicity of {tuple(p)!r} must be a positive integer")
+            clean[p] = coeff
+        self._terms = dict(sorted(clean.items()))
 
     @property
     def terms(self) -> dict:

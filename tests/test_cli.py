@@ -3,10 +3,11 @@
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
-from theta_factor import cli
+from theta_factor import cli, factorization
 
 
 SPEC = {"genus": 2, "rank": 2, "degree": 4, "level": 3, "ell": 3, "points": []}
@@ -356,6 +357,151 @@ class TestIdentities:
         result = json.loads(out)["result"]
         assert result["all_pass"] is False
         assert result["sweeps"][0]["failures"] == [{"rank": 1, "level": 1}]
+
+
+def chain_spec(genus):
+    """Rank 1, level 1: one mu per node, so the tree is a chain."""
+    return {"genus": genus, "rank": 1, "degree": genus, "level": 1, "ell": 1, "points": []}
+
+
+def cap_error(what, estimate, cap):
+    return {"error": {"type": "validation", "message": f"{what} would be {estimate}, above the cap of {cap}"}}
+
+
+class TestWorkBounds:
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_deep_chain_rejected_before_building(self, capsys, tmp_path, fmt):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(chain_spec(1100)))
+        argv = ["decompose", str(path), "--oracle", "const:1", "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == cap_error("decompose tree depth", 1100, cli.MAX_TREE_DEPTH)
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_chain_at_depth_cap(self, capsys, tmp_path, fmt):
+        depth = cli.MAX_TREE_DEPTH
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_spec(depth)))
+        argv = ["decompose", str(path), "--oracle", "const:1", "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            result = json.loads(out)["result"]
+            assert (result["nodes"], result["leaves"], result["aggregate"]) == (depth + 1, 1, 1)
+            node, levels = result["tree"], 0
+            while node["children"]:
+                (edge,) = node["children"]
+                node, levels = edge["node"], levels + 1
+            assert levels == depth
+        elif fmt == "text":
+            assert f"nodes = {depth + 1}" in out.splitlines()
+            assert out.splitlines()[-1].startswith("  " * depth + ">".join(["[0]"] * depth))
+        else:
+            rows = [line for line in out.splitlines() if not line.startswith("#")]
+            assert len(rows) == 2 and rows[1].startswith(f"{depth},")
+
+    def test_depth_flag_bounds_the_tree(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(chain_spec(1100)))
+        argv = ["decompose", str(path), "--depth", str(cli.MAX_TREE_DEPTH), "--format", "csv"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[-1].startswith(f"{cli.MAX_TREE_DEPTH},")
+
+    @pytest.mark.parametrize(
+        "spec,argv",
+        [
+            ({"genus": 0, "rank": 2, "degree": 0, "level": 10**6, "ell": 10**6, "points": []}, []),
+            ({"genus": 0, "rank": 10**8, "degree": 0, "level": 1, "ell": 1, "points": []}, []),
+            ({"genus": 3, "rank": 2, "degree": 6, "level": 10**6, "ell": 10**6, "points": []}, ["--depth", "0"]),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_leaf_root_in_a_huge_box(self, capsys, tmp_path, monkeypatch, spec, argv, fmt):
+        # a tree with no levels is one leaf, whatever the size of its mu box
+        def no_box(r, k):
+            raise AssertionError("the mu box was enumerated for a leaf")
+
+        monkeypatch.setattr(factorization, "mu_indices", no_box)
+        path = tmp_path / "leaf.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, ["decompose", str(path), "--oracle", "const:1", "--format", fmt, *argv])
+        assert code == 0 and err == ""
+        if fmt == "json":
+            result = json.loads(out)["result"]
+            assert (result["nodes"], result["leaves"], result["aggregate"]) == (1, 1, 1)
+            assert result["tree"]["children"] == []
+
+    def test_node_count_cap(self, capsys, tmp_path):
+        # genus 6, rank 2, level 3: 6 children per node, 1 + 6 + ... + 6^6 nodes
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({**SPEC, "genus": 6, "degree": 10}))
+        code, out, err = run_cli(capsys, ["decompose", str(path)])
+        assert code == 1 and out == ""
+        assert json.loads(err) == cap_error("decompose node count", 55987, cli.MAX_TREE_NODES)
+
+    def test_huge_box_rejected_without_the_binomial(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        # C(rank + level - 1, rank) children per node: far above the cap
+        spec = {"genus": 1, "rank": 1000, "degree": 1, "level": 10**9, "ell": 10**6, "points": []}
+        path.write_text(json.dumps(spec))
+        code, _, err = run_cli(capsys, ["decompose", str(path)])
+        assert code == 1
+        cap = cli.MAX_TREE_NODES
+        assert json.loads(err) == cap_error("decompose node count", f"more than {cap}", cap)
+
+    def test_branch_row_cap(self, capsys):
+        code, out, err = run_cli(capsys, ["branch", "--rank", "6", "--power", "14"])
+        assert code == 1 and out == ""
+        assert json.loads(err) == cap_error("branch row count", 38760, cli.MAX_BRANCH_ROWS)
+        code, _, err = run_cli(capsys, ["branch", "--rank", "1000", "--power", "1000000000"])
+        cap = cli.MAX_BRANCH_ROWS
+        assert json.loads(err) == cap_error("branch row count", f"more than {cap}", cap)
+
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (["branch", "--rank", "1001", "--power", "0"], "branch rank"),
+            (["identities", "--max-rank", "1001", "--max-level", "1"], "identities rank"),
+            (["decompose", "chain.json"], "decompose rank"),
+        ],
+    )
+    def test_rank_cap(self, capsys, tmp_path, monkeypatch, argv, what):
+        monkeypatch.chdir(tmp_path)
+        rank = cli.MAX_RANK + 1
+        (tmp_path / "chain.json").write_text(json.dumps({**chain_spec(1), "rank": rank, "degree": rank}))
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == cap_error(what, rank, cli.MAX_RANK)
+
+    def test_branch_tall_box_at_rank_cap(self, capsys):
+        # one row, in a box with more rows than the recursion limit allows frames
+        rank = cli.MAX_RANK
+        argv = ["branch", "--rank", str(rank), "--power", "0", "--format", "csv"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3 + 1 + 1
+        assert lines[-1] == '"[' + ",".join(["0"] * rank) + ']",1,1'
+
+    def test_identities_case_cap(self, capsys):
+        code, out, err = run_cli(capsys, ["identities", "--max-rank", "30", "--max-level", "30"])
+        assert code == 1 and out == ""
+        estimate = math.comb(30 + 30 + 1, 30 + 1) - 30 - 1
+        assert estimate == sum(math.comb(r + k - 1, r) for r in range(1, 31) for k in range(1, 31))
+        assert json.loads(err) == cap_error("identities balance case count", estimate, cli.MAX_BALANCE_CASES)
+        argv = ["identities", "--max-rank", "1000", "--max-level", "1000000000"]
+        code, _, err = run_cli(capsys, argv)
+        cap = cli.MAX_BALANCE_CASES
+        assert json.loads(err) == cap_error("identities balance case count", f"more than {cap}", cap)
+
+    def test_identities_tall_sweep_at_rank_cap(self, capsys):
+        rank = cli.MAX_RANK
+        argv = ["identities", "--max-rank", str(rank), "--max-level", "1", "--format", "text"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert f"balance: {rank} cases, 0 failures" in out.splitlines()
 
 
 class TestHarness:

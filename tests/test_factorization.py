@@ -3,13 +3,15 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from theta_factor import factorization
 from theta_factor import (
     BoxViolationError,
+    DecompositionTree,
     FlagType,
     LeafOracleError,
+    MarkedPoint,
     ModuliSpec,
     Partition,
     WeightVector,
@@ -22,6 +24,59 @@ from theta_factor import (
     mu_to_boundary,
     verify_boundary_balance,
 )
+
+
+@st.composite
+def small_balanced_specs(draw):
+    """Balanced specs with rank 1-3, level 1-4, genus 0-3 and 0-3 points.
+
+    Some labels carry an @n suffix, so the fresh boundary labels have to
+    start above them.
+    """
+    rank = draw(st.integers(1, 3))
+    level = draw(st.integers(1, 4))
+    genus = draw(st.integers(0, 3))
+    points = []
+    for i in range(draw(st.integers(0, 3))):
+        pieces = draw(st.integers(1, min(rank, level + 1)))
+        cuts = []
+        if pieces > 1:
+            cuts = sorted(draw(st.sets(st.integers(1, rank - 1), min_size=pieces - 1, max_size=pieces - 1)))
+        flag = [b - a for a, b in zip([0] + cuts, cuts + [rank])]
+        weights = sorted(draw(st.sets(st.integers(0, level), min_size=pieces, max_size=pieces)))
+        suffix = draw(st.sampled_from(["", "@0", "@2", "@3"]))
+        points.append(MarkedPoint(f"p{i}{suffix}", flag, weights, draw(st.integers(0, level))))
+    # balance: sum of point terms + rank*ell = level*(degree + rank*(1 - genus))
+    fixed = sum(pt.star_term() + rank * pt.alpha for pt in points)
+    ells = [ell for ell in range(1, level + 1) if (fixed + rank * ell) % level == 0]
+    assume(ells)
+    ell = draw(st.sampled_from(ells))
+    degree = (fixed + rank * ell) // level - rank * (1 - genus)
+    return ModuliSpec(genus, rank, degree, level, ell, tuple(points))
+
+
+def reference_tree(spec, depth):
+    """The tree obtained by chaining the public degenerate recursively."""
+    if depth == 0 or spec.genus == 0:
+        return DecompositionTree(spec, ())
+    return DecompositionTree(
+        spec, tuple((mu, reference_tree(child, depth - 1)) for mu, child in degenerate(spec))
+    )
+
+
+def reference_walk(tree, depth=0, path=()):
+    yield depth, path, tree
+    for mu, child in tree.children:
+        yield from reference_walk(child, depth + 1, path + (mu,))
+
+
+def reference_json(tree, r):
+    return {
+        "spec": tree.spec.to_json_dict(),
+        "children": [
+            {"mu": list(mu.padded(r)), "node": reference_json(child, r)} for mu, child in tree.children
+        ],
+    }
 
 
 def balanced_spec(genus=2, rank=2, level=3, ell=3):
@@ -237,6 +292,78 @@ class TestBuildTree:
         spec = ModuliSpec(genus=2, rank=2, degree=5, level=3, ell=3, points=())
         with pytest.raises(ValueError, match="balance"):
             build_tree(spec, depth)
+
+
+class TestTreeEngine:
+    @given(small_balanced_specs(), st.integers(0, 4))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_chained_degenerate(self, spec, depth):
+        n = math.comb(spec.rank + spec.level - 1, spec.rank)
+        assume(sum(n**i for i in range(min(depth, spec.genus) + 1)) <= 500)
+        tree = build_tree(spec, depth)
+        expected = reference_tree(spec, depth)
+        # dataclass equality compares specs, mu labels and child order
+        assert tree == expected
+        assert list(tree.walk()) == list(reference_walk(expected))
+        assert tree.node_count() == sum(1 for _ in reference_walk(expected))
+        assert tree.to_json_dict() == reference_json(expected, spec.rank)
+        value = lambda leaf: len(leaf.points) + leaf.degree
+        expected_sum = sum(value(node.spec) for _, _, node in reference_walk(expected) if node.is_leaf())
+        assert aggregate_dimension(tree, value) == expected_sum
+
+    def test_mu_to_boundary_once_per_mu_and_level(self, monkeypatch):
+        calls = []
+
+        def counting_mu_to_boundary(*args, **kwargs):
+            calls.append(args)
+            return mu_to_boundary(*args, **kwargs)
+
+        monkeypatch.setattr(factorization, "mu_to_boundary", counting_mu_to_boundary)
+        spec = balanced_spec(genus=3)
+        n = len(list(mu_indices(spec.rank, spec.level)))
+        for depth in (3, 5):
+            tree = build_tree(spec, depth)
+            assert tree.node_count() == 1 + n + n**2 + n**3
+            assert len(calls) == n * 3
+            # a second build makes the same calls: nothing is kept between builds
+            calls.clear()
+            assert build_tree(spec, depth) == tree
+            assert len(calls) == n * 3
+            calls.clear()
+
+    def test_siblings_share_boundary_points(self):
+        tree = build_tree(balanced_spec(genus=2), 2)
+        (_, first), (_, second) = tree.children[:2]
+        assert first.children[0][1].spec.points[-1] is second.children[0][1].spec.points[-1]
+
+    @pytest.mark.parametrize(
+        "spec,depth",
+        [
+            (balanced_spec(genus=0, level=10**6, ell=10**6), 3),
+            (balanced_spec(genus=0, rank=10**8, level=1, ell=1), 1),
+            (balanced_spec(genus=3, level=10**6, ell=10**6), 0),
+        ],
+    )
+    def test_leaf_root_never_enumerates_the_box(self, monkeypatch, spec, depth):
+        # C(10**6 + 1, 2) mu indices in the first box, rows of 10**8 in the second
+        def no_box(r, k):
+            raise AssertionError("the mu box was enumerated for a leaf")
+
+        monkeypatch.setattr(factorization, "mu_indices", no_box)
+        tree = build_tree(spec, depth)
+        assert tree == DecompositionTree(spec, ())
+        assert tree.node_count() == 1
+
+    def test_deep_chain_without_recursion(self):
+        # rank 1, level 1: one mu per node, so the tree is a chain of 1,101 nodes
+        chain = ModuliSpec(genus=1100, rank=1, degree=1100, level=1, ell=1, points=())
+        tree = build_tree(chain, 1100)
+        assert tree.node_count() == 1101
+        assert tree.leaf_count() == 1
+        assert aggregate_dimension(tree, lambda s: 1) == 1
+        (path, leaf), = tree.leaves()
+        assert len(path) == 1100 and leaf.spec.genus == 0
+        assert leaf.spec.points[-1].label == "x2@1100"
 
 
 class TestAggregate:

@@ -245,6 +245,25 @@ class TestSchurExpansion:
         assert exp == {Partition((1,)): 1}
         assert exp != {Partition((1,)): 2}
 
+    def test_trailing_zero_keys(self):
+        exp = SchurExpansion({(2, 1, 0): 1, (3, 0, 0): 2})
+        assert exp.terms == {Partition((2, 1)): 1, Partition((3,)): 2}
+        assert exp == {(2, 1): 1, (3,): 2}
+
+    def test_plain_tuple_keys_and_list_lookups(self):
+        # dict keys cannot be lists, so lists enter through the lookups
+        exp = SchurExpansion({(3,): 2, (1, 1, 1): 1, (2, 1): 5})
+        assert list(exp) == sorted([Partition((3,)), Partition((1, 1, 1)), Partition((2, 1))])
+        assert exp.coefficient([2, 1]) == 5
+        assert exp.coefficient([2, 1, 0]) == 5
+        assert exp.coefficient([1, 1, 1, 0]) == 1
+
+    def test_colliding_keys_rejected(self):
+        with pytest.raises(ValueError, match=r"\(2, 1\)"):
+            SchurExpansion({(2, 1): 1, (2, 1, 0): 2})
+        with pytest.raises(ValueError, match=r"\(\)"):
+            SchurExpansion({(): 1, (0, 0): 1})
+
 
 class TestRectangularDelta:
     def test_known_values(self):
