@@ -47,9 +47,10 @@ MAX_RANK = 1_000
 # level-3 tree (9,331 nodes).  The depth cap matters only at level 1,
 # where N = 1 and the tree is a chain: every node repeats all inherited
 # points, indented two spaces per nesting level, so the JSON report grows
-# with the cube of the depth (12 MB at 64, 332 MB at 200).  The JSON
-# encoder nests three containers per tree level and fails past about 330
-# levels, so 64 is also far inside what it can render.
+# with the cube of the depth (12 MB at 64, 43 MB at 100, 332 MB at 200,
+# 1.1 GB at 300).  That size sets the cap.  _indented_json recurses once
+# per container, three per tree level, and at the default recursion limit
+# renders chains up to 330 levels; to_json_dict up to 496.
 MAX_TREE_NODES = 10_000
 MAX_TREE_DEPTH = 64
 # branch writes one row per mu in the rank x power box, C(rank+power, rank).
@@ -92,12 +93,19 @@ def _read_file(path: str) -> bytes:
         raise CLIError("io", f"cannot read {path}: {exc}") from exc
 
 
-def _load_spec(path: str, blob: bytes) -> ModuliSpec:
+def _parse_json(blob: bytes, what: str):
+    """The JSON value in an input file; what names the file in errors."""
     try:
-        data = json.loads(blob)
+        return json.loads(blob)
     except json.JSONDecodeError as exc:
-        raise CLIError("validation", f"{path} is not valid JSON: {exc}") from exc
-    return ModuliSpec.from_json_dict(data)
+        raise CLIError("validation", f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        # the stdlib decoder recurses once per nested array or object
+        raise CLIError("validation", f"{what} nests JSON arrays or objects too deeply") from None
+
+
+def _load_spec(path: str, blob: bytes) -> ModuliSpec:
+    return ModuliSpec.from_json_dict(_parse_json(blob, path))
 
 
 def _int_array(flag: str):
@@ -195,10 +203,7 @@ def _parse_oracle(text: str | None):
             raise CLIError("usage", f"bad oracle constant: {text!r}") from exc
         return (lambda spec: value), f"const:{value}"
     blob = _read_file(text)
-    try:
-        table = json.loads(blob)
-    except json.JSONDecodeError as exc:
-        raise CLIError("validation", f"oracle table {text} is not valid JSON: {exc}") from exc
+    table = _parse_json(blob, f"oracle table {text}")
     if not isinstance(table, dict) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in table.values()
     ):
@@ -453,9 +458,91 @@ def _decompose_csv(result: dict):
 _CSV_ROWS = {"branch": _branch_csv, "decompose": _decompose_csv}
 
 
+def _indented_json(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, for the values reports hold.
+
+    Those are str, int, None, True, False, and lists and dicts of them with
+    str keys; anything else raises TypeError.  json.dumps uses its C encoder
+    only without indent, so this writer exists for speed: the text goes to
+    one chunk list, the indentation strings are made once per depth and
+    each key's text once, and a dict object met again at the depth where
+    it was written (the point dicts to_json_dict shares between nodes)
+    copies the chunk span of that first rendering.  It recurses once per
+    nested container.
+    """
+    chunks = []
+    append, extend = chunks.append, chunks.extend
+    encode = json.encoder.encode_basestring_ascii
+    spans = {}
+    # encoded key text with ": ", per key
+    keys = {}
+    # layouts[d]: the strings around the items of a container at depth d
+    layouts = []
+
+    def layout(depth):
+        while len(layouts) <= depth:
+            outer = "\n" + "  " * len(layouts)
+            inner = outer + "  "
+            layouts.append(("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"))
+        return layouts[depth]
+
+    def write(value, depth):
+        # the order of json.dumps' type tests: bool is an int subclass
+        if isinstance(value, str):
+            append(encode(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            open_list, _, separator, close_list, _ = layout(depth)
+            append(open_list)
+            items = iter(value)
+            write(next(items), depth + 1)
+            for item in items:
+                append(separator)
+                write(item, depth + 1)
+            append(close_list)
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            memo = (id(value), depth)
+            span = spans.get(memo)
+            if span is not None:
+                extend(chunks[span[0]:span[1]])
+                return
+            start = len(chunks)
+            _, prefix, separator, _, close_dict = layout(depth)
+            for key, item in value.items():
+                text = keys.get(key)
+                if text is None:
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
+                    text = keys[key] = encode(key) + ": "
+                append(prefix)
+                append(text)
+                prefix = separator
+                write(item, depth + 1)
+            append(close_dict)
+            spans[memo] = (start, len(chunks))
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not a report value")
+
+    write(value, 0)
+    return "".join(chunks)
+
+
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _indented_json(report) + "\n"
     command, result = report["command"], report["result"]
     rows = _text_rows(command, result) if fmt == "text" else _CSV_ROWS[command](result)
     header = [

@@ -129,7 +129,7 @@ def _next_label_level(points) -> int:
     top = 0
     for pt in points:
         _, sep, tail = pt.label.rpartition("@")
-        if sep and tail.isdigit():
+        if sep and tail.isdecimal():
             top = max(top, int(tail))
     return top + 1
 
@@ -175,18 +175,77 @@ def degenerate(spec: ModuliSpec, level: int | None = None):
     return [(mu, _child(spec, point1, point2)) for mu, point1, point2 in row]
 
 
-@dataclass(frozen=True)
+class _KnownHash:
+    """Stands in for a subtree whose hash is already computed."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class DecompositionTree:
     """A recursion tree: specs at nodes, mu labels on edges.
 
     children is an ordered tuple of (mu, subtree) pairs, empty at leaves.
-    walk, the counts and aggregate_dimension use an explicit stack, so a
-    tree of any depth can be walked, counted and aggregated.  to_json_dict
-    recurses per level, like the JSON encoder that renders its result.
+    walk, the counts, aggregate_dimension, ==, hash and repr use an
+    explicit stack, so they handle a tree of any depth; ==, hash and repr
+    give what the dataclass-generated methods, which recurse once per
+    level, give on (spec, children).  to_json_dict recurses per level.
     """
 
     spec: ModuliSpec
     children: tuple = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or not isinstance(a, DecompositionTree):
+                if a != b:
+                    return False
+                continue
+            if a.spec != b.spec or len(a.children) != len(b.children):
+                return False
+            for (mu_a, child_a), (mu_b, child_b) in zip(a.children, b.children):
+                if mu_a != mu_b:
+                    return False
+                stack.append((child_a, child_b))
+        return True
+
+    def __hash__(self) -> int:
+        # hash((spec, children)) bottom-up: a tuple's hash depends only on
+        # the hashes of its items, so a child enters as its known hash
+        hashes = {}
+        for _, _, node in reversed(list(self.walk())):
+            children = tuple((mu, _KnownHash(hashes[id(child)])) for mu, child in node.children)
+            hashes[id(node)] = hash((node.spec, children))
+        return hashes[id(self)]
+
+    def __repr__(self) -> str:
+        # pieces are strings, or nodes still to write, on a stack
+        out = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            out.append(f"{item.__class__.__qualname__}(spec={item.spec!r}, children=(")
+            pieces = []
+            for i, (mu, child) in enumerate(item.children):
+                pieces += [f"{', ' if i else ''}({mu!r}, ", child, ")"]
+            pieces.append(",))" if len(item.children) == 1 else "))")
+            stack.extend(reversed(pieces))
+        return "".join(out)
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -211,13 +270,23 @@ class DecompositionTree:
     def leaf_count(self) -> int:
         return sum(1 for _ in self.leaves())
 
-    def to_json_dict(self, rank: int | None = None) -> dict:
-        """Nodes carry specs, edges carry r-padded mu arrays."""
+    def to_json_dict(self, rank: int | None = None, point_dicts: dict | None = None) -> dict:
+        """Nodes carry specs, edges carry r-padded mu arrays.
+
+        One dict is made per distinct MarkedPoint in the whole call
+        (point_dicts collects them), and every node carrying that point
+        lists the same dict object: the root's points and the boundary
+        points build_tree shares between siblings are each one dict.  The
+        result is == to fresh dicts per node; a caller that mutates a
+        point dict changes it at every node.
+        """
         r = self.spec.rank if rank is None else rank
+        if point_dicts is None:
+            point_dicts = {}
         return {
-            "spec": self.spec.to_json_dict(),
+            "spec": self.spec.to_json_dict(point_dicts),
             "children": [
-                {"mu": list(mu.padded(r)), "node": child.to_json_dict(r)}
+                {"mu": list(mu.padded(r)), "node": child.to_json_dict(r, point_dicts)}
                 for mu, child in self.children
             ],
         }

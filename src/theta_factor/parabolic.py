@@ -166,14 +166,29 @@ class ModuliSpec:
     def derived_n(self) -> int:
         return self.degree + self.rank * (1 - self.genus)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, point_dicts: dict | None = None) -> dict:
+        """The spec as JSON values.
+
+        point_dicts, when given, maps each MarkedPoint already written to
+        its dict and gains the points written now; the result lists those
+        shared dicts, so a caller writing many specs with common points
+        passes one mapping and makes one dict per distinct point.
+        """
+        if point_dicts is None:
+            point_dicts = {}
+        points = []
+        for pt in self.points:
+            shared = point_dicts.get(pt)
+            if shared is None:
+                shared = point_dicts[pt] = pt.to_json_dict()
+            points.append(shared)
         return {
             "genus": self.genus,
             "rank": self.rank,
             "degree": self.degree,
             "level": self.level,
             "ell": self.ell,
-            "points": [pt.to_json_dict() for pt in self.points],
+            "points": points,
         }
 
     @classmethod

@@ -1,16 +1,23 @@
 """End-to-end CLI coverage: formats, hashing, determinism, exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from theta_factor import cli, factorization
+from test_factorization import small_balanced_specs
 
 
 SPEC = {"genus": 2, "rank": 2, "degree": 4, "level": 3, "ell": 3, "points": []}
+# balanced; "²".isdigit() holds but int("²") fails, so the suffix is no level
+X_SQUARED = {"genus": 1, "rank": 1, "degree": 1, "level": 1, "ell": 1,
+             "points": [{"label": "x@²", "flag": [1], "weights": [0], "alpha": 0}]}
 
 
 @pytest.fixture
@@ -216,6 +223,29 @@ class TestDecompose:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "validation"
 
+    def test_label_suffix_that_is_not_a_decimal(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(X_SQUARED))
+        code, out, err = run_cli(capsys, ["decompose", str(path)])
+        assert code == 0 and err == ""
+        (edge,) = json.loads(out)["result"]["tree"]["children"]
+        labels = [point["label"] for point in edge["node"]["spec"]["points"]]
+        assert labels == ["x@²", "x1@1", "x2@1"]
+
+    @pytest.mark.parametrize("nested", ["spec", "oracle"])
+    def test_deeply_nested_input_is_a_validation_error(self, capsys, tmp_path, spec_file, nested):
+        # the stdlib decoder recurses once per array and would raise RecursionError
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        if nested == "spec":
+            argv, what = ["decompose", str(path)], str(path)
+        else:
+            argv, what = ["decompose", str(spec_file), "--oracle", str(path)], f"oracle table {path}"
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        message = f"{what} nests JSON arrays or objects too deeply"
+        assert json.loads(err) == {"error": {"type": "validation", "message": message}}
+
 
 class TestBranch:
     def test_anchor(self, capsys):
@@ -387,6 +417,7 @@ class TestWorkBounds:
         code, out, err = run_cli(capsys, argv)
         assert code == 0 and err == ""
         if fmt == "json":
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
             result = json.loads(out)["result"]
             assert (result["nodes"], result["leaves"], result["aggregate"]) == (depth + 1, 1, 1)
             node, levels = result["tree"], 0
@@ -532,3 +563,111 @@ class TestHarness:
         ):
             _, out, _ = run_cli(capsys, argv)
             assert json.loads(out)["tool"]["version"] == __version__
+
+
+# JSON values as reports hold them: no floats, str keys only.
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**100, -(10**100), -1, 0])
+    | st.text(max_size=6)
+    | st.sampled_from(["", "\x00\x1f\"\\/", "é€\U0001d11e", " \ud800", "x@²"])
+)
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+
+
+class SharedRef(int):
+    """Stands in a drawn shape for one of the shared dicts."""
+
+
+SHAPES = st.recursive(JSON_SCALARS | st.integers(0, 2).map(SharedRef), json_containers, max_leaves=16)
+SHARED_DICTS = st.lists(
+    st.dictionaries(st.text(max_size=3), st.recursive(JSON_SCALARS, json_containers, max_leaves=6), max_size=3),
+    min_size=1,
+    max_size=3,
+)
+
+
+def with_shared(shape, shared):
+    """shape with every SharedRef replaced by that shared dict object itself."""
+    if isinstance(shape, SharedRef):
+        return shared[shape % len(shared)]
+    if isinstance(shape, list):
+        return [with_shared(item, shared) for item in shape]
+    if isinstance(shape, dict):
+        return {key: with_shared(item, shared) for key, item in shape.items()}
+    return shape
+
+
+class TestIndentedJson:
+    @given(SHAPES, SHARED_DICTS)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stdlib_indent_2(self, shape, shared):
+        # dicts recur at one depth and at several, and inside each other
+        shared.append({"first": shared[0], "list": [shared[0]]})
+        value = [with_shared(shape, shared), shared[0], {"again": shared[0], "deeper": [shared[-1], [shared[-1]]]}]
+        assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "a"}, {None: 1}, [object()], {"a": {1, 2}}])
+    def test_rejects_what_no_report_holds(self, value):
+        with pytest.raises(TypeError):
+            cli._indented_json(value)
+
+
+def spec_documents():
+    """Spec-file text: arbitrary JSON, spec-shaped objects, small balanced specs."""
+    values = st.recursive(JSON_SCALARS | st.floats(), json_containers, max_leaves=10)
+    small = st.integers(-2, 5)
+    point = st.fixed_dictionaries({
+        "label": st.sampled_from(["p", "q@1", "x1@2", "x@²"]) | st.text(max_size=4),
+        "flag": st.lists(st.integers(0, 3), max_size=3) | values,
+        "weights": st.lists(st.integers(-1, 4), max_size=3) | values,
+        "alpha": small | values,
+    })
+    fields = {key: small | values for key in ("genus", "rank", "degree", "level", "ell")}
+    spec_shaped = st.fixed_dictionaries(fields, optional={"points": st.lists(point, max_size=3) | values})
+    # trees of at most 64 leaves, so each run stays fast
+    balanced = small_balanced_specs().filter(
+        lambda spec: math.comb(spec.rank + spec.level - 1, spec.rank) ** spec.genus <= 64
+    ).map(lambda spec: spec.to_json_dict())
+    documents = values | spec_shaped | balanced
+    return st.builds(lambda doc, ascii: json.dumps(doc, ensure_ascii=ascii), documents, st.booleans())
+
+
+class TestHostileInput:
+    """Every spec file ends in a report (exit 0 or 2) or one error line (exit 1)."""
+
+    @pytest.fixture(scope="class")
+    def spec_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+    @given(
+        text=spec_documents(),
+        command=st.sampled_from(["decompose", "verify-star"]),
+        fmt=st.sampled_from(["json", "text", "csv"]),
+    )
+    @example(text=json.dumps(chain_spec(1100)), command="decompose", fmt="json")
+    @example(text=json.dumps(chain_spec(1100)), command="verify-star", fmt="json")
+    @example(text=json.dumps(X_SQUARED), command="decompose", fmt="json")
+    @example(text="[" * 100_000 + "]" * 100_000, command="verify-star", fmt="json")
+    @settings(max_examples=100, deadline=None)
+    def test_spec_file_contract(self, spec_path, text, command, fmt):
+        # a lone surrogate makes the file invalid UTF-8, which is one more hostile input
+        spec_path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run([command, str(spec_path), "--format", fmt])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert out == "" and err.endswith("\n") and len(err.splitlines()) == 1
+            error = json.loads(err)
+            assert list(error) == ["error"] and sorted(error["error"]) == ["message", "type"]
+        else:
+            assert err == "" and out.startswith("# theta-factor " if fmt != "json" else "{")
+            if fmt == "json":
+                assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -1,5 +1,6 @@
 """Boundary data, balance, and the genus-reduction recursion."""
 
+import dataclasses
 import math
 
 import pytest
@@ -68,6 +69,30 @@ def reference_walk(tree, depth=0, path=()):
     yield depth, path, tree
     for mu, child in tree.children:
         yield from reference_walk(child, depth + 1, path + (mu,))
+
+
+# DecompositionTree's ==, hash and repr must give what these
+# dataclass-generated methods give; the generated ones recurse per level.
+ReferenceTree = dataclasses.make_dataclass(
+    "DecompositionTree",
+    [("spec", ModuliSpec), ("children", tuple, dataclasses.field(default=()))],
+    frozen=True,
+)
+
+
+def reference_dataclass_tree(tree):
+    return ReferenceTree(
+        tree.spec, tuple((mu, reference_dataclass_tree(child)) for mu, child in tree.children)
+    )
+
+
+def json_point_dicts(data):
+    """Every point dict in a to_json_dict result, one entry per occurrence."""
+    stack = [data]
+    while stack:
+        node = stack.pop()
+        yield from node["spec"]["points"]
+        stack.extend(edge["node"] for edge in node["children"])
 
 
 def reference_json(tree, r):
@@ -306,7 +331,14 @@ class TestTreeEngine:
         assert tree == expected
         assert list(tree.walk()) == list(reference_walk(expected))
         assert tree.node_count() == sum(1 for _ in reference_walk(expected))
-        assert tree.to_json_dict() == reference_json(expected, spec.rank)
+        data = tree.to_json_dict()
+        assert data == reference_json(expected, spec.rank)
+        # one dict per distinct point, shared by every node that carries it
+        distinct = {pt for _, _, node in tree.walk() for pt in node.spec.points}
+        assert len({id(point) for point in json_point_dicts(data)}) == len(distinct)
+        reference = reference_dataclass_tree(expected)
+        assert repr(tree) == repr(reference)
+        assert hash(tree) == hash(reference)
         value = lambda leaf: len(leaf.points) + leaf.degree
         expected_sum = sum(value(node.spec) for _, _, node in reference_walk(expected) if node.is_leaf())
         assert aggregate_dimension(tree, value) == expected_sum
@@ -335,6 +367,13 @@ class TestTreeEngine:
         tree = build_tree(balanced_spec(genus=2), 2)
         (_, first), (_, second) = tree.children[:2]
         assert first.children[0][1].spec.points[-1] is second.children[0][1].spec.points[-1]
+        data = tree.to_json_dict()
+        assert data == reference_json(tree, 2)
+        first, second = (edge["node"]["children"][0]["node"] for edge in data["children"][:2])
+        assert first["spec"]["points"][-1] is second["spec"]["points"][-1]
+        # the x1@1 dict is shared by the child and its own children
+        child = data["children"][0]["node"]
+        assert child["spec"]["points"][0] is child["children"][0]["node"]["spec"]["points"][0]
 
     @pytest.mark.parametrize(
         "spec,depth",
@@ -364,6 +403,47 @@ class TestTreeEngine:
         (path, leaf), = tree.leaves()
         assert len(path) == 1100 and leaf.spec.genus == 0
         assert leaf.spec.points[-1].label == "x2@1100"
+        other = build_tree(chain, 1100)
+        assert other is not tree and other == tree
+        assert hash(other) == hash(tree)
+
+    def test_dataclass_methods_on_a_deep_chain(self):
+        # 1,100 levels over one shared spec, so repr stays small
+        spec = balanced_spec()
+        mu = Partition(())
+
+        def chain(leaf_spec):
+            node = DecompositionTree(leaf_spec)
+            for _ in range(1100):
+                node = DecompositionTree(spec, ((mu, node),))
+            return node
+
+        tree = chain(spec)
+        assert tree == chain(spec)
+        assert hash(tree) == hash(chain(spec))
+        assert tree != chain(balanced_spec(genus=3))
+        head = f"DecompositionTree(spec={spec!r}, children=(({mu!r}, "
+        leaf = f"DecompositionTree(spec={spec!r}, children=())"
+        assert repr(tree) == head * 1100 + leaf + "),))" * 1100
+
+    def test_inequality(self):
+        spec = balanced_spec()
+        tree = build_tree(spec, 2)
+        (mu, child), *rest = tree.children
+        (leaf_mu, leaf), *leaf_rest = child.children
+        deeper = DecompositionTree(leaf.spec, ((leaf_mu, leaf),))
+        variants = [
+            DecompositionTree(spec, tuple(rest)),
+            DecompositionTree(spec, ((mu, DecompositionTree(child.spec, tuple(leaf_rest))), *rest)),
+            DecompositionTree(spec, ((mu, DecompositionTree(child.spec, ((leaf_mu, deeper), *leaf_rest))), *rest)),
+            DecompositionTree(spec, ((Partition((2, 2)), child), *rest)),
+            DecompositionTree(balanced_spec(genus=3), tree.children),
+        ]
+        for variant in variants:
+            assert variant != tree and tree != variant
+            assert (variant == tree) == (reference_dataclass_tree(variant) == reference_dataclass_tree(tree))
+        assert tree != reference_dataclass_tree(tree)
+        assert tree.__eq__(spec) is NotImplemented
 
 
 class TestAggregate:
