@@ -97,11 +97,17 @@ def _parse_json(blob: bytes, what: str):
     """The JSON value in an input file; what names the file in errors."""
     try:
         return json.loads(blob)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CLIError("validation", f"{what} is not valid JSON: {exc}") from exc
     except RecursionError:
         # the stdlib decoder recurses once per nested array or object
         raise CLIError("validation", f"{what} nests JSON arrays or objects too deeply") from None
+    except ValueError:
+        # the only other ValueError: an integer longer than int() converts
+        raise CLIError(
+            "validation",
+            f"{what} holds an integer of more than {sys.get_int_max_str_digits()} digits",
+        ) from None
 
 
 def _load_spec(path: str, blob: bytes) -> ModuliSpec:

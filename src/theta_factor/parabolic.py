@@ -2,8 +2,9 @@
 
 All validation of values happens when they are constructed, so the
 arithmetic operations below never see malformed data.  The from_json_dict
-readers also reject what only a JSON spec can get wrong: unknown keys and
-repeated point labels.  Rationals are exact.
+readers also reject what only a JSON spec can get wrong: unknown keys,
+repeated point labels, and integers longer than MAX_INT_DIGITS digits.
+Rationals are exact.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ __all__ = [
     "gps_slope",
     "pardeg",
 ]
+
+# The largest number of decimal digits of an integer in a JSON spec.  The
+# longest derived value, rhs = level * (degree + rank * (1 - genus)), then
+# has at most 3 * 1,000 + 1 digits, and lhs and derived n fewer, so every
+# report value stays under the 4,300 digits Python converts to text.
+MAX_INT_DIGITS = 1_000
 
 
 class FlagType(tuple):
@@ -113,6 +120,8 @@ class MarkedPoint:
         for key in ("flag", "weights"):
             if key in data and not isinstance(data[key], list):
                 raise ValueError(f"marked point {key} must be a JSON array, got {data[key]!r}")
+            _reject_long_ints(data.get(key, ()), f"marked point {key} entry")
+        _reject_long_ints((data.get("alpha"),), "marked point alpha")
         try:
             return cls(
                 label=data["label"],
@@ -203,6 +212,8 @@ class ModuliSpec:
             fields = {key: data[key] for key in ("genus", "rank", "degree", "level", "ell")}
         except KeyError as missing:
             raise ValueError(f"spec is missing field {missing}") from None
+        for key, value in fields.items():
+            _reject_long_ints((value,), key)
         points = tuple(MarkedPoint.from_json_dict(p) for p in points)
         labels = set()
         for pt in points:
@@ -223,6 +234,12 @@ def _reject_unknown_keys(data: dict, known, where: str) -> None:
     if unknown:
         names = ", ".join(repr(key) for key in unknown)
         raise ValueError(f"{where} has unknown key(s) {names}; expected only {', '.join(known)}")
+
+
+def _reject_long_ints(values, what: str) -> None:
+    for value in values:
+        if isinstance(value, int) and abs(value) >= 10**MAX_INT_DIGITS:
+            raise ValueError(f"{what} has more than {MAX_INT_DIGITS} digits")
 
 
 def check_star(spec: ModuliSpec):

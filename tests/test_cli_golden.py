@@ -54,6 +54,13 @@ FILES = {
     "empty-table.json": "{}",
     "bool-table.json": '{"a": true}',
     "not-json-table.json": "nope",
+    # past the interpreter's 4,300-digit limit for int(), so past the decoder
+    "long-int.json": SPEC.replace('"degree": 4', '"degree": ' + "1" * 5000),
+    # decodes, but lhs and rhs would have 8,001 digits
+    "huge-int.json": (
+        '{"genus": 0, "rank": 1, "degree": 1%s, "level": 1%s, "ell": 1, "points": []}'
+        % ("0" * 4000, "0" * 4000)
+    ),
 }
 
 SCHUBERT = ["codim", "schubert", "--r1", "2", "--n", "[2,2]", "--m", "[0,2]"]
@@ -108,6 +115,8 @@ CASES = [
     ("verify-star-missing-field", ["verify-star", "missing-field.json"]),
     ("verify-star-not-json", ["verify-star", "not-json.json"]),
     ("verify-star-array", ["verify-star", "array.json"]),
+    ("verify-star-long-int", ["verify-star", "long-int.json"]),
+    ("verify-star-huge-int", ["verify-star", "huge-int.json"]),
     ("decompose-unbalanced", ["decompose", "unbalanced.json"]),
     ("decompose-negative-depth", ["decompose", "spec.json", "--depth", "-1"]),
     ("decompose-empty-table", ["decompose", "spec.json", "--depth", "1", "--oracle", "empty-table.json"]),
@@ -417,6 +426,16 @@ EXPECTED = {
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         1,
         '{"error": {"type": "validation", "message": "not-json.json is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"}}\n',
+    ),
+    'verify-star-long-int': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "long-int.json holds an integer of more than 4300 digits"}}\n',
+    ),
+    'verify-star-huge-int': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "degree has more than 1000 digits"}}\n',
     ),
     'verify-star-array': (
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',

@@ -139,6 +139,36 @@ class TestModuliSpec:
         with pytest.raises(ValueError):
             ModuliSpec.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("degree",), -(10**1000), "degree has more than 1000 digits"),
+            (("level",), 10**1000, "level has more than 1000 digits"),
+            (("points", 0, "alpha"), 10**1000, "marked point alpha has more than 1000 digits"),
+            (("points", 0, "weights", 1), 10**4000, "marked point weights entry has more"),
+            (("points", 0, "flag", 0), 10**1000, "marked point flag entry has more"),
+        ],
+        ids=["degree", "level", "alpha", "weights", "flag"],
+    )
+    def test_from_json_rejects_long_ints(self, path, value, message):
+        data = {
+            "genus": 1, "rank": 2, "degree": 0, "level": 2, "ell": 1,
+            "points": [{"label": "x", "flag": [1, 1], "weights": [0, 1], "alpha": 0}],
+        }
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match=message):
+            ModuliSpec.from_json_dict(data)
+
+    def test_longest_ints_keep_report_values_printable(self):
+        top = 10**1000 - 1
+        data = {"genus": top, "rank": top, "degree": -top, "level": top, "ell": top, "points": []}
+        spec = ModuliSpec.from_json_dict(data)
+        lhs, rhs, _ = check_star(spec)
+        assert max(len(str(v)) for v in (lhs, rhs, spec.derived_n())) < 4300
+
 
 class TestCheckStar:
     def test_no_points_balanced(self):

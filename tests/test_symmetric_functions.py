@@ -26,12 +26,16 @@ from oracles import lr_via_polynomials
 
 
 @st.composite
-def skew_in_4x4_box(draw):
-    """A pair (lam, mu) with lam in the 4x4 box and mu inside lam."""
-    rows = sorted(draw(st.lists(st.integers(0, 4), max_size=4)), reverse=True)
+def skew_in_box(draw, height, width):
+    """A pair (lam, mu) with lam in the height x width box and mu inside lam."""
+    rows = sorted(draw(st.lists(st.integers(0, width), max_size=height)), reverse=True)
     # any bound-respecting choice, sorted, stays inside lam row by row
     inner = [draw(st.integers(0, row)) for row in rows]
     return Partition(rows), Partition(sorted(inner, reverse=True))
+
+
+def skew_in_4x4_box():
+    return skew_in_box(4, 4)
 
 
 def skew_tableau_count(outer, inner=()):
@@ -220,6 +224,31 @@ class TestPieriChainRoute:
         assert outside
         assert not outside & set(full)
         assert skew_schur_expand(Partition(lam), Partition(mu)) == full
+
+
+class TestTallShapes:
+    """Nine-row shapes: 9! = 362,880 permutation terms in the determinant."""
+
+    @pytest.mark.parametrize(
+        "lam,mu",
+        [((1,) * 9, ()), ((2,) * 9, (1,)), ((9, 8, 7, 6, 5, 4, 3, 2, 1), (3, 2, 1))],
+    )
+    def test_matches_direct_lr(self, lam, mu):
+        lam, mu = Partition(lam), Partition(mu)
+        expansion = skew_schur_expand(lam, mu)
+        # s_nu occurs in s_{lam/mu} only for nu inside lam
+        inside = [nu for nu in partitions_of(lam.size - mu.size) if lam.contains(nu)]
+        assert set(expansion) <= set(inside)
+        for nu in inside:
+            assert expansion.coefficient(nu) == lr_coefficient(mu, nu, lam), nu
+
+    @given(skew_in_box(8, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_direct_lr_in_8x3_box(self, shape):
+        lam, mu = shape
+        expansion = skew_schur_expand(lam, mu)
+        for nu in partitions_of(lam.size - mu.size):
+            assert expansion.coefficient(nu) == lr_coefficient(mu, nu, lam), (lam, mu, nu)
 
 
 class TestSchurExpansion:
