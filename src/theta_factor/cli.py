@@ -33,7 +33,7 @@ from .factorization import (
     mu_indices,
     verify_boundary_balance,
 )
-from .parabolic import FlagType, ModuliSpec, check_star
+from .parabolic import ModuliSpec, _reject_long_ints, check_star
 from .partitions import Partition, dim_schur
 
 TOOL_NAME = "theta-factor"
@@ -207,6 +207,7 @@ def _parse_oracle(text: str | None):
             value = int(text[len("const:"):])
         except ValueError as exc:
             raise CLIError("usage", f"bad oracle constant: {text!r}") from exc
+        _reject_long_ints((value,), "oracle constant")
         return (lambda spec: value), f"const:{value}"
     blob = _read_file(text)
     table = _parse_json(blob, f"oracle table {text}")
@@ -214,6 +215,7 @@ def _parse_oracle(text: str | None):
         isinstance(v, int) and not isinstance(v, bool) for v in table.values()
     ):
         raise CLIError("validation", f"oracle table {text} must map leaf sha256 to integer")
+    _reject_long_ints(table.values(), f"oracle table {text} entry")
 
     def lookup(spec: ModuliSpec) -> int:
         digest = spec.sha256()
@@ -341,7 +343,7 @@ def _telescoping_worker(r: int):
     failures = []
     for flag in _compositions(r):
         count += 1
-        if not telescoping_check(FlagType(flag)):
+        if not telescoping_check(flag):
             failures.append({"flag": list(flag)})
     return count, failures
 
@@ -580,6 +582,14 @@ def run(argv=None) -> int:
         if command == "codim":
             command += "." + params.pop("kind")
         fmt = params.pop("format")
+        # every integer flag, and every entry of a JSON-array flag, is capped
+        # like a spec's integers, so a report value can always be printed
+        for name, value in params.items():
+            flag = "--" + name.replace("_", "-")
+            if isinstance(value, list):
+                _reject_long_ints(value, f"{flag} entry")
+            else:
+                _reject_long_ints((value,), flag)
         if "spec" in params:
             blob = _read_file(params["spec"])
             input_sha256 = _sha256_bytes(blob)

@@ -8,9 +8,10 @@ attaches those two points; iterating yields a decomposition tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import accumulate
 
-from .parabolic import FlagType, MarkedPoint, ModuliSpec, WeightVector, check_star
+from .parabolic import MarkedPoint, ModuliSpec, check_star
 from .partitions import BoxViolationError, Partition, enumerate_in_box
 
 __all__ = [
@@ -68,44 +69,24 @@ def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
     r-padded mu strictly drop, with jump sizes d_i.  The first point gets
     flag (r_1, r_2 - r_1, ..., r - r_l) and weights (mu_r, mu_r + d_1,
     ...); the second point gets the reversed data, positions r - r_{l-i+1}
-    and jumps d_{l-i+1}, with the same base weight mu_r.  Alphas are mu_r
-    and k - mu_1.  A constant mu has no jumps: both points carry the
-    trivial flag (r) and the single weight mu_r.
+    (so the reversed flag) and jumps d_{l-i+1}, with the same base weight
+    mu_r.  Alphas are mu_r and k - mu_1.  A constant mu has no jumps: both
+    points carry the trivial flag (r) and the single weight mu_r.
     """
     mu = _validate_mu(mu, r, k)
     padded = mu.padded(r)
     base = padded[-1]
     positions = [i for i in range(1, r) if padded[i - 1] > padded[i]]
     jumps = [padded[i - 1] - padded[i] for i in positions]
+    edges = [0, *positions, r]
+    flag = [b - a for a, b in zip(edges, edges[1:])]
     label1, label2 = labels
-
-    point1 = MarkedPoint(
-        label=label1,
-        flag=_flag_from_positions(positions, r),
-        weights=_weights_from_jumps(base, jumps),
-        alpha=base,
-    )
-    reversed_positions = [r - p for p in reversed(positions)]
-    reversed_jumps = list(reversed(jumps))
+    # MarkedPoint makes the FlagType and WeightVector and checks them
+    point1 = MarkedPoint(label1, flag, accumulate(jumps, initial=base), base)
     point2 = MarkedPoint(
-        label=label2,
-        flag=_flag_from_positions(reversed_positions, r),
-        weights=_weights_from_jumps(base, reversed_jumps),
-        alpha=k - padded[0],
+        label2, flag[::-1], accumulate(reversed(jumps), initial=base), k - padded[0]
     )
     return BoundaryData(l=len(positions), point1=point1, point2=point2)
-
-
-def _flag_from_positions(positions, r: int) -> FlagType:
-    edges = list(positions) + [r]
-    return FlagType(b - a for a, b in zip([0] + edges, edges))
-
-
-def _weights_from_jumps(base: int, jumps) -> WeightVector:
-    weights = [base]
-    for d in jumps:
-        weights.append(weights[-1] + d)
-    return WeightVector(weights)
 
 
 def verify_boundary_balance(mu, r: int, k: int):
@@ -155,22 +136,23 @@ def _boundary_row(mus, r: int, k: int, level: int):
 
 
 def _child(spec: ModuliSpec, point1: MarkedPoint, point2: MarkedPoint) -> ModuliSpec:
-    return replace(spec, genus=spec.genus - 1, points=spec.points + (point1, point2))
+    return ModuliSpec(
+        spec.genus - 1, spec.rank, spec.degree, spec.level, spec.ell, spec.points + (point1, point2)
+    )
 
 
-def degenerate(spec: ModuliSpec, level: int | None = None):
+def degenerate(spec: ModuliSpec):
     """One degeneration step: the list of (mu, child spec) pairs.
 
     The child keeps degree, rank, level, and ell, drops the genus by one,
-    and gains the two boundary points labeled x1@level, x2@level.  The
-    parent must have positive genus and satisfy the balance condition;
-    every child then satisfies it too.
+    and gains the boundary points x1@L, x2@L, L one above the parent's
+    highest @L label suffix.  The parent must have positive genus and
+    satisfy the balance condition; every child then satisfies it too.
     """
     if spec.genus < 1:
         raise ValueError("cannot degenerate a genus-0 spec")
     _check_balanced(spec)
-    if level is None:
-        level = _next_label_level(spec.points)
+    level = _next_label_level(spec.points)
     row = _boundary_row(mu_indices(spec.rank, spec.level), spec.rank, spec.level, level)
     return [(mu, _child(spec, point1, point2)) for mu, point1, point2 in row]
 
@@ -250,9 +232,9 @@ class DecompositionTree:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def walk(self, depth: int = 0, path: tuple = ()):
+    def walk(self):
         """Yield (depth, mu path, node) for every node, preorder."""
-        stack = [(depth, path, self)]
+        stack = [(0, (), self)]
         while stack:
             depth, path, node = stack.pop()
             yield depth, path, node
@@ -270,9 +252,10 @@ class DecompositionTree:
     def leaf_count(self) -> int:
         return sum(1 for _ in self.leaves())
 
-    def to_json_dict(self, rank: int | None = None, point_dicts: dict | None = None) -> dict:
-        """Nodes carry specs, edges carry r-padded mu arrays.
+    def to_json_dict(self, point_dicts: dict | None = None) -> dict:
+        """Nodes carry specs, edges carry mu arrays padded to the node's rank.
 
+        Every node that build_tree or degenerate makes has the root's rank.
         One dict is made per distinct MarkedPoint in the whole call
         (point_dicts collects them), and every node carrying that point
         lists the same dict object: the root's points and the boundary
@@ -280,13 +263,13 @@ class DecompositionTree:
         result is == to fresh dicts per node; a caller that mutates a
         point dict changes it at every node.
         """
-        r = self.spec.rank if rank is None else rank
         if point_dicts is None:
             point_dicts = {}
+        r = self.spec.rank
         return {
             "spec": self.spec.to_json_dict(point_dicts),
             "children": [
-                {"mu": list(mu.padded(r)), "node": child.to_json_dict(r, point_dicts)}
+                {"mu": list(mu.padded(r)), "node": child.to_json_dict(point_dicts)}
                 for mu, child in self.children
             ],
         }

@@ -209,7 +209,7 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
                     for ext in _strip_extensions(shape, lamp, lamp[i] - mup[j] - i + j):
                         target[ext] = target.get(ext, 0) + sign * coeff
         states = {rows: {s: c for s, c in e.items() if c} for rows, e in grown.items()}
-    return SchurExpansion({Partition(s): c for s, c in states.get((1 << n) - 1, {}).items()})
+    return SchurExpansion(states.get((1 << n) - 1, {}))
 
 
 def rectangular_lr_is_delta(mu, r: int, m: int):

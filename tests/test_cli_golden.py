@@ -61,7 +61,13 @@ FILES = {
         '{"genus": 0, "rank": 1, "degree": 1%s, "level": 1%s, "ell": 1, "points": []}'
         % ("0" * 4000, "0" * 4000)
     ),
+    # one entry past the 1,000-digit cap on integers
+    "long-entry-table.json": '{"a": 1, "b": 1%s}' % ("0" * 1000),
 }
+
+# the largest integer a flag or an oracle may hold, and the smallest past it
+LONGEST = "9" * 1000
+TOO_LONG = "1" + "0" * 1000
 
 SCHUBERT = ["codim", "schubert", "--r1", "2", "--n", "[2,2]", "--m", "[0,2]"]
 QUOT = ["codim", "quot", "--rank", "3", "--genus-tilde", "2", "--points", "1"]
@@ -133,6 +139,19 @@ CASES = [
     # io errors
     ("verify-star-no-file", ["verify-star", "absent.json"]),
     ("decompose-no-table", ["decompose", "spec.json", "--oracle", "absent-table.json"]),
+    # integers at and past the 1,000-digit cap
+    *_formats("decompose-longest-const", ["decompose", "spec.json", "--depth", "1", "--oracle", "const:" + LONGEST], ("json", "text")),
+    *_formats("doubledet-longest", ["codim", "doubledet", "--a", LONGEST, "--b", "0", "--p", LONGEST, "--q", "0", "--rank", LONGEST], ("json", "text")),
+    ("decompose-long-const", ["decompose", "spec.json", "--oracle", "const:" + TOO_LONG]),
+    ("decompose-long-negative-const", ["decompose", "spec.json", "--oracle", "const:-" + TOO_LONG]),
+    ("decompose-long-table-entry", ["decompose", "spec.json", "--oracle", "long-entry-table.json"]),
+    ("decompose-long-depth", ["decompose", "spec.json", "--depth", TOO_LONG]),
+    ("doubledet-long-int", ["codim", "doubledet", "--a", "1" * 2500, "--b", "0", "--p", "1" * 2500, "--q", "0", "--rank", "1" * 2500]),
+    ("quot-long-genus-tilde", ["codim", "quot", "--rank", "2", "--genus-tilde", TOO_LONG, "--points", "1"]),
+    ("branch-long-rank", ["branch", "--rank", TOO_LONG, "--power", "1"]),
+    ("identities-long-max-level", ["identities", "--max-level", TOO_LONG]),
+    ("dims-long-partition-entry", ["dims", "--partition", f"[{TOO_LONG},1]", "--vars", "3"]),
+    ("schubert-long-m-entry", ["codim", "schubert", "--r1", "2", "--n", "[2,2]", "--m", f"[0,{TOO_LONG}]"]),
 ]
 
 ARGPARSE_CHOICE_WORDING = {
@@ -516,6 +535,76 @@ EXPECTED = {
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         1,
         '{"error": {"type": "io", "message": "cannot read absent-table.json: [Errno 2] No such file or directory: \'absent-table.json\'"}}\n',
+    ),
+    'decompose-longest-const-json': (
+        '6f849b9586c7596cee75b8954b0b9ea1892b76f0f8c128e0a9e5f3c289445e73',
+        0,
+        '',
+    ),
+    'decompose-longest-const-text': (
+        '938448d0edd7753d374fde7332c5b8b7defac54de1cfcd532a3e2437d8a1e180',
+        0,
+        '',
+    ),
+    'doubledet-longest-json': (
+        '27ba6a02854062e74b47d70fe2c45445d5c918e00e4b13fbb51a16c2f4ad19da',
+        0,
+        '',
+    ),
+    'doubledet-longest-text': (
+        'bd279a7a7e9d847a6cd02a31ac3536aab59ac6199011db4c92084f510eb26eed',
+        0,
+        '',
+    ),
+    'decompose-long-const': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "oracle constant has more than 1000 digits"}}\n',
+    ),
+    'decompose-long-negative-const': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "oracle constant has more than 1000 digits"}}\n',
+    ),
+    'decompose-long-table-entry': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "oracle table long-entry-table.json entry has more than 1000 digits"}}\n',
+    ),
+    'decompose-long-depth': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "--depth has more than 1000 digits"}}\n',
+    ),
+    'doubledet-long-int': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "--a has more than 1000 digits"}}\n',
+    ),
+    'quot-long-genus-tilde': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "--genus-tilde has more than 1000 digits"}}\n',
+    ),
+    'branch-long-rank': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "--rank has more than 1000 digits"}}\n',
+    ),
+    'identities-long-max-level': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "--max-level has more than 1000 digits"}}\n',
+    ),
+    'dims-long-partition-entry': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "--partition entry has more than 1000 digits"}}\n',
+    ),
+    'schubert-long-m-entry': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "--m entry has more than 1000 digits"}}\n',
     ),
 }
 

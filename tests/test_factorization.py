@@ -182,6 +182,42 @@ class TestMuToBoundary:
         assert bdry.point1.alpha == padded[-1]
         assert bdry.point2.alpha == k - padded[0]
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, data):
+        """Against the docstring's positions and jumps, in the r x (k-1) box, r <= 4, k <= 5."""
+        r = data.draw(st.integers(min_value=1, max_value=4))
+        k = data.draw(st.integers(min_value=1, max_value=5))
+        rows = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=r))
+        labels = data.draw(st.sampled_from([("x1", "x2"), ("x1@3", "x2@3"), ("a", "b")]))
+        mu = sorted(rows, reverse=True)
+        bdry = mu_to_boundary(Partition(mu), r, k, labels=labels)
+
+        padded = mu + [0] * (r - len(mu))
+        positions = [i for i in range(1, r) if padded[i - 1] > padded[i]]
+        jumps = [padded[i - 1] - padded[i] for i in positions]
+        reversed_positions = [r - p for p in reversed(positions)]
+        reversed_jumps = jumps[::-1]
+
+        def reference(label, positions, jumps, alpha):
+            edges = [0] + positions + [r]
+            flag = tuple(edges[i + 1] - edges[i] for i in range(len(edges) - 1))
+            weights = tuple(padded[-1] + sum(jumps[:i]) for i in range(len(jumps) + 1))
+            return label, flag, weights, alpha
+
+        assert bdry.l == len(positions)
+        want = [
+            reference(labels[0], positions, jumps, padded[-1]),
+            reference(labels[1], reversed_positions, reversed_jumps, k - padded[0]),
+        ]
+        points = (bdry.point1, bdry.point2)
+        assert [(pt.label, tuple(pt.flag), tuple(pt.weights), pt.alpha) for pt in points] == want
+        for pt in points:
+            assert type(pt.flag) is FlagType
+            assert type(pt.weights) is WeightVector
+        spec = ModuliSpec(0, r, 0, k, 1, points)
+        assert spec.points == points
+
 
 class TestBoundaryBalance:
     def test_worked_examples(self):
