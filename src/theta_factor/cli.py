@@ -33,7 +33,7 @@ from .factorization import (
     mu_indices,
     verify_boundary_balance,
 )
-from .parabolic import ModuliSpec, _reject_long_ints, check_star
+from .parabolic import MAX_INT_DIGITS, ModuliSpec, _reject_long_ints, check_star
 from .partitions import Partition, dim_schur
 
 TOOL_NAME = "theta-factor"
@@ -72,6 +72,20 @@ class _Parser(argparse.ArgumentParser):
     # for identity failures, so usage problems become validation errors
     def error(self, message):
         raise CLIError("usage", message)
+
+    def add_argument(self, *names, **kwargs):
+        # integer flags are capped, and one too long for int() is named, not echoed
+        if kwargs.get("type") is int:
+            flag = names[0]
+
+            def parse(text: str) -> int:
+                try:
+                    return _parse_int(text, flag)
+                except ValueError:
+                    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+            kwargs["type"] = parse
+        return super().add_argument(*names, **kwargs)
 
 
 def _sha256_bytes(blob: bytes) -> str:
@@ -114,6 +128,27 @@ def _load_spec(path: str, blob: bytes) -> ModuliSpec:
     return ModuliSpec.from_json_dict(_parse_json(blob, path))
 
 
+def _too_long(what: str) -> CLIError:
+    return CLIError("validation", f"{what} has more than {MAX_INT_DIGITS} digits")
+
+
+def _parse_int(text: str, what: str) -> int:
+    """int(text), capped like a spec's integers so a report value can be printed.
+
+    Decimal text too long for int() to convert is over the cap too.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-").replace("_", "")
+        if len(digits) > MAX_INT_DIGITS and digits.isdecimal():
+            raise _too_long(what) from None
+        raise
+    if abs(value) >= 10**MAX_INT_DIGITS:
+        raise _too_long(what)
+    return value
+
+
 def _int_array(flag: str):
     """argparse type for a flag whose value is a JSON array of integers."""
 
@@ -122,10 +157,17 @@ def _int_array(flag: str):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CLIError("usage", f"{flag} expects a JSON array of integers: {exc}") from exc
+        except RecursionError:
+            raise CLIError("usage", f"{flag} nests JSON arrays or objects too deeply") from None
+        except ValueError:
+            # the only other ValueError: an integer longer than int() converts
+            raise _too_long(f"{flag} entry") from None
         if not isinstance(data, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in data
         ):
             raise CLIError("usage", f"{flag} expects a JSON array of integers, got {text!r}")
+        if any(abs(x) >= 10**MAX_INT_DIGITS for x in data):
+            raise _too_long(f"{flag} entry")
         return data
 
     return parse
@@ -204,10 +246,9 @@ def _parse_oracle(text: str | None):
         return None, None
     if text.startswith("const:"):
         try:
-            value = int(text[len("const:"):])
+            value = _parse_int(text[len("const:"):], "oracle constant")
         except ValueError as exc:
             raise CLIError("usage", f"bad oracle constant: {text!r}") from exc
-        _reject_long_ints((value,), "oracle constant")
         return (lambda spec: value), f"const:{value}"
     blob = _read_file(text)
     table = _parse_json(blob, f"oracle table {text}")
@@ -262,10 +303,8 @@ def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
         try:
             aggregate = aggregate_dimension(tree, leaf_value)
         except LeafOracleError as exc:
-            raise CLIError(
-                "validation",
-                f"leaf oracle failed: {exc} (leaf spec: {exc.spec.canonical_json()})",
-            ) from exc
+            # the message already says "leaf oracle failed on <spec>"
+            raise CLIError("validation", f"{exc} (leaf spec: {exc.spec.canonical_json()})") from exc
     return {
         "depth": depth,
         "oracle": oracle_desc,
@@ -582,14 +621,6 @@ def run(argv=None) -> int:
         if command == "codim":
             command += "." + params.pop("kind")
         fmt = params.pop("format")
-        # every integer flag, and every entry of a JSON-array flag, is capped
-        # like a spec's integers, so a report value can always be printed
-        for name, value in params.items():
-            flag = "--" + name.replace("_", "-")
-            if isinstance(value, list):
-                _reject_long_ints(value, f"{flag} entry")
-            else:
-                _reject_long_ints((value,), flag)
         if "spec" in params:
             blob = _read_file(params["spec"])
             input_sha256 = _sha256_bytes(blob)

@@ -52,7 +52,9 @@ def mu_indices(r: int, k: int):
 
 
 def _validate_mu(mu, r: int, k: int) -> Partition:
-    mu = Partition(mu)
+    if type(mu) is not Partition:
+        # a Partition, as mu_indices makes, is already checked
+        mu = Partition(mu)
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"rank must be a positive integer, got {r!r}")
     if not isinstance(k, int) or k < 1:
@@ -135,12 +137,6 @@ def _boundary_row(mus, r: int, k: int, level: int):
     return row
 
 
-def _child(spec: ModuliSpec, point1: MarkedPoint, point2: MarkedPoint) -> ModuliSpec:
-    return ModuliSpec(
-        spec.genus - 1, spec.rank, spec.degree, spec.level, spec.ell, spec.points + (point1, point2)
-    )
-
-
 def degenerate(spec: ModuliSpec):
     """One degeneration step: the list of (mu, child spec) pairs.
 
@@ -154,7 +150,7 @@ def degenerate(spec: ModuliSpec):
     _check_balanced(spec)
     level = _next_label_level(spec.points)
     row = _boundary_row(mu_indices(spec.rank, spec.level), spec.rank, spec.level, level)
-    return [(mu, _child(spec, point1, point2)) for mu, point1, point2 in row]
+    return [(mu, spec._child(point1, point2)) for mu, point1, point2 in row]
 
 
 class _KnownHash:
@@ -284,7 +280,8 @@ def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
     L = _next_label_level(spec.points) + d, so they are made once per
     (mu, level) and shared.  Balance is checked for the root only: the
     boundary-balance identity (verify_boundary_balance) keeps every child
-    of a balanced spec balanced.  The tree is grown on an explicit stack.
+    of a balanced spec balanced, and a child checks only its two new
+    points (ModuliSpec._child).  The tree is grown on an explicit stack.
     """
     if not isinstance(depth, int) or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
@@ -303,7 +300,7 @@ def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
         node, d, done = stack[-1]
         if d < len(rows) and len(done) < len(mus):
             _, point1, point2 = rows[d][len(done)]
-            stack.append((_child(node, point1, point2), d + 1, []))
+            stack.append((node._child(point1, point2), d + 1, []))
             continue
         stack.pop()
         tree = DecompositionTree(node, tuple(zip(mus, done)))

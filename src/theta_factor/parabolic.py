@@ -1,10 +1,11 @@
 """Parabolic bookkeeping: flags, weights, marked points, and the level balance.
 
 All validation of values happens when they are constructed, so the
-arithmetic operations below never see malformed data.  The from_json_dict
-readers also reject what only a JSON spec can get wrong: unknown keys,
-repeated point labels, and integers longer than MAX_INT_DIGITS digits.
-Rationals are exact.
+arithmetic operations below never see malformed data.  A child spec made
+from a valid parent by degeneration (ModuliSpec._child) checks only its
+two new points.  The from_json_dict readers also reject what only a JSON
+spec can get wrong: unknown keys, repeated point labels, and integers
+longer than MAX_INT_DIGITS digits.  Rationals are exact.
 """
 
 from __future__ import annotations
@@ -161,16 +162,37 @@ class ModuliSpec:
             raise ValueError(f"ell must be a positive integer, got {self.ell!r}")
         object.__setattr__(self, "points", tuple(self.points))
         for pt in self.points:
-            if not isinstance(pt, MarkedPoint):
-                raise ValueError(f"points must be MarkedPoint values, got {pt!r}")
-            if pt.flag.rank != self.rank:
-                raise ValueError(
-                    f"point {pt.label!r}: flag multiplicities sum to {pt.flag.rank}, rank is {self.rank}"
-                )
-            if pt.weights[-1] > self.level:
-                raise ValueError(
-                    f"point {pt.label!r}: weight {pt.weights[-1]} exceeds level {self.level}"
-                )
+            self._check_point(pt)
+
+    def _check_point(self, pt) -> None:
+        if not isinstance(pt, MarkedPoint):
+            raise ValueError(f"points must be MarkedPoint values, got {pt!r}")
+        if pt.flag.rank != self.rank:
+            raise ValueError(
+                f"point {pt.label!r}: flag multiplicities sum to {pt.flag.rank}, rank is {self.rank}"
+            )
+        if pt.weights[-1] > self.level:
+            raise ValueError(
+                f"point {pt.label!r}: weight {pt.weights[-1]} exceeds level {self.level}"
+            )
+
+    def _child(self, point1, point2) -> "ModuliSpec":
+        """The spec of genus one less with point1 and point2 added.
+
+        Only the two new points are checked: the rest was checked when
+        self was made.  The caller ensures self has positive genus.
+        """
+        self._check_point(point1)
+        self._check_point(point2)
+        child = object.__new__(ModuliSpec)
+        # the fields in __init__'s order, so instances keep sharing dict keys
+        object.__setattr__(child, "genus", self.genus - 1)
+        object.__setattr__(child, "rank", self.rank)
+        object.__setattr__(child, "degree", self.degree)
+        object.__setattr__(child, "level", self.level)
+        object.__setattr__(child, "ell", self.ell)
+        object.__setattr__(child, "points", self.points + (point1, point2))
+        return child
 
     def derived_n(self) -> int:
         return self.degree + self.rank * (1 - self.genus)

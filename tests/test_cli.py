@@ -303,6 +303,28 @@ class TestDims:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "usage"
 
+    def test_deeply_nested_partition(self, capsys):
+        # the stdlib decoder recurses once per array and would raise RecursionError
+        argv = ["dims", "--partition", "[" * 100_000 + "]" * 100_000, "--vars", "3"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        message = "--partition nests JSON arrays or objects too deeply"
+        assert json.loads(err) == {"error": {"type": "usage", "message": message}}
+
+    @pytest.mark.parametrize(
+        "vars_text,message",
+        [
+            ("-" + "1" * 5000, "--vars has more than 1000 digits"),
+            (" +" + "1_0" * 2500 + " ", "--vars has more than 1000 digits"),
+            # long, but not an integer: argparse's wording
+            ("1" * 5000 + "x", "argument --vars: invalid int value: "),
+        ],
+    )
+    def test_unconvertible_vars(self, capsys, vars_text, message):
+        code, out, err = run_cli(capsys, ["dims", "--partition", "[1]", "--vars", vars_text])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["message"].startswith(message)
+
 
 class TestCodim:
     def test_schubert(self, capsys):

@@ -68,6 +68,7 @@ FILES = {
 # the largest integer a flag or an oracle may hold, and the smallest past it
 LONGEST = "9" * 1000
 TOO_LONG = "1" + "0" * 1000
+UNCONVERTIBLE = "1" * 5000
 
 SCHUBERT = ["codim", "schubert", "--r1", "2", "--n", "[2,2]", "--m", "[0,2]"]
 QUOT = ["codim", "quot", "--rank", "3", "--genus-tilde", "2", "--points", "1"]
@@ -152,6 +153,10 @@ CASES = [
     ("identities-long-max-level", ["identities", "--max-level", TOO_LONG]),
     ("dims-long-partition-entry", ["dims", "--partition", f"[{TOO_LONG},1]", "--vars", "3"]),
     ("schubert-long-m-entry", ["codim", "schubert", "--r1", "2", "--n", "[2,2]", "--m", f"[0,{TOO_LONG}]"]),
+    # past the interpreter's 4,300-digit limit for int(), so never converted
+    ("branch-unconvertible-rank", ["branch", "--rank", UNCONVERTIBLE, "--power", "1"]),
+    ("dims-unconvertible-partition-entry", ["dims", "--partition", f"[{UNCONVERTIBLE}]", "--vars", "3"]),
+    ("decompose-unconvertible-const", ["decompose", "spec.json", "--oracle", "const:" + UNCONVERTIBLE]),
 ]
 
 ARGPARSE_CHOICE_WORDING = {
@@ -474,7 +479,7 @@ EXPECTED = {
     'decompose-empty-table': (
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         1,
-        '{"error": {"type": "validation", "message": "leaf oracle failed: leaf oracle failed on {\'genus\': 1, \'rank\': 2, \'degree\': 4, \'level\': 3, \'ell\': 3, \'points\': [{\'label\': \'x1@1\', \'flag\': [2], \'weights\': [0], \'alpha\': 0}, {\'label\': \'x2@1\', \'flag\': [2], \'weights\': [0], \'alpha\': 3}]}: no oracle entry for leaf 3cf7c4ed373e2335b02513a146c3bb3ad405a9d597869c0f1f8f7250b690ff68 (leaf spec: {\\"degree\\":4,\\"ell\\":3,\\"genus\\":1,\\"level\\":3,\\"points\\":[{\\"alpha\\":0,\\"flag\\":[2],\\"label\\":\\"x1@1\\",\\"weights\\":[0]},{\\"alpha\\":3,\\"flag\\":[2],\\"label\\":\\"x2@1\\",\\"weights\\":[0]}],\\"rank\\":2})"}}\n',
+        '{"error": {"type": "validation", "message": "leaf oracle failed on {\'genus\': 1, \'rank\': 2, \'degree\': 4, \'level\': 3, \'ell\': 3, \'points\': [{\'label\': \'x1@1\', \'flag\': [2], \'weights\': [0], \'alpha\': 0}, {\'label\': \'x2@1\', \'flag\': [2], \'weights\': [0], \'alpha\': 3}]}: no oracle entry for leaf 3cf7c4ed373e2335b02513a146c3bb3ad405a9d597869c0f1f8f7250b690ff68 (leaf spec: {\\"degree\\":4,\\"ell\\":3,\\"genus\\":1,\\"level\\":3,\\"points\\":[{\\"alpha\\":0,\\"flag\\":[2],\\"label\\":\\"x1@1\\",\\"weights\\":[0]},{\\"alpha\\":3,\\"flag\\":[2],\\"label\\":\\"x2@1\\",\\"weights\\":[0]}],\\"rank\\":2})"}}\n',
     ),
     'decompose-bool-table': (
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -605,6 +610,21 @@ EXPECTED = {
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         1,
         '{"error": {"type": "validation", "message": "--m entry has more than 1000 digits"}}\n',
+    ),
+    'branch-unconvertible-rank': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "--rank has more than 1000 digits"}}\n',
+    ),
+    'dims-unconvertible-partition-entry': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "--partition entry has more than 1000 digits"}}\n',
+    ),
+    'decompose-unconvertible-const': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "oracle constant has more than 1000 digits"}}\n',
     ),
 }
 

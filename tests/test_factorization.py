@@ -379,6 +379,56 @@ class TestTreeEngine:
         expected_sum = sum(value(node.spec) for _, _, node in reference_walk(expected) if node.is_leaf())
         assert aggregate_dimension(tree, value) == expected_sum
 
+    @given(small_balanced_specs(), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_children_equal_publicly_built_specs(self, spec, depth):
+        # reference_tree chains degenerate, which makes children the same
+        # way build_tree does, so compare each node with the public constructor
+        n = math.comb(spec.rank + spec.level - 1, spec.rank)
+        assume(sum(n**i for i in range(min(depth, spec.genus) + 1)) <= 500)
+        for _, _, node in build_tree(spec, depth).walk():
+            child = node.spec
+            public = ModuliSpec(
+                child.genus, child.rank, child.degree, child.level, child.ell, child.points
+            )
+            assert child == public and hash(child) == hash(public)
+            # the same fields in the same order, so instances share dict keys
+            assert repr(child) == repr(public)
+            assert list(vars(child).items()) == list(vars(public).items())
+
+    def test_child_checks_its_new_points(self):
+        spec = balanced_spec()
+        fits = MarkedPoint("ok", [1, 1], [0, 1], 0)
+        wrong_rank = MarkedPoint("wide", [2, 1], [0, 1], 0)
+        with pytest.raises(ValueError, match=r"point 'wide': flag multiplicities sum to 3, rank is 2"):
+            spec._child(fits, wrong_rank)
+        too_heavy = MarkedPoint("heavy", [1, 1], [0, 4], 0)
+        with pytest.raises(ValueError, match=r"point 'heavy': weight 4 exceeds level 3"):
+            spec._child(too_heavy, fits)
+        with pytest.raises(ValueError, match="points must be MarkedPoint values"):
+            spec._child(fits, "x2")
+        # the public constructor gives the same messages
+        with pytest.raises(ValueError, match=r"point 'heavy': weight 4 exceeds level 3"):
+            ModuliSpec(1, 2, 4, 3, 3, (too_heavy,))
+        child = spec._child(fits, fits)
+        assert child == ModuliSpec(1, 2, 4, 3, 3, (fits, fits))
+
+    def test_children_skip_the_full_check(self, monkeypatch):
+        calls = []
+        post_init = ModuliSpec.__post_init__
+
+        def counting_post_init(self):
+            calls.append(self)
+            post_init(self)
+
+        spec = balanced_spec(genus=3)
+        monkeypatch.setattr(ModuliSpec, "__post_init__", counting_post_init)
+        tree = build_tree(spec, 3)
+        assert tree.node_count() == 1 + 6 + 6**2 + 6**3
+        assert calls == []
+        degenerate(spec)
+        assert calls == []
+
     def test_mu_to_boundary_once_per_mu_and_level(self, monkeypatch):
         calls = []
 
