@@ -34,7 +34,7 @@ from .factorization import (
     verify_boundary_balance,
 )
 from .parabolic import MAX_INT_DIGITS, ModuliSpec, _reject_long_ints, check_star
-from .partitions import Partition, dim_schur
+from .partitions import Partition, _weyl_pairs, dim_schur
 
 TOOL_NAME = "theta-factor"
 
@@ -58,6 +58,12 @@ MAX_BRANCH_ROWS = 10_000
 # The identities balance sweep checks C(r+k-1, r) cases for every rank r
 # and level k up to its bounds; the other two sweeps are fixed.
 MAX_BALANCE_CASES = 50_000
+# dims multiplies min(Weyl pairs, |lam|) factors, each at most lam_1 + vars
+# (partitions.dim_schur); their digits bound the numerator.  A numerator
+# of that size takes about half a second.
+MAX_DIMS_DIGITS = 100_000
+# usage errors quote at most this many characters of an argument
+MAX_ECHO = 40
 
 class CLIError(Exception):
     """A reportable failure: carries the machine-readable error type."""
@@ -82,10 +88,17 @@ class _Parser(argparse.ArgumentParser):
                 try:
                     return _parse_int(text, flag)
                 except ValueError:
-                    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+                    raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
 
             kwargs["type"] = parse
         return super().add_argument(*names, **kwargs)
+
+
+def _quoted(text: str) -> str:
+    """repr(text), or for long text the repr of its start and its length."""
+    if len(text) <= MAX_ECHO:
+        return repr(text)
+    return f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
 
 
 def _sha256_bytes(blob: bytes) -> str:
@@ -165,7 +178,7 @@ def _int_array(flag: str):
         if not isinstance(data, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in data
         ):
-            raise CLIError("usage", f"{flag} expects a JSON array of integers, got {text!r}")
+            raise CLIError("usage", f"{flag} expects a JSON array of integers, got {_quoted(text)}")
         if any(abs(x) >= 10**MAX_INT_DIGITS for x in data):
             raise _too_long(f"{flag} entry")
         return data
@@ -248,7 +261,7 @@ def _parse_oracle(text: str | None):
         try:
             value = _parse_int(text[len("const:"):], "oracle constant")
         except ValueError as exc:
-            raise CLIError("usage", f"bad oracle constant: {text!r}") from exc
+            raise CLIError("usage", f"bad oracle constant: {_quoted(text)}") from exc
         return (lambda spec: value), f"const:{value}"
     blob = _read_file(text)
     table = _parse_json(blob, f"oracle table {text}")
@@ -329,7 +342,17 @@ def _dims(partition: list, vars: int) -> dict:
     lam = Partition(partition)
     if vars < 0:
         raise ValueError(f"--vars must be nonnegative, got {vars}")
-    return {"partition": list(lam), "vars": vars, "dimension": dim_schur(lam, vars)}
+    if len(lam) <= vars:
+        # every factor has at least one digit, so a factor count above the cap settles it
+        factors = min(_weyl_pairs(len(lam), vars), lam.size)
+        largest = (lam[0] if lam else 0) + vars
+        digits = None if factors > MAX_DIMS_DIGITS else factors * len(str(largest))
+        _check_work("dims numerator digit count", digits, MAX_DIMS_DIGITS)
+    dimension = dim_schur(lam, vars)
+    limit = sys.get_int_max_str_digits()
+    if limit and dimension >= 10**limit:
+        raise ValueError(f"dims dimension has more than {limit} digits")
+    return {"partition": list(lam), "vars": vars, "dimension": dimension}
 
 
 def _schubert(r1: int, n: list, m: list) -> dict:

@@ -30,6 +30,9 @@ class Partition(tuple):
     """Weakly decreasing tuple of nonnegative integers."""
 
     def __new__(cls, parts=()):
+        # a value of this very class was checked and stripped when it was made
+        if type(parts) is cls:
+            return parts
         parts = tuple(parts)
         for p in parts:
             if not isinstance(p, int) or isinstance(p, bool) or p < 0:
@@ -75,16 +78,44 @@ class Partition(tuple):
 def dim_schur(lam, n: int) -> int:
     """Dimension of the Schur module S_lam(V) for an n-dimensional V.
 
-    Hook content formula: the product over cells (i, j) of (n + j - i)
-    divided by the product of hook lengths.  Both products are integers
-    and the division is exact, performed once at the end.  A diagram with
-    more than n rows gives the zero module, so the dimension is 0.
+    A diagram with more than n rows gives the zero module, so the
+    dimension is 0.  Otherwise the formula with fewer factors is used:
+    Weyl's product when n is small against |lam|, hook content when |lam|
+    is small against n (see _weyl_pairs).  Both are exact integer
+    divisions performed once at the end.
     """
     lam = Partition(lam)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if len(lam) > n:
         return 0
+    if _weyl_pairs(len(lam), n) <= lam.size:
+        return _weyl_dimension(lam, n)
+    return _hook_content_dimension(lam, n)
+
+
+def _weyl_pairs(length: int, n: int) -> int:
+    """Factors of Weyl's product that are not 1: pairs i < j < n with i < length."""
+    return length * (n - 1) - length * (length - 1) // 2
+
+
+def _weyl_dimension(lam, n: int) -> int:
+    """Weyl's product over i < j < n of (lam_i - lam_j + j - i) / (j - i).
+
+    Fulton-Harris, Theorem 6.3.  A pair of rows both below lam gives 1,
+    so only the rows of lam are walked: n - 1 - i factors for row i.
+    """
+    num = 1
+    den = 1
+    for i, row in enumerate(lam):
+        for j in range(i + 1, n):
+            num *= row - (lam[j] if j < len(lam) else 0) + j - i
+        den *= math.factorial(n - 1 - i)
+    return _exact(num, den, lam)
+
+
+def _hook_content_dimension(lam, n: int) -> int:
+    """The product over cells (i, j) of (n + j - i) over the product of hook lengths."""
     cols = lam.conjugate()
     num = 1
     den = 1
@@ -92,8 +123,12 @@ def dim_schur(lam, n: int) -> int:
         for j in range(row):
             num *= n + j - i
             den *= (row - j) + (cols[j] - i) - 1
+    return _exact(num, den, lam)
+
+
+def _exact(num: int, den: int, lam) -> int:
     if num % den:
-        raise ArithmeticError(f"hook content division not exact for {tuple(lam)!r}")
+        raise ArithmeticError(f"dimension division not exact for {tuple(lam)!r}")
     return num // den
 
 

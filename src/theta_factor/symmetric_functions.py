@@ -10,6 +10,7 @@ entry and never leaving lam.  Tests insist the two agree.
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 
 from .partitions import Partition, complement_in_box, partitions_of
 
@@ -134,24 +135,26 @@ def lr_coefficient(mu, nu, lam) -> int:
 def _strip_extensions(cur, outer, size):
     """Shapes reachable from cur by adding a horizontal strip of the given size.
 
-    All shapes are tuples padded to len(outer); no two added cells may
-    share a column, which caps row i at the previous row's old length.
+    All shapes are tuples padded to len(outer), in lexicographic order; no
+    two added cells may share a column, which caps row i at the previous
+    row's old length.  Row i has caps[i] free cells and rows i.. have
+    room[i], so row i takes at least what the rows below cannot.
     """
-    length = len(outer)
-
-    def rec(i, acc, left):
-        if i == length:
-            if left == 0:
-                yield tuple(acc)
-            return
-        cap = outer[i] if i == 0 else min(outer[i], cur[i - 1])
-        hi = min(cap, cur[i] + left)
-        for v in range(cur[i], hi + 1):
-            acc.append(v)
-            yield from rec(i + 1, acc, left - (v - cur[i]))
-            acc.pop()
-
-    yield from rec(0, [], size)
+    caps = [(outer[0] if i == 0 else min(outer[i], cur[i - 1])) - cur[i] for i in range(len(cur))]
+    room = list(accumulate(reversed(caps), initial=0))[::-1]
+    if size > room[0]:
+        return []
+    if size == 0:
+        return [cur]
+    partial = [((), size)]
+    for i in range(len(cur) - 1):
+        c, cap, below = cur[i], caps[i], room[i + 1]
+        partial = [
+            (acc + (c + a,), left - a)
+            for acc, left in partial
+            for a in range(max(0, left - below), min(cap, left) + 1)
+        ]
+    return [acc + (cur[-1] + left,) for acc, left in partial]
 
 
 def skew_schur_expand(lam, mu) -> SchurExpansion:
@@ -172,9 +175,8 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
     exist, and Hall's condition then drops every state in which some
     remaining columns cannot find free rows: columns 0..c need c + 1
     distinct rows below reach[c].  Every completion of a dropped state is
-    zero.  On the 9-row staircase over (3, 2, 1), leaving out the pruning
-    makes the expansion 1.7 times slower, going from the first column 20
-    times slower.
+    zero.  The verdict depends only on the row set, which has n - j rows
+    at column j, so it is worked out once per row set.
 
     Every intermediate shape is kept inside lam.  This is exact: Pieri
     steps never shrink a shape, so a product reaching nu only passes
@@ -191,17 +193,24 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
     mup = mu.padded(n)
     reach = [sum(lamp[i] - i >= mup[j] - j for i in range(n)) for j in range(n)]
 
+    masks = [(1 << r) - 1 for r in reach]
+    # row set -> whether columns 0..c find c + 1 free rows below reach[c]
+    hall = {}
     states = {0: {(0,) * n: 1}}
     for j in reversed(range(n)):
         grown = {}
         for used, expansion in states.items():
             for i in range(reach[j]):
                 bit = 1 << i
+                if used & bit:
+                    continue
                 rows = used | bit
-                # Hall: the remaining columns 0..c need c + 1 free rows below reach[c]
-                if used & bit or any(
-                    (rows & ((1 << reach[c]) - 1)).bit_count() >= reach[c] - c for c in range(j)
-                ):
+                fits = hall.get(rows)
+                if fits is None:
+                    fits = hall[rows] = all(
+                        (rows & masks[c]).bit_count() < reach[c] - c for c in range(j)
+                    )
+                if not fits:
                     continue
                 sign = -1 if (used & (bit - 1)).bit_count() % 2 else 1
                 target = grown.setdefault(rows, {})

@@ -5,7 +5,7 @@ enumeration, polynomial arithmetic, echelon cells) without importing the
 package under test, so a library bug cannot hide inside its own checker.
 """
 
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, product
 
 
 def ssyt_count(shape, n):
@@ -40,6 +40,22 @@ def ssyt_count(shape, n):
         return total
 
     return fill(0)
+
+
+def horizontal_strip_shapes(cur, outer, size):
+    """Every shape between cur and outer that adds a horizontal strip of size cells.
+
+    All three are read as equal-length tuples.  Tries every tuple with
+    cur_i <= new_i <= outer_i, in lexicographic order, and keeps those that
+    add size cells with no two in one column: new_i <= cur_{i-1}.
+    """
+    cur, outer = tuple(cur), tuple(outer)
+    return [
+        new
+        for new in product(*(range(c, o + 1) for c, o in zip(cur, outer)))
+        if sum(new) - sum(cur) == size
+        and all(new[i] <= cur[i - 1] for i in range(1, len(new)))
+    ]
 
 
 def schur_monomials(shape, nvars):

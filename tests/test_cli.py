@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -215,6 +216,13 @@ class TestDecompose:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "usage"
 
+    def test_long_oracle_constant_is_not_echoed(self, capsys, spec_file):
+        text = "const:" + "a" * 5000
+        code, out, err = run_cli(capsys, ["decompose", str(spec_file), "--oracle", text])
+        assert code == 1 and out == ""
+        message = f"bad oracle constant: {text[:40]!r}... (5006 characters)"
+        assert json.loads(err) == {"error": {"type": "usage", "message": message}}
+
     def test_unbalanced_spec_rejected(self, capsys, tmp_path):
         bad = dict(SPEC, degree=5)
         path = tmp_path / "bad.json"
@@ -324,6 +332,58 @@ class TestDims:
         code, out, err = run_cli(capsys, ["dims", "--partition", "[1]", "--vars", vars_text])
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["message"].startswith(message)
+
+    @pytest.mark.parametrize(
+        "flag,text,prefix",
+        [
+            ("--vars", "1" * 5000 + "x", "argument --vars: invalid int value: "),
+            ("--partition", '"' + "a" * 5000 + '"', "--partition expects a JSON array of integers, got "),
+        ],
+    )
+    def test_long_bad_value_is_not_echoed(self, capsys, flag, text, prefix):
+        flags = {"--partition": "[1]", "--vars": "3", flag: text}
+        code, out, err = run_cli(capsys, ["dims", *(x for item in flags.items() for x in item)])
+        assert code == 1 and out == ""
+        message = f"{prefix}{text[:40]!r}... ({len(text)} characters)"
+        assert json.loads(err) == {"error": {"type": "usage", "message": message}}
+        assert len(err) < 200
+
+    @pytest.mark.parametrize(
+        "partition,vars,dimension",
+        [
+            # hook content would multiply a million cells, Weyl's product two factors
+            ([1_000_000], 3, 1_000_001 * 1_000_002 // 2),
+            # took no bounded time before: conjugate() made one part per column
+            ([10**999], 3, (10**999 + 1) * (10**999 + 2) // 2),
+            # hook content: two cells, against about 2 * 10**999 Weyl factors
+            ([1, 1], 10**999, 10**999 * (10**999 - 1) // 2),
+            ([2, 1], 1, 0),
+        ],
+    )
+    def test_large_parts_or_many_vars(self, capsys, partition, vars, dimension):
+        argv = ["dims", "--partition", json.dumps(partition), "--vars", str(vars)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["dimension"] == dimension
+
+    @pytest.mark.parametrize(
+        "partition,vars,message",
+        [
+            # both formulas have about 10**999 factors
+            ([10**999], 10**999, "dims numerator digit count would be more than 100000, "
+                                 "above the cap of 100000"),
+            # 29,999 Weyl factors of up to 5 digits
+            ([30000], 30000, "dims numerator digit count would be 149995, "
+                             "above the cap of 100000"),
+            # under the cap, but the answer has 5,403 digits
+            ([5000], 20000, f"dims dimension has more than {sys.get_int_max_str_digits()} digits"),
+        ],
+    )
+    def test_work_and_size_caps(self, capsys, partition, vars, message):
+        argv = ["dims", "--partition", json.dumps(partition), "--vars", str(vars)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": {"type": "validation", "message": message}}
 
 
 class TestCodim:

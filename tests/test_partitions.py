@@ -7,7 +7,7 @@ in oracles.py; the sweeps at the bottom re-run the oracle live.
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from theta_factor import (
     BoxViolationError,
@@ -19,6 +19,7 @@ from theta_factor import (
     partial_sums,
     partitions_of,
 )
+from theta_factor.partitions import _hook_content_dimension, _weyl_dimension
 
 from oracles import ssyt_count
 
@@ -66,6 +67,35 @@ class TestPartition:
     def test_conjugate_involution(self, lam):
         assert lam.conjugate().conjugate() == lam
 
+    def test_partition_passes_through(self):
+        lam = Partition((3, 1))
+        assert Partition(lam) is lam
+        assert Partition(Partition(())) == ()
+
+    def test_lists_tuples_and_iterables_are_checked(self):
+        for parts in ([3, 1, 0], (3, 1, 0), iter((3, 1, 0))):
+            lam = Partition(parts)
+            assert type(lam) is Partition and lam == (3, 1)
+        for bad in ([1, 2], [2, -1], [2.0, 1], [True], (1, 2), iter([0, 1])):
+            with pytest.raises(ValueError):
+                Partition(bad)
+        with pytest.raises(TypeError):
+            Partition(5)
+
+    def test_subclass_values_are_checked(self):
+        class Shape(Partition):
+            pass
+
+        lam = Partition((2, 1))
+        shape = Shape(lam)
+        assert type(shape) is Shape and shape == lam and shape is not lam
+        assert type(Partition(shape)) is Partition
+        # a subclass value that skipped the checks is still checked
+        with pytest.raises(ValueError):
+            Partition(tuple.__new__(Shape, (1, 2)))
+        with pytest.raises(ValueError):
+            Shape((1, 2))
+
     def test_fits_in_box(self):
         assert Partition((2, 1)).fits_in_box(2, 2)
         assert not Partition((3,)).fits_in_box(2, 2)
@@ -96,6 +126,28 @@ class TestDimSchur:
         for lam in enumerate_in_box(3, 3):
             for n in range(1, 5):
                 assert dim_schur(lam, n) == ssyt_count(tuple(lam), n), (lam, n)
+
+    @given(boxed_partitions(3, 3), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_both_formulas_match_tableau_oracle(self, lam, extra):
+        n = len(lam) + extra
+        want = ssyt_count(tuple(lam), n)
+        assert _weyl_dimension(lam, n) == want
+        assert _hook_content_dimension(lam, n) == want
+        assert dim_schur(lam, n) == want
+
+    def test_long_rows_few_variables(self):
+        # Weyl's product: two factors here, against a million hook-content cells
+        assert dim_schur(Partition((1_000_000,)), 3) == 1_000_001 * 1_000_002 // 2
+        big = 10**999
+        assert dim_schur(Partition((big,)), 3) == (big + 1) * (big + 2) // 2
+        assert dim_schur(Partition((big, 1)), 2) == big
+
+    def test_few_cells_many_variables(self):
+        # hook content: one cell, against n - 1 Weyl factors
+        big = 10**999
+        assert dim_schur(Partition((1,)), big) == big
+        assert dim_schur(Partition((1, 1)), big) == big * (big - 1) // 2
 
     def test_determinant_twist(self):
         # appending a full column of height n leaves the dimension fixed

@@ -22,7 +22,9 @@ from theta_factor import (
     skew_schur_expand,
 )
 
-from oracles import lr_via_polynomials
+from theta_factor.symmetric_functions import _strip_extensions
+
+from oracles import horizontal_strip_shapes, lr_via_polynomials
 
 
 @st.composite
@@ -226,8 +228,30 @@ class TestPieriChainRoute:
         assert skew_schur_expand(Partition(lam), Partition(mu)) == full
 
 
+class TestStripExtensions:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_in_order(self, data):
+        length = data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.integers(0, 5), min_size=length, max_size=length))
+        outer = sorted(rows, reverse=True)
+        # any bound-respecting choice, sorted, stays inside outer row by row
+        cur = sorted((data.draw(st.integers(0, row)) for row in outer), reverse=True)
+        size = data.draw(st.integers(0, sum(outer) - sum(cur) + 2))
+        got = _strip_extensions(tuple(cur), tuple(outer), size)
+        assert got == horizontal_strip_shapes(cur, outer, size)
+
+    def test_edge_sizes(self):
+        cur, outer = (2, 1, 0), (3, 3, 1)
+        assert _strip_extensions(cur, outer, 0) == [cur]
+        # free cells: 1 in row 0, 1 in row 1 (below the old row 0), 1 in row 2
+        assert _strip_extensions(cur, outer, 3) == [(3, 2, 1)]
+        assert _strip_extensions(cur, outer, 4) == []
+
+
 class TestTallShapes:
-    """Nine-row shapes: 9! = 362,880 permutation terms in the determinant."""
+    """Nine-row shapes: the determinant has 9! = 362,880 permutation terms,
+    and the column-wise expansion meets at most 2^9 row sets."""
 
     @pytest.mark.parametrize(
         "lam,mu",
