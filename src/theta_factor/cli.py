@@ -29,9 +29,9 @@ from .codimension import (
 from .factorization import (
     LeafOracleError,
     aggregate_dimension,
+    boundary_levels,
     build_tree,
     mu_indices,
-    verify_boundary_balance,
 )
 from .parabolic import MAX_INT_DIGITS, ModuliSpec, _reject_long_ints, check_star
 from .partitions import Partition, _weyl_pairs, dim_schur
@@ -75,8 +75,19 @@ class CLIError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage problems; the exit codes here reserve 2
-    # for identity failures, so usage problems become validation errors
+    # for identity failures, so usage problems become validation errors.
+    # error() quotes long arguments, then long --flag=value values, short.
+    _long_texts = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        argv = sys.argv[1:] if args is None else args
+        texts = [*argv, *(arg.partition("=")[2] for arg in argv)]
+        self._long_texts = sorted((t for t in texts if len(t) > MAX_ECHO), key=len, reverse=True)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
+        for text in self._long_texts:
+            message = message.replace(repr(text), _quoted(text)).replace(text, _quoted(text))
         raise CLIError("usage", message)
 
     def add_argument(self, *names, **kwargs):
@@ -377,18 +388,24 @@ def _doubledet(a: int, b: int, p: int, q: int, rank: int) -> dict:
     return {"a": a, "b": b, "p": p, "q": q, "rank": rank, "dimension": value}
 
 
-def _balance_worker(case):
-    r, k = case
+def _balance_worker(r: int, max_level: int):
+    """Balance cases of rank r at levels 1..max_level, failures in (level, mu) order.
+
+    The r x (k-1) box is the r x (max_level-1) box's mus with mu_1 < k, in
+    order, so one walk serves every level: mu at levels mu_1+1..max_level.
+    """
     count = 0
-    failures = []
-    for mu in mu_indices(r, k):
-        contribution, holds = verify_boundary_balance(mu, r, k)
-        count += 1
-        if not holds:
-            failures.append(
-                {"mu": list(mu.padded(r)), "rank": r, "level": k, "contribution": contribution}
-            )
-    return count, failures
+    failures = [[] for _ in range(max_level + 1)]
+    for mu in mu_indices(r, max_level):
+        levels = range((mu[0] if mu else 0) + 1, max_level + 1)
+        for k, data in zip(levels, boundary_levels(mu, r, levels)):
+            contribution, holds = data.balance(r, k)
+            count += 1
+            if not holds:
+                failures[k].append(
+                    {"mu": list(mu.padded(r)), "rank": r, "level": k, "contribution": contribution}
+                )
+    return count, [failure for level in failures for failure in level]
 
 
 def _compositions(total: int):
@@ -401,20 +418,14 @@ def _compositions(total: int):
 
 
 def _telescoping_worker(r: int):
-    count = 0
-    failures = []
-    for flag in _compositions(r):
-        count += 1
-        if not telescoping_check(flag):
-            failures.append({"flag": list(flag)})
-    return count, failures
+    flags = list(_compositions(r))
+    return len(flags), [{"flag": list(flag)} for flag in flags if not telescoping_check(flag)]
 
 
 def _branching_worker(case):
     r, m = case
     lhs, rhs, equal = verify_branching_identity(r, m)
-    failure = [] if equal else [{"rank": r, "power": m, "lhs": lhs, "rhs": rhs}]
-    return 1, failure
+    return 1, [] if equal else [{"rank": r, "power": m, "lhs": lhs, "rhs": rhs}]
 
 
 def _sweep(name: str, worker, cases) -> dict:
@@ -443,10 +454,9 @@ def _identities(max_rank: int, max_level: int) -> dict:
     _check_work("identities rank", max_rank, MAX_RANK)
     cases = _balance_cases(max_rank, max_level)
     _check_work("identities balance case count", cases, MAX_BALANCE_CASES)
-    balance = [(r, k) for r in range(1, max_rank + 1) for k in range(1, max_level + 1)]
     branching = [(r, m) for r in (1, 2, 3) for m in range(0, 5)]
     sweeps = [
-        _sweep("balance", _balance_worker, balance),
+        _sweep("balance", lambda r: _balance_worker(r, max_level), range(1, max_rank + 1)),
         _sweep("telescoping", _telescoping_worker, range(1, 9)),
         _sweep("branching", _branching_worker, branching),
     ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .parabolic import MarkedPoint, ModuliSpec, check_star
+from .parabolic import FlagType, MarkedPoint, ModuliSpec, WeightVector, check_star
 from .partitions import BoxViolationError, Partition, enumerate_in_box
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "DecompositionTree",
     "LeafOracleError",
     "aggregate_dimension",
+    "boundary_levels",
     "build_tree",
     "degenerate",
     "mu_indices",
@@ -40,6 +41,16 @@ class BoundaryData:
     point1: MarkedPoint
     point2: MarkedPoint
 
+    def balance(self, r: int, k: int):
+        """(contribution, contribution == k*r) at rank r and level k.
+
+        contribution, both points' sum_i d_i * r_i plus r * (alpha_1 + alpha_2),
+        is what turns a parent's balance into its child's (n grows by r).
+        """
+        p1, p2 = self.point1, self.point2
+        contribution = p1.star_term() + p2.star_term() + r * (p1.alpha + p2.alpha)
+        return contribution, contribution == k * r
+
 
 def mu_indices(r: int, k: int):
     """Yield the mu indices for rank r and level k in enumeration order.
@@ -52,9 +63,8 @@ def mu_indices(r: int, k: int):
 
 
 def _validate_mu(mu, r: int, k: int) -> Partition:
-    if type(mu) is not Partition:
-        # a Partition, as mu_indices makes, is already checked
-        mu = Partition(mu)
+    # a Partition, as mu_indices makes, passes through unchecked
+    mu = Partition(mu)
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"rank must be a positive integer, got {r!r}")
     if not isinstance(k, int) or k < 1:
@@ -64,8 +74,8 @@ def _validate_mu(mu, r: int, k: int) -> Partition:
     return mu
 
 
-def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
-    """Boundary marked points induced by mu at rank r and level k.
+def boundary_levels(mu, r: int, levels, labels=("x1", "x2")):
+    """Yield the BoundaryData mu induces at rank r for each level k in levels.
 
     Jump positions r_1 < ... < r_l are where consecutive entries of the
     r-padded mu strictly drop, with jump sizes d_i.  The first point gets
@@ -73,9 +83,14 @@ def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
     ...); the second point gets the reversed data, positions r - r_{l-i+1}
     (so the reversed flag) and jumps d_{l-i+1}, with the same base weight
     mu_r.  Alphas are mu_r and k - mu_1.  A constant mu has no jumps: both
-    points carry the trivial flag (r) and the single weight mu_r.
+    points carry the trivial flag (r) and the single weight mu_r.  Only
+    that alpha depends on k: mu is checked once, in the smallest level's
+    box, and only the second MarkedPoint is made once per level.
     """
-    mu = _validate_mu(mu, r, k)
+    levels = tuple(levels)
+    if not levels:
+        return
+    mu = _validate_mu(mu, r, min(levels))
     padded = mu.padded(r)
     base = padded[-1]
     positions = [i for i in range(1, r) if padded[i - 1] > padded[i]]
@@ -85,27 +100,21 @@ def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
     label1, label2 = labels
     # MarkedPoint makes the FlagType and WeightVector and checks them
     point1 = MarkedPoint(label1, flag, accumulate(jumps, initial=base), base)
-    point2 = MarkedPoint(
-        label2, flag[::-1], accumulate(reversed(jumps), initial=base), k - padded[0]
-    )
-    return BoundaryData(l=len(positions), point1=point1, point2=point2)
+    # checked once: MarkedPoint passes values of these exact types through
+    flag2 = FlagType(flag[::-1])
+    weights2 = WeightVector(accumulate(reversed(jumps), initial=base))
+    for k in levels:
+        yield BoundaryData(len(jumps), point1, MarkedPoint(label2, flag2, weights2, k - padded[0]))
+
+
+def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
+    """Boundary marked points induced by mu at rank r and level k (boundary_levels)."""
+    return next(boundary_levels(mu, r, (k,), labels))
 
 
 def verify_boundary_balance(mu, r: int, k: int):
-    """Total balance contribution of the two boundary points.
-
-    contribution = sum over both points of (sum_i d_i * r_i) plus
-    r * (alpha_1 + alpha_2); returns (contribution, contribution == k*r).
-    This is exactly the increment that turns the parent's balance into
-    the child's, whose derived n grows by r when the genus drops.
-    """
-    data = mu_to_boundary(mu, r, k)
-    contribution = (
-        data.point1.star_term()
-        + data.point2.star_term()
-        + r * (data.point1.alpha + data.point2.alpha)
-    )
-    return contribution, contribution == k * r
+    """Total balance contribution of the two boundary points (BoundaryData.balance)."""
+    return mu_to_boundary(mu, r, k).balance(r, k)
 
 
 def _next_label_level(points) -> int:
@@ -124,17 +133,11 @@ def _check_balanced(spec: ModuliSpec) -> None:
 
 
 def _boundary_row(mus, r: int, k: int, level: int):
-    """(mu, point1, point2) for each mu, the points labeled x1@level, x2@level.
+    """The BoundaryData of each mu, its points labeled x1@level, x2@level.
 
-    The one place boundary points are made: degenerate builds one row per
-    call, build_tree one row per tree level.
+    degenerate makes one row per call, build_tree one per tree level.
     """
-    labels = (f"x1@{level}", f"x2@{level}")
-    row = []
-    for mu in mus:
-        data = mu_to_boundary(mu, r, k, labels=labels)
-        row.append((mu, data.point1, data.point2))
-    return row
+    return [mu_to_boundary(mu, r, k, (f"x1@{level}", f"x2@{level}")) for mu in mus]
 
 
 def degenerate(spec: ModuliSpec):
@@ -148,9 +151,9 @@ def degenerate(spec: ModuliSpec):
     if spec.genus < 1:
         raise ValueError("cannot degenerate a genus-0 spec")
     _check_balanced(spec)
-    level = _next_label_level(spec.points)
-    row = _boundary_row(mu_indices(spec.rank, spec.level), spec.rank, spec.level, level)
-    return [(mu, spec._child(point1, point2)) for mu, point1, point2 in row]
+    mus = list(mu_indices(spec.rank, spec.level))
+    row = _boundary_row(mus, spec.rank, spec.level, _next_label_level(spec.points))
+    return [(mu, spec._child(data.point1, data.point2)) for mu, data in zip(mus, row)]
 
 
 class _KnownHash:
@@ -299,8 +302,8 @@ def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
     while True:
         node, d, done = stack[-1]
         if d < len(rows) and len(done) < len(mus):
-            _, point1, point2 = rows[d][len(done)]
-            stack.append((node._child(point1, point2), d + 1, []))
+            data = rows[d][len(done)]
+            stack.append((node._child(data.point1, data.point2), d + 1, []))
             continue
         stack.pop()
         tree = DecompositionTree(node, tuple(zip(mus, done)))

@@ -14,6 +14,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul, sub
 
 from .partitions import partial_sums
 
@@ -38,6 +40,9 @@ class FlagType(tuple):
     """Multiplicities (n_1, ..., n_{l+1}) of the graded pieces of a flag."""
 
     def __new__(cls, multiplicities):
+        # a value of this very class was checked when it was made
+        if type(multiplicities) is cls:
+            return multiplicities
         multiplicities = tuple(multiplicities)
         if not multiplicities:
             raise ValueError("a flag needs at least one piece")
@@ -64,6 +69,9 @@ class WeightVector(tuple):
     """Strictly increasing nonnegative integer weights (a_1, ..., a_{l+1})."""
 
     def __new__(cls, weights):
+        # a value of this very class was checked when it was made
+        if type(weights) is cls:
+            return weights
         weights = tuple(weights)
         if not weights:
             raise ValueError("a weight vector needs at least one entry")
@@ -101,9 +109,8 @@ class MarkedPoint:
             raise ValueError(f"point {self.label!r}: alpha must be a nonnegative integer")
 
     def star_term(self) -> int:
-        """Sum of d_i * r_i over the flag steps."""
-        r_i = self.flag.partial_sums()
-        return sum(d * r for d, r in zip(self.weights.differences(), r_i))
+        """Sum of d_i * r_i over the flag steps, in one pass."""
+        return sum(map(mul, map(sub, self.weights[1:], self.weights), accumulate(self.flag)))
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from theta_factor import cli, factorization
+from theta_factor import MarkedPoint, ModuliSpec, cli, factorization, parabolic
 from test_factorization import small_balanced_specs
 
 
@@ -459,8 +459,13 @@ class TestIdentities:
         assert "all identities hold" in out
 
     def test_failure_exits_two(self, capsys, monkeypatch):
+        # one case and one failure per (rank, level), in level order
         monkeypatch.setattr(
-            cli, "_balance_worker", lambda case: (1, [{"rank": case[0], "level": case[1]}])
+            cli,
+            "_balance_worker",
+            lambda r, max_level: (
+                max_level, [{"rank": r, "level": k} for k in range(1, max_level + 1)]
+            ),
         )
         code, out, _ = run_cli(
             capsys, ["identities", "--max-rank", "1", "--max-level", "1"]
@@ -469,6 +474,60 @@ class TestIdentities:
         result = json.loads(out)["result"]
         assert result["all_pass"] is False
         assert result["sweeps"][0]["failures"] == [{"rank": 1, "level": 1}]
+
+
+def reference_balance_sweep(r, max_level):
+    """One verify_boundary_balance call per (level, mu), as the sweep is defined."""
+    count, failures = 0, []
+    for k in range(1, max_level + 1):
+        for mu in factorization.mu_indices(r, k):
+            contribution, holds = factorization.verify_boundary_balance(mu, r, k)
+            count += 1
+            if not holds:
+                failures.append(
+                    {"mu": list(mu.padded(r)), "rank": r, "level": k, "contribution": contribution}
+                )
+    return count, failures
+
+
+# star_term offsets that break the balance on some points: by flag, and by
+# alpha, which for the second point depends on the level
+FAULTS = {
+    "none": lambda pt: 0,
+    "flag-starts-with-1": lambda pt: pt.flag[0] == 1,
+    "odd-alpha": lambda pt: pt.alpha % 2,
+    "two-pieces-at-alpha-1": lambda pt: -3 * (len(pt.flag) == 2 and pt.alpha == 1),
+}
+
+
+class TestBalanceSweep:
+    """The per-rank sweep gives the reference loop's cases and failures, in order."""
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_equals_reference_loop(self, fault, monkeypatch):
+        star_term = MarkedPoint.star_term
+        offset = FAULTS[fault]
+        monkeypatch.setattr(MarkedPoint, "star_term", lambda pt: star_term(pt) + offset(pt))
+        failed = 0
+        for r in range(1, 5):
+            for max_level in range(1, 6):
+                count, failures = cli._balance_worker(r, max_level)
+                assert (count, failures) == reference_balance_sweep(r, max_level), (r, max_level)
+                assert count == sum(math.comb(r + k - 1, r) for k in range(1, max_level + 1))
+                failed += len(failures)
+        assert (failed == 0) == (fault == "none")
+
+    def test_failures_in_level_then_box_order(self, monkeypatch):
+        star_term = MarkedPoint.star_term
+        monkeypatch.setattr(MarkedPoint, "star_term", lambda pt: star_term(pt) + FAULTS["odd-alpha"](pt))
+        _, failures = cli._balance_worker(2, 4)
+        cases = [(f["level"], f["mu"]) for f in failures]
+        assert cases == sorted(cases, key=lambda case: case[0]) and len({k for k, _ in cases}) == 4
+        # within a level, mus keep the r x (k-1) box's order
+        order = {tuple(mu.padded(2)): i for i, mu in enumerate(factorization.mu_indices(2, 4))}
+        for k in range(1, 5):
+            mus = [order[tuple(mu)] for level, mu in cases if level == k]
+            assert mus == sorted(mus)
 
 
 def chain_spec(genus):
@@ -720,6 +779,41 @@ def spec_documents():
     return st.builds(lambda doc, ascii: json.dumps(doc, ensure_ascii=ascii), documents, st.booleans())
 
 
+def run_contract(argv):
+    """Run argv in process and check the exit contract; return (code, out, err).
+
+    A report (exit 0 or 2) leaves standard error empty; exit 1 writes
+    nothing to standard output and one {"error": {"type", "message"}} line
+    of at most MAX_ERROR_LINE characters to standard error.  An exception
+    escaping run() fails the calling test; --help and --version end in
+    argparse's SystemExit(0).
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == "" and err.endswith("\n") and len(err.splitlines()) == 1
+        assert len(err) <= MAX_ERROR_LINE
+        error = json.loads(err)
+        assert list(error) == ["error"] and sorted(error["error"]) == ["message", "type"]
+    else:
+        assert err == ""
+    return code, out, err
+
+
+# An argument of this length, echoed whole, would break the bound below.
+LONG = 20_000
+# Every integer the CLI echoes has at most 1,000 digits and the arrays drawn
+# here at most four entries, so an error line, which echoes at most two of
+# them, stays below this bound; usage errors quote 40 characters of text.
+MAX_ERROR_LINE = 10 * (parabolic.MAX_INT_DIGITS + 2)
+
+
 class TestHostileInput:
     """Every spec file ends in a report (exit 0 or 2) or one error line (exit 1)."""
 
@@ -740,16 +834,142 @@ class TestHostileInput:
     def test_spec_file_contract(self, spec_path, text, command, fmt):
         # a lone surrogate makes the file invalid UTF-8, which is one more hostile input
         spec_path.write_bytes(text.encode("utf-8", "surrogatepass"))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run([command, str(spec_path), "--format", fmt])
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2)
-        if code == 1:
-            assert out == "" and err.endswith("\n") and len(err.splitlines()) == 1
-            error = json.loads(err)
-            assert list(error) == ["error"] and sorted(error["error"]) == ["message", "type"]
-        else:
-            assert err == "" and out.startswith("# theta-factor " if fmt != "json" else "{")
+        code, out, _ = run_contract([command, str(spec_path), "--format", fmt])
+        if code != 1:
+            assert out.startswith("# theta-factor " if fmt != "json" else "{")
             if fmt == "json":
                 assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# integer flag text: small and negative, huge, at and past the 1,000-digit
+# cap, past the 4,300 digits int() converts, and text that is no integer
+INT_TEXTS = (
+    st.integers(-2, 6).map(str)
+    | st.builds(
+        lambda sign, e, d: sign + str(10**e + d),
+        st.sampled_from(["", "-"]),
+        st.integers(6, 40),
+        st.integers(-3, 3),
+    )
+    | st.sampled_from(
+        ["9" * 1000, "-" + "9" * 1000, "1" + "0" * 1000, "1" * 5000, "-" + "1" * 5000,
+         "1" * 5000 + "x", "x" * LONG, "", "x", "1.5", " 7 ", "1_0", "²"]
+    )
+)
+INT_ENTRIES = (
+    st.integers(-2, 6)
+    | st.integers(6, 40).map(lambda e: 10**e)
+    | st.sampled_from([-(10**40), 10**1000 - 1, 10**1000])
+)
+# int-array flag text: arrays of those entries, arbitrary JSON, and text
+# that is no JSON or nests too deeply
+INT_ARRAYS = (
+    st.lists(INT_ENTRIES, max_size=3).map(json.dumps)
+    | st.recursive(JSON_SCALARS, json_containers, max_leaves=4).map(json.dumps)
+    | st.sampled_from(["[1" + "0" * 5000 + "]", "[" * 100_000, "[1,", "nope", "", "x" * LONG])
+)
+# arguments that argparse itself reports: stray words, unknown and ambiguous options
+STRAY = st.lists(
+    st.text(max_size=6)
+    | st.sampled_from(
+        ["--format", "json", "a" * LONG, "--" + "b" * LONG, "--format=" + "c" * LONG, "--max=" + "d" * LONG]
+    ),
+    max_size=2,
+)
+SPEC_ARG, TABLE_ARG = "<spec>", "<table>"
+
+
+@st.composite
+def command_argv(draw, command, flags, formats=("json", "text")):
+    """command, each of flags (name -> value strategy) or not in drawn order,
+    maybe a --format, then stray arguments."""
+    parts = [[name, draw(values)] for name, values in flags.items() if draw(st.integers(0, 5))]
+    parts = draw(st.permutations(parts))
+    if draw(st.booleans()):
+        parts.append(["--format", draw(st.sampled_from(formats + ("csv", "x" * LONG)))])
+    return command + [arg for part in parts for arg in part] + draw(STRAY)
+
+
+def _leaf_digests():
+    tree = factorization.build_tree(ModuliSpec.from_json_dict(SPEC), SPEC["genus"])
+    return sorted({node.spec.sha256() for _, _, node in tree.walk()})
+
+
+LEAF_DIGESTS = _leaf_digests()
+# oracle tables: arbitrary JSON, tables over some or all of SPEC's node digests
+ORACLE_TABLES = (
+    st.recursive(JSON_SCALARS, json_containers, max_leaves=6)
+    | st.dictionaries(st.sampled_from(LEAF_DIGESTS) | st.text(max_size=3), INT_ENTRIES, max_size=4)
+    | st.fixed_dictionaries({digest: INT_ENTRIES for digest in LEAF_DIGESTS})
+).map(json.dumps)
+CODIM_ARGV = (
+    command_argv(["codim", "schubert"], {"--r1": INT_TEXTS, "--n": INT_ARRAYS, "--m": INT_ARRAYS})
+    | command_argv(["codim", "quot"], {f: INT_TEXTS for f in ("--rank", "--genus-tilde", "--points")})
+    | command_argv(["codim", "gps"], {f: INT_TEXTS for f in ("--rank", "--genus-tilde", "--points")})
+    | command_argv(["codim", "doubledet"], {f: INT_TEXTS for f in ("--a", "--b", "--p", "--q", "--rank")})
+)
+
+
+class TestArgvContract:
+    """Every argv of every subcommand ends in exit 0, 2, or one bounded error line."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("argv")
+        (directory / "spec.json").write_text(json.dumps(SPEC))
+        return {SPEC_ARG: str(directory / "spec.json"), TABLE_ARG: str(directory / "table.json")}
+
+    def run(self, paths, argv):
+        return run_contract([paths.get(arg, arg) for arg in argv])
+
+    @given(argv=st.lists(st.text(max_size=6), max_size=1) | STRAY)
+    @example(argv=["a" * 5000])
+    @settings(max_examples=40, deadline=None)
+    def test_top_level(self, paths, argv):
+        self.run(paths, argv)
+
+    @given(argv=command_argv(["verify-star", SPEC_ARG], {}))
+    @example(argv=["verify-star", SPEC_ARG, "--format", "x" * 5000])
+    @settings(max_examples=40, deadline=None)
+    def test_verify_star(self, paths, argv):
+        self.run(paths, argv)
+
+    @given(
+        argv=command_argv(
+            ["decompose", SPEC_ARG],
+            {"--depth": INT_TEXTS, "--oracle": INT_TEXTS.map("const:".__add__) | st.just(TABLE_ARG)},
+            formats=("json", "text", "csv"),
+        ),
+        table=ORACLE_TABLES,
+    )
+    @example(argv=["decompose", SPEC_ARG, "--oracle", "const:" + "1" * 5000], table="{}")
+    @settings(max_examples=60, deadline=None)
+    def test_decompose(self, paths, argv, table):
+        with open(paths[TABLE_ARG], "w", encoding="utf-8", errors="surrogatepass") as handle:
+            handle.write(table)
+        self.run(paths, argv)
+
+    @given(argv=command_argv(["branch"], {"--rank": INT_TEXTS, "--power": INT_TEXTS}, ("json", "text", "csv")))
+    @example(argv=["branch", "--rank", "1" * 5000, "--power", "1"])
+    @settings(max_examples=60, deadline=None)
+    def test_branch(self, paths, argv):
+        self.run(paths, argv)
+
+    @given(argv=command_argv(["dims"], {"--partition": INT_ARRAYS, "--vars": INT_TEXTS}))
+    @example(argv=["dims", "--partition", "[1000000]", "--vars", "3"])
+    @example(argv=["dims", "--partition", "[1]", "--vars", "1" * 5000])
+    @settings(max_examples=60, deadline=None)
+    def test_dims(self, paths, argv):
+        self.run(paths, argv)
+
+    @given(argv=CODIM_ARGV)
+    @example(argv=["codim", "schubert", "--r1", "2", "--n", "[2,2]", "--m", "[0,%s]" % ("1" * 5000)])
+    @settings(max_examples=80, deadline=None)
+    def test_codim(self, paths, argv):
+        self.run(paths, argv)
+
+    @given(argv=command_argv(["identities"], {"--max-rank": INT_TEXTS, "--max-level": INT_TEXTS}))
+    @example(argv=["identities", "--max-level", "1" * 5000])
+    @settings(max_examples=60, deadline=None)
+    def test_identities(self, paths, argv):
+        self.run(paths, argv)

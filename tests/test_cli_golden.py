@@ -69,6 +69,8 @@ FILES = {
 LONGEST = "9" * 1000
 TOO_LONG = "1" + "0" * 1000
 UNCONVERTIBLE = "1" * 5000
+# an argument argparse would echo whole; usage errors quote 40 characters of it
+LONG_TEXT = "a" * 5000
 
 SCHUBERT = ["codim", "schubert", "--r1", "2", "--n", "[2,2]", "--m", "[0,2]"]
 QUOT = ["codim", "quot", "--rank", "3", "--genus-tilde", "2", "--points", "1"]
@@ -100,6 +102,8 @@ CASES = [
     *_formats("doubledet", DOUBLEDET, ("json", "text")),
     *_formats("identities", SMALL_SWEEP, ("json", "text")),
     ("identities-default", ["identities"]),
+    # the benchmark's sweep
+    ("identities-rank-7-level-8", ["identities", "--max-rank", "7", "--max-level", "8"]),
     *_formats("identities-failing", SMALL_SWEEP, ("json", "text")),
     # usage errors
     ("no-command", []),
@@ -118,6 +122,11 @@ CASES = [
     ("schubert-bad-n", ["codim", "schubert", "--r1", "2", "--n", "[2,", "--m", "[0,2]"]),
     ("schubert-bad-m", ["codim", "schubert", "--r1", "2", "--n", "[2,2]", "--m", "0"]),
     ("decompose-bad-oracle", ["decompose", "spec.json", "--oracle", "const:x"]),
+    ("unknown-long-command", [LONG_TEXT]),
+    ("dims-long-format", ["dims", "--partition", "[1]", "--vars", "2", "--format", LONG_TEXT]),
+    ("dims-long-format-value", ["dims", "--partition", "[1]", "--vars", "2", "--format=" + LONG_TEXT]),
+    ("dims-long-unrecognized", ["dims", "--partition", "[1]", "--vars", "2", LONG_TEXT]),
+    ("identities-long-ambiguous", ["identities", "--max=" + LONG_TEXT]),
     # validation errors
     ("verify-star-missing-field", ["verify-star", "missing-field.json"]),
     ("verify-star-not-json", ["verify-star", "not-json.json"]),
@@ -164,6 +173,9 @@ ARGPARSE_CHOICE_WORDING = {
     "dims-csv",
     "verify-star-csv",
     "identities-csv",
+    "unknown-long-command",
+    "dims-long-format",
+    "dims-long-format-value",
 }
 ERROR_TYPE_ONLY = {"dims-partition-before-missing-vars"}
 
@@ -626,6 +638,36 @@ EXPECTED = {
         1,
         '{"error": {"type": "validation", "message": "oracle constant has more than 1000 digits"}}\n',
     ),
+    'identities-rank-7-level-8': (
+        '3fe49e1ddb85af6c2b0707cc208be6f59e4cebd0acf184dead93b12d106d59d6',
+        0,
+        '',
+    ),
+    'unknown-long-command': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "usage", "message": "argument command: invalid choice: \'aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\'... (5000 characters) (choose from \'verify-star\', \'decompose\', \'branch\', \'dims\', \'codim\', \'identities\')"}}\n',
+    ),
+    'dims-long-format': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "usage", "message": "argument --format: invalid choice: \'aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\'... (5000 characters) (choose from \'json\', \'text\')"}}\n',
+    ),
+    'dims-long-format-value': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "usage", "message": "argument --format: invalid choice: \'aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\'... (5000 characters) (choose from \'json\', \'text\')"}}\n',
+    ),
+    'dims-long-unrecognized': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "usage", "message": "unrecognized arguments: \'aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\'... (5000 characters)"}}\n',
+    ),
+    'identities-long-ambiguous': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "usage", "message": "ambiguous option: \'--max=aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\'... (5006 characters) could match --max-rank, --max-level"}}\n',
+    ),
 }
 
 
@@ -639,8 +681,13 @@ def workdir(tmp_path, monkeypatch):
 
 def run_case(case_id, argv, capsys, monkeypatch):
     if case_id.startswith("identities-failing"):
+        # one case and one failure per (rank, level), in level order
         monkeypatch.setattr(
-            cli, "_balance_worker", lambda case: (1, [{"rank": case[0], "level": case[1]}])
+            cli,
+            "_balance_worker",
+            lambda r, max_level: (
+                max_level, [{"rank": r, "level": k} for k in range(1, max_level + 1)]
+            ),
         )
     code = cli.run(list(argv))
     captured = capsys.readouterr()

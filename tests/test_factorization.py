@@ -235,6 +235,41 @@ class TestBoundaryBalance:
                     assert holds and contribution == k * r, (mu, r, k)
 
 
+class TestBoundaryLevels:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_items_equal_one_level_calls(self, data):
+        """Each item is mu_to_boundary at its level, r <= 4, levels up to 6, in any order."""
+        r = data.draw(st.integers(min_value=1, max_value=4))
+        k = data.draw(st.integers(min_value=1, max_value=5))
+        mu = data.draw(st.sampled_from(list(mu_indices(r, k))))
+        levels = data.draw(st.lists(st.integers(min_value=k, max_value=6), min_size=1, max_size=4))
+        labels = data.draw(st.sampled_from([("x1", "x2"), ("x1@3", "x2@3"), ("a", "b")]))
+        items = list(factorization.boundary_levels(mu, r, levels, labels))
+        assert len(items) == len(levels)
+        for level, item in zip(levels, items):
+            assert item == mu_to_boundary(mu, r, level, labels=labels)
+            for pt in (item.point1, item.point2):
+                assert type(pt.flag) is FlagType
+                assert type(pt.weights) is WeightVector
+            assert item.balance(r, level) == verify_boundary_balance(mu, r, level)
+        # the first point, and the second point's flag and weights, are made once
+        assert all(item.point1 is items[0].point1 for item in items)
+        assert all(item.point2.flag is items[0].point2.flag for item in items)
+        assert all(item.point2.weights is items[0].point2.weights for item in items)
+
+    def test_mu_checked_at_the_smallest_level(self):
+        mu = Partition((2,))
+        assert len(list(factorization.boundary_levels(mu, 2, [5, 3, 4]))) == 3
+        with pytest.raises(BoxViolationError):
+            list(factorization.boundary_levels(mu, 2, [5, 2, 4]))
+        with pytest.raises(ValueError):
+            list(factorization.boundary_levels(mu, 0, [3]))
+        with pytest.raises(ValueError):
+            list(factorization.boundary_levels((1, 2), 2, [3]))
+        assert list(factorization.boundary_levels(mu, 2, [])) == []
+
+
 class TestDegenerate:
     def test_child_count_rank_one(self):
         spec = balanced_spec(genus=2, rank=1, level=2, ell=2)

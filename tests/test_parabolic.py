@@ -52,6 +52,59 @@ class TestWeightVector:
             WeightVector((-1, 0))
 
 
+@pytest.mark.parametrize(
+    "cls,good,bad",
+    [
+        (
+            FlagType,
+            (1, 2),
+            {
+                (1, 0): "flag multiplicities must be positive integers: (1, 0)",
+                (True,): "flag multiplicities must be positive integers: (True,)",
+                (): "a flag needs at least one piece",
+            },
+        ),
+        (
+            WeightVector,
+            (0, 2),
+            {
+                (1, 1): "weights must be strictly increasing: (1, 1)",
+                (-1, 0): "weights must be nonnegative integers: (-1, 0)",
+                (): "a weight vector needs at least one entry",
+            },
+        ),
+    ],
+    ids=["FlagType", "WeightVector"],
+)
+class TestPassThrough:
+    """A value of the exact class was checked when made; everything else is checked."""
+
+    def test_value_passes_through(self, cls, good, bad):
+        value = cls(good)
+        assert cls(value) is value
+
+    def test_lists_tuples_and_iterables_are_checked(self, cls, good, bad):
+        for given_value in (list(good), tuple(good), iter(good)):
+            value = cls(given_value)
+            assert type(value) is cls and value == good
+        for entries, message in bad.items():
+            for given_value in (list(entries), tuple(entries), iter(entries)):
+                with pytest.raises(ValueError) as info:
+                    cls(given_value)
+                assert str(info.value) == message
+
+    def test_subclass_values_are_checked(self, cls, good, bad):
+        sub = type("Sub", (cls,), {})
+        value = sub(good)
+        assert type(value) is sub and value == good
+        assert type(cls(value)) is cls and cls(value) is not value
+        # a subclass value that skipped the checks is still checked
+        for entries, message in bad.items():
+            with pytest.raises(ValueError) as info:
+                cls(tuple.__new__(sub, entries))
+            assert str(info.value) == message
+
+
 class TestMarkedPoint:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
