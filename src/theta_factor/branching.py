@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Partition, box_count, dim_schur, enumerate_in_box
+from .partitions import Partition, _shown, box_count, dim_schur, enumerate_in_box
 
 __all__ = [
     "BranchingTable",
@@ -88,7 +88,7 @@ def mu_to_highest_weight(mu, r: int):
     """
     mu = Partition(mu)
     if len(mu) > r:
-        raise ValueError(f"{tuple(mu)!r} has more than {r} parts")
+        raise ValueError(f"{_shown(tuple(mu))} has more than {r} parts")
     padded = mu.padded(r)
     out = []
     for i in range(r - 1):

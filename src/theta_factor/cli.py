@@ -14,7 +14,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
+from itertools import chain, islice
 
 from . import __version__
 from .branching import decompose_rectangular, verify_branching_identity
@@ -34,7 +36,7 @@ from .factorization import (
     mu_indices,
 )
 from .parabolic import MAX_INT_DIGITS, ModuliSpec, _reject_long_ints, check_star
-from .partitions import Partition, _weyl_pairs, dim_schur
+from .partitions import MAX_ECHO, Partition, _weyl_pairs, dim_schur
 
 TOOL_NAME = "theta-factor"
 
@@ -48,9 +50,10 @@ MAX_RANK = 1_000
 # where N = 1 and the tree is a chain: every node repeats all inherited
 # points, indented two spaces per nesting level, so the JSON report grows
 # with the cube of the depth (12 MB at 64, 43 MB at 100, 332 MB at 200,
-# 1.1 GB at 300).  That size sets the cap.  _indented_json recurses once
-# per container, three per tree level, and at the default recursion limit
-# renders chains up to 330 levels; to_json_dict up to 496.
+# 1.1 GB at 300).  That size sets the cap; memory does not grow with it, as
+# the report goes out in batches.  _indented_json recurses once per container,
+# three per tree level, and at the default recursion limit renders chains up
+# to 330 levels; to_json_dict up to 496.
 MAX_TREE_NODES = 10_000
 MAX_TREE_DEPTH = 64
 # branch writes one row per mu in the rank x power box, C(rank+power, rank).
@@ -62,8 +65,8 @@ MAX_BALANCE_CASES = 50_000
 # (partitions.dim_schur); their digits bound the numerator.  A numerator
 # of that size takes about half a second.
 MAX_DIMS_DIGITS = 100_000
-# usage errors quote at most this many characters of an argument
-MAX_ECHO = 40
+# reports reach standard output this many JSON chunks or text lines at a time
+BATCH = 4096
 
 class CLIError(Exception):
     """A reportable failure: carries the machine-readable error type."""
@@ -107,9 +110,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _quoted(text: str) -> str:
     """repr(text), or for long text the repr of its start and its length."""
-    if len(text) <= MAX_ECHO:
-        return repr(text)
-    return f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
+    return repr(text) if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
 
 
 def _sha256_bytes(blob: bytes) -> str:
@@ -538,22 +539,20 @@ def _decompose_csv(result: dict):
 _CSV_ROWS = {"branch": _branch_csv, "decompose": _decompose_csv}
 
 
-def _indented_json(value) -> str:
-    """json.dumps(value, indent=2), byte for byte, for the values reports hold.
+def _indented_json(value, out) -> None:
+    """Write json.dumps(value, indent=2) to out, byte for byte, in batches of BATCH chunks.
 
-    Those are str, int, None, True, False, and lists and dicts of them with
-    str keys; anything else raises TypeError.  json.dumps uses its C encoder
-    only without indent, so this writer exists for speed: the text goes to
-    one chunk list, the indentation strings are made once per depth and
-    each key's text once, and a dict object met again at the depth where
-    it was written (the point dicts to_json_dict shares between nodes)
-    copies the chunk span of that first rendering.  It recurses once per
-    nested container.
+    value holds str, int, None, True or False, in lists and str-keyed dicts;
+    anything else raises TypeError.  json.dumps with indent neither streams nor
+    uses its C encoder.  A batch ends only before an item of a list of dicts.
+    A dict with no dict inside (the points to_json_dict shares) met again at a
+    depth is joined once and its text reused there.  It recurses once per container.
     """
     chunks = []
-    append, extend = chunks.append, chunks.extend
+    append = chunks.append
     encode = json.encoder.encode_basestring_ascii
-    spans = {}
+    # (id, depth) of a dict with no dict inside -> its text there (None: met once)
+    texts = {}
     # encoded key text with ": ", per key
     keys = {}
     # layouts[d]: the strings around the items of a container at depth d
@@ -567,7 +566,7 @@ def _indented_json(value) -> str:
         return layouts[depth]
 
     def write(value, depth):
-        # the order of json.dumps' type tests: bool is an int subclass
+        # returns whether value is or holds a dict; type tests in json.dumps' order (bool is an int)
         if isinstance(value, str):
             append(encode(value))
         elif value is None:
@@ -581,25 +580,27 @@ def _indented_json(value) -> str:
         elif isinstance(value, (list, tuple)):
             if not value:
                 append("[]")
-                return
+                return False
             open_list, _, separator, close_list, _ = layout(depth)
             append(open_list)
             items = iter(value)
-            write(next(items), depth + 1)
+            nested = write(next(items), depth + 1)
             for item in items:
+                if len(chunks) >= BATCH and isinstance(item, dict):
+                    out("".join(chunks))
+                    chunks.clear()
                 append(separator)
-                write(item, depth + 1)
+                nested = write(item, depth + 1) or nested
             append(close_list)
+            return nested
         elif isinstance(value, dict):
-            if not value:
-                append("{}")
-                return
             memo = (id(value), depth)
-            span = spans.get(memo)
-            if span is not None:
-                extend(chunks[span[0]:span[1]])
-                return
+            text = texts.get(memo) if value else "{}"
+            if text is not None:
+                append(text)
+                return True
             start = len(chunks)
+            nested = False
             _, prefix, separator, _, close_dict = layout(depth)
             for key, item in value.items():
                 text = keys.get(key)
@@ -610,27 +611,31 @@ def _indented_json(value) -> str:
                 append(prefix)
                 append(text)
                 prefix = separator
-                write(item, depth + 1)
+                nested = write(item, depth + 1) or nested
             append(close_dict)
-            spans[memo] = (start, len(chunks))
+            if not nested:
+                texts[memo] = "".join(chunks[start:]) if memo in texts else None
+            return True
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not a report value")
 
     write(value, 0)
-    return "".join(chunks)
+    out("".join(chunks))
 
 
-def _render(report: dict, fmt: str) -> str:
+def _render(report: dict, fmt: str, out) -> None:
     if fmt == "json":
-        return _indented_json(report) + "\n"
+        _indented_json(report, out)
+        return out("\n")
     command, result = report["command"], report["result"]
     rows = _text_rows(command, result) if fmt == "text" else _CSV_ROWS[command](result)
-    header = [
+    lines = chain([
         f"# {TOOL_NAME} {report['tool']['version']}",
         f"# command: {command}",
         f"# input sha256: {report['input_sha256']}",
-    ]
-    return "\n".join([*header, *rows]) + "\n"
+    ], rows)
+    while batch := list(islice(lines, BATCH)):
+        out("\n".join(batch) + "\n")
 
 
 _HANDLERS = {
@@ -667,7 +672,13 @@ def run(argv=None) -> int:
             "input_sha256": input_sha256,
             "result": result,
         }
-        sys.stdout.write(_render(report, fmt))
+        try:
+            _render(report, fmt, sys.stdout.write)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed standard output: the rest, and the final flush, go nowhere
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 2 if result.get("all_pass") is False else 0
     except CLIError as err:
         error = {"type": err.kind, "message": str(err)}

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .parabolic import FlagType
-from .partitions import partial_sums
+from .partitions import _shown, partial_sums
 
 __all__ = [
     "StratumDatum",
@@ -37,12 +37,12 @@ class StratumDatum:
         m = tuple(self.m)
         for x in m:
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                raise ValueError(f"m entries must be nonnegative integers: {m!r}")
+                raise ValueError(f"m entries must be nonnegative integers: {_shown(m)}")
         object.__setattr__(self, "m", m)
         if len(self.n) != len(m):
             raise ValueError(f"n and m must have equal length: {len(self.n)} != {len(m)}")
         if any(a > b for a, b in zip(m, self.n)):
-            raise ValueError(f"need m <= n componentwise: m={m!r}, n={tuple(self.n)!r}")
+            raise ValueError(f"need m <= n componentwise: m={_shown(m)}, n={_shown(self.n)}")
         if not isinstance(self.r1, int) or isinstance(self.r1, bool) or self.r1 < 1:
             raise ValueError(f"r1 must be a positive integer, got {self.r1!r}")
         if sum(m) != self.r1:
@@ -81,14 +81,14 @@ def stability_gap(n, m, a) -> Fraction:
         raise ValueError("need at least one flag piece")
     for x in n:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ValueError(f"n entries must be positive integers: {n!r}")
+            raise ValueError(f"n entries must be positive integers: {_shown(n)}")
     for x, cap in zip(m, n):
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x <= cap:
-            raise ValueError(f"need 0 <= m <= n componentwise: m={m!r}, n={n!r}")
+            raise ValueError(f"need 0 <= m <= n componentwise: m={_shown(m)}, n={_shown(n)}")
     if a[0] <= 0 or a[-1] > 1:
-        raise ValueError(f"weights must lie in (0, 1]: {a!r}")
+        raise ValueError(f"weights must lie in (0, 1]: {_shown(a)}")
     if any(x >= y for x, y in zip(a, a[1:])):
-        raise ValueError(f"weights must be strictly increasing: {a!r}")
+        raise ValueError(f"weights must be strictly increasing: {_shown(a)}")
 
     total_m = sum(m)
     total_n = sum(n)

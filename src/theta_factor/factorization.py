@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .parabolic import FlagType, MarkedPoint, ModuliSpec, WeightVector, check_star
-from .partitions import BoxViolationError, Partition, enumerate_in_box
+from .partitions import BoxViolationError, Partition, _shown, enumerate_in_box
 
 __all__ = [
     "BoundaryData",
@@ -70,7 +70,7 @@ def _validate_mu(mu, r: int, k: int) -> Partition:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"level must be a positive integer, got {k!r}")
     if not mu.fits_in_box(r, k - 1):
-        raise BoxViolationError(f"{tuple(mu)!r} is not in the {r}x{k - 1} box")
+        raise BoxViolationError(f"{_shown(tuple(mu))} is not in the {r}x{k - 1} box")
     return mu
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul, sub
 
-from .partitions import partial_sums
+from .partitions import _shown, partial_sums
 
 __all__ = [
     "FlagType",
@@ -48,7 +48,7 @@ class FlagType(tuple):
             raise ValueError("a flag needs at least one piece")
         for n in multiplicities:
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise ValueError(f"flag multiplicities must be positive integers: {multiplicities!r}")
+                raise ValueError(f"flag multiplicities must be positive integers: {_shown(multiplicities)}")
         return super().__new__(cls, multiplicities)
 
     @property
@@ -77,9 +77,9 @@ class WeightVector(tuple):
             raise ValueError("a weight vector needs at least one entry")
         for a in weights:
             if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-                raise ValueError(f"weights must be nonnegative integers: {weights!r}")
+                raise ValueError(f"weights must be nonnegative integers: {_shown(weights)}")
         if any(x >= y for x, y in zip(weights, weights[1:])):
-            raise ValueError(f"weights must be strictly increasing: {weights!r}")
+            raise ValueError(f"weights must be strictly increasing: {_shown(weights)}")
         return super().__new__(cls, weights)
 
     def differences(self) -> tuple[int, ...]:
@@ -123,11 +123,11 @@ class MarkedPoint:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MarkedPoint":
         if not isinstance(data, dict):
-            raise ValueError(f"marked point must be a JSON object, got {data!r}")
+            raise ValueError(f"marked point must be a JSON object, got {_shown(data)}")
         _reject_unknown_keys(data, ("label", "flag", "weights", "alpha"), "marked point")
         for key in ("flag", "weights"):
             if key in data and not isinstance(data[key], list):
-                raise ValueError(f"marked point {key} must be a JSON array, got {data[key]!r}")
+                raise ValueError(f"marked point {key} must be a JSON array, got {_shown(data[key])}")
             _reject_long_ints(data.get(key, ()), f"marked point {key} entry")
         _reject_long_ints((data.get("alpha"),), "marked point alpha")
         try:
@@ -173,7 +173,7 @@ class ModuliSpec:
 
     def _check_point(self, pt) -> None:
         if not isinstance(pt, MarkedPoint):
-            raise ValueError(f"points must be MarkedPoint values, got {pt!r}")
+            raise ValueError(f"points must be MarkedPoint values, got {_shown(pt)}")
         if pt.flag.rank != self.rank:
             raise ValueError(
                 f"point {pt.label!r}: flag multiplicities sum to {pt.flag.rank}, rank is {self.rank}"
@@ -236,7 +236,7 @@ class ModuliSpec:
         _reject_unknown_keys(data, ("genus", "rank", "degree", "level", "ell", "points"), "spec")
         points = data.get("points", [])
         if not isinstance(points, list):
-            raise ValueError(f"points must be a JSON array, got {points!r}")
+            raise ValueError(f"points must be a JSON array, got {_shown(points)}")
         try:
             fields = {key: data[key] for key in ("genus", "rank", "degree", "level", "ell")}
         except KeyError as missing:

@@ -21,6 +21,15 @@ __all__ = [
     "partitions_of",
 ]
 
+# validation messages show at most this many characters of an input value
+MAX_ECHO = 40
+
+
+def _shown(value) -> str:
+    """repr(value), or for a long one its first MAX_ECHO characters and its length."""
+    text = repr(value)
+    return text if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]}... ({len(text)} characters)"
+
 
 class BoxViolationError(ValueError):
     """A partition does not fit inside the stated box."""
@@ -36,9 +45,9 @@ class Partition(tuple):
         parts = tuple(parts)
         for p in parts:
             if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-                raise ValueError(f"parts must be nonnegative integers: {parts!r}")
+                raise ValueError(f"parts must be nonnegative integers: {_shown(parts)}")
         if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {parts!r}")
+            raise ValueError(f"parts must be weakly decreasing: {_shown(parts)}")
         end = len(parts)
         while end > 0 and parts[end - 1] == 0:
             end -= 1
@@ -52,7 +61,7 @@ class Partition(tuple):
     def padded(self, length: int) -> tuple[int, ...]:
         """The parts extended by zeros to the given length."""
         if length < len(self):
-            raise ValueError(f"cannot pad {tuple(self)!r} down to length {length}")
+            raise ValueError(f"cannot pad {_shown(tuple(self))} down to length {length}")
         return tuple(self) + (0,) * (length - len(self))
 
     def contains(self, other) -> bool:
@@ -128,7 +137,7 @@ def _hook_content_dimension(lam, n: int) -> int:
 
 def _exact(num: int, den: int, lam) -> int:
     if num % den:
-        raise ArithmeticError(f"dimension division not exact for {tuple(lam)!r}")
+        raise ArithmeticError(f"dimension division not exact for {_shown(tuple(lam))}")
     return num // den
 
 
@@ -138,7 +147,7 @@ def complement_in_box(mu, r: int, m: int) -> Partition:
     if r < 0 or m < 0:
         raise ValueError(f"box dimensions must be nonnegative, got {r}x{m}")
     if not mu.fits_in_box(r, m):
-        raise BoxViolationError(f"{tuple(mu)!r} does not fit in a {r}x{m} box")
+        raise BoxViolationError(f"{_shown(tuple(mu))} does not fit in a {r}x{m} box")
     return Partition(m - p for p in reversed(mu.padded(r)))
 
 

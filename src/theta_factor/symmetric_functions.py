@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from itertools import accumulate
 
-from .partitions import Partition, complement_in_box, partitions_of
+from .partitions import Partition, _shown, complement_in_box, partitions_of
 
 __all__ = [
     "ContainmentError",
@@ -37,9 +37,9 @@ class SchurExpansion:
         for key, coeff in terms.items():
             p = Partition(key)
             if p in clean:
-                raise ValueError(f"two keys name the partition {tuple(p)!r}")
+                raise ValueError(f"two keys name the partition {_shown(tuple(p))}")
             if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff < 1:
-                raise ValueError(f"multiplicity of {tuple(p)!r} must be a positive integer")
+                raise ValueError(f"multiplicity of {_shown(tuple(p))} must be a positive integer")
             clean[p] = coeff
         self._terms = dict(sorted(clean.items()))
 
@@ -187,7 +187,7 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
     lam = Partition(lam)
     mu = Partition(mu)
     if not lam.contains(mu):
-        raise ContainmentError(f"{tuple(mu)!r} is not contained in {tuple(lam)!r}")
+        raise ContainmentError(f"{_shown(tuple(mu))} is not contained in {_shown(tuple(lam))}")
     n = max(len(lam), 1)
     lamp = lam.padded(n)
     mup = mu.padded(n)
@@ -237,6 +237,6 @@ def rectangular_lr_is_delta(mu, r: int, m: int):
         got = lr_coefficient(mu, nu, rect)
         if got != expected:
             raise ArithmeticError(
-                f"rectangle pairing failed at nu={tuple(nu)!r}: got {got}, expected {expected}"
+                f"rectangle pairing failed at nu={_shown(tuple(nu))}: got {got}, expected {expected}"
             )
     return comp, 1

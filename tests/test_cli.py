@@ -6,7 +6,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -744,19 +747,114 @@ def with_shared(shape, shared):
     return shape
 
 
+def shared_value(shape, shared):
+    """A value in which the shared dicts recur at one depth and at several,
+    inside each other, and as items of lists of dicts, as a tree's points do."""
+    shared.append({"first": shared[0], "list": [shared[0]]})
+    nodes = [{"points": [*shared, shared[0]], "children": [{"points": shared}]} for _ in range(3)]
+    return [with_shared(shape, shared), shared[0], {"again": shared[0], "deeper": [shared[-1], [shared[-1]]]}, nodes]
+
+
+def batches(value):
+    """The texts _indented_json hands on for value."""
+    parts = []
+    cli._indented_json(value, parts.append)
+    return parts
+
+
 class TestIndentedJson:
     @given(SHAPES, SHARED_DICTS)
     @settings(max_examples=80, deadline=None)
     def test_matches_stdlib_indent_2(self, shape, shared):
-        # dicts recur at one depth and at several, and inside each other
-        shared.append({"first": shared[0], "list": [shared[0]]})
-        value = [with_shared(shape, shared), shared[0], {"again": shared[0], "deeper": [shared[-1], [shared[-1]]]}]
-        assert cli._indented_json(value) == json.dumps(value, indent=2)
+        value = shared_value(shape, shared)
+        assert "".join(batches(value)) == json.dumps(value, indent=2)
+
+    @given(SHAPES, SHARED_DICTS, st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_small_batches(self, shape, shared, size):
+        # batches of 1 to 3 chunks end next to, and between, repeats of a shared dict
+        value = shared_value(shape, shared)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "BATCH", size)
+            parts = batches(value)
+        assert len(parts) > 1 and all(parts)
+        assert "".join(parts) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "a"}, {None: 1}, [object()], {"a": {1, 2}}])
     def test_rejects_what_no_report_holds(self, value):
         with pytest.raises(TypeError):
-            cli._indented_json(value)
+            batches(value)
+
+
+# 259 nodes: its JSON report (about 0.9 MB) takes several batches
+GENUS_3 = {"genus": 3, "rank": 2, "degree": 7, "level": 3, "ell": 2, "points": [
+    {"label": "pwwscp", "flag": [2], "weights": [3], "alpha": 2},
+    {"label": "prpfps", "flag": [1, 1], "weights": [2, 3], "alpha": 0},
+]}
+
+
+class Writes:
+    """Standard output that keeps each write."""
+
+    def __init__(self):
+        self.parts = []
+        self.write = self.parts.append
+
+    def flush(self):
+        pass
+
+
+class TestBatchedReport:
+    @pytest.fixture
+    def genus_3(self, tmp_path):
+        path = tmp_path / "genus-3.json"
+        path.write_text(json.dumps(GENUS_3))
+        return path
+
+    def written(self, monkeypatch, argv):
+        out = Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.run(argv) == 0
+        return out.parts
+
+    def test_json_is_stdlib_indent_2(self, monkeypatch, genus_3):
+        parts = self.written(monkeypatch, ["decompose", str(genus_3)])
+        report = {
+            "tool": {"name": cli.TOOL_NAME, "version": cli.__version__},
+            "command": "decompose",
+            "input_sha256": hashlib.sha256(genus_3.read_bytes()).hexdigest(),
+            "result": cli._decompose(ModuliSpec.from_json_dict(GENUS_3), None, None),
+        }
+        assert len(parts) > 2
+        assert "".join(parts) == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_text_and_csv_lines(self, monkeypatch, genus_3, fmt):
+        monkeypatch.setattr(cli, "BATCH", 50)
+        parts = self.written(monkeypatch, ["decompose", str(genus_3), "--format", fmt])
+        result = cli._decompose(ModuliSpec.from_json_dict(GENUS_3), None, None)
+        rows = cli._text_rows("decompose", result) if fmt == "text" else cli._decompose_csv(result)
+        header = [
+            f"# theta-factor {cli.__version__}",
+            "# command: decompose",
+            f"# input sha256: {hashlib.sha256(genus_3.read_bytes()).hexdigest()}",
+        ]
+        lines = [*header, *rows]
+        assert len(parts) == -(-len(lines) // 50)
+        assert "".join(parts) == "\n".join(lines) + "\n"
+
+    def test_closed_stdout_ends_quietly(self, genus_3):
+        # the reader takes 10 bytes and closes the pipe while the report is written
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "theta_factor.cli", "decompose", str(genus_3)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as child:
+            assert child.stdout.read(10) == b'{\n  "tool"'
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == 0
+        assert err == b""
 
 
 def spec_documents():
@@ -808,9 +906,9 @@ def run_contract(argv):
 
 # An argument of this length, echoed whole, would break the bound below.
 LONG = 20_000
-# Every integer the CLI echoes has at most 1,000 digits and the arrays drawn
-# here at most four entries, so an error line, which echoes at most two of
-# them, stays below this bound; usage errors quote 40 characters of text.
+# Every integer the CLI echoes has at most 1,000 digits, and messages show at
+# most 40 characters of an array and usage errors 40 characters of text, so
+# an error line, which echoes at most two long integers, stays below this bound.
 MAX_ERROR_LINE = 10 * (parabolic.MAX_INT_DIGITS + 2)
 
 
@@ -861,10 +959,11 @@ INT_ENTRIES = (
     | st.integers(6, 40).map(lambda e: 10**e)
     | st.sampled_from([-(10**40), 10**1000 - 1, 10**1000])
 )
-# int-array flag text: arrays of those entries, arbitrary JSON, and text
-# that is no JSON or nests too deeply
+# int-array flag text: short and long arrays of those entries, arbitrary
+# JSON, and text that is no JSON or nests too deeply
 INT_ARRAYS = (
     st.lists(INT_ENTRIES, max_size=3).map(json.dumps)
+    | st.builds(lambda n, last: json.dumps([1] * n + [last]), st.sampled_from([100, 3000, 5000]), INT_ENTRIES)
     | st.recursive(JSON_SCALARS, json_containers, max_leaves=4).map(json.dumps)
     | st.sampled_from(["[1" + "0" * 5000 + "]", "[" * 100_000, "[1,", "nope", "", "x" * LONG])
 )
@@ -958,12 +1057,14 @@ class TestArgvContract:
     @given(argv=command_argv(["dims"], {"--partition": INT_ARRAYS, "--vars": INT_TEXTS}))
     @example(argv=["dims", "--partition", "[1000000]", "--vars", "3"])
     @example(argv=["dims", "--partition", "[1]", "--vars", "1" * 5000])
+    @example(argv=["dims", "--partition", json.dumps([1] * 5000 + [2]), "--vars", "3"])
     @settings(max_examples=60, deadline=None)
     def test_dims(self, paths, argv):
         self.run(paths, argv)
 
     @given(argv=CODIM_ARGV)
     @example(argv=["codim", "schubert", "--r1", "2", "--n", "[2,2]", "--m", "[0,%s]" % ("1" * 5000)])
+    @example(argv=["codim", "schubert", "--r1", "3000", "--n", json.dumps([1] * 3000), "--m", json.dumps([2] + [1] * 2999)])
     @settings(max_examples=80, deadline=None)
     def test_codim(self, paths, argv):
         self.run(paths, argv)

@@ -63,12 +63,21 @@ FILES = {
     ),
     # one entry past the 1,000-digit cap on integers
     "long-entry-table.json": '{"a": 1, "b": 1%s}' % ("0" * 1000),
+    # 259 nodes: a report of about 0.9 MB, written in several batches
+    "genus-3.json": (
+        '{"genus": 3, "rank": 2, "degree": 7, "level": 3, "ell": 2, "points": ['
+        '{"label": "pwwscp", "flag": [2], "weights": [3], "alpha": 2}, '
+        '{"label": "prpfps", "flag": [1, 1], "weights": [2, 3], "alpha": 0}]}'
+    ),
 }
 
 # the largest integer a flag or an oracle may hold, and the smallest past it
 LONGEST = "9" * 1000
 TOO_LONG = "1" + "0" * 1000
 UNCONVERTIBLE = "1" * 5000
+# arrays a validation message would echo whole; it shows 40 characters of them
+LONG_UNSORTED = json.dumps([1] * 5000 + [2])
+ONES = json.dumps([1] * 3000)
 # an argument argparse would echo whole; usage errors quote 40 characters of it
 LONG_TEXT = "a" * 5000
 
@@ -92,6 +101,7 @@ CASES = [
     *_formats("decompose-const", ["decompose", "spec.json", "--depth", "1", "--oracle", "const:5"], ("json", "text", "csv")),
     *_formats("decompose-table", ["decompose", "spec.json", "--depth", "1", "--oracle", "table.json"], ("json", "text")),
     ("decompose-depth-0", ["decompose", "spec.json", "--depth", "0"]),
+    *_formats("decompose-genus-3", ["decompose", "genus-3.json"], ("json", "text", "csv")),
     *_formats("branch", ["branch", "--rank", "2", "--power", "2"], ("json", "text", "csv")),
     ("branch-power-0", ["branch", "--rank", "3", "--power", "0"]),
     *_formats("dims", ["dims", "--partition", "[3,2,1]", "--vars", "3"], ("json", "text")),
@@ -146,6 +156,8 @@ CASES = [
     ("gps-negative-points", ["codim", "gps", "--rank", "2", "--genus-tilde", "2", "--points", "-1"]),
     ("doubledet-invalid", ["codim", "doubledet", "--a", "2", "--b", "2", "--p", "2", "--q", "2", "--rank", "3"]),
     ("identities-rank-0", ["identities", "--max-rank", "0"]),
+    ("dims-long-unsorted", ["dims", "--partition", LONG_UNSORTED, "--vars", "3"]),
+    ("schubert-long-arrays", ["codim", "schubert", "--r1", "3000", "--n", ONES, "--m", "[2" + ONES[2:]]),
     # io errors
     ("verify-star-no-file", ["verify-star", "absent.json"]),
     ("decompose-no-table", ["decompose", "spec.json", "--oracle", "absent-table.json"]),
@@ -187,6 +199,31 @@ EXPECTED = {
         'c316f3efc9ee0358e8eb0afb92d3426c84df201d742ddf6d3d00455c833d9452',
         0,
         '',
+    ),
+    'decompose-genus-3-json': (
+        '51d28a64090f4dd524c581e1a88dcb2fb43d24ac20bdcc6da66af5da4f8a2ef3',
+        0,
+        '',
+    ),
+    'decompose-genus-3-text': (
+        'cee73e9c041b1a2ca049caef834f78e33f35dca2a5d1322b51ab9959a6e67822',
+        0,
+        '',
+    ),
+    'decompose-genus-3-csv': (
+        '9b468ff3c765dce9f006eb29dce0f43e09145c818a43ad66d4fa9b0fff671d51',
+        0,
+        '',
+    ),
+    'dims-long-unsorted': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "parts must be weakly decreasing: (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, ... (15003 characters)"}}\n',
+    ),
+    'schubert-long-arrays': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "need m <= n componentwise: m=(2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, ... (9000 characters), n=(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, ... (9000 characters)"}}\n',
     ),
     'verify-star-text': (
         'c074a8f4b6de1c23b18b6544b8442f8b18315ff580c0489452c5e5363b17fae8',

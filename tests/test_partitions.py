@@ -11,15 +11,25 @@ from hypothesis import given, settings, strategies as st
 
 from theta_factor import (
     BoxViolationError,
+    FlagType,
+    MarkedPoint,
+    ModuliSpec,
     Partition,
+    SchurExpansion,
+    StratumDatum,
+    WeightVector,
     box_count,
     complement_in_box,
     dim_schur,
     enumerate_in_box,
+    mu_to_boundary,
+    mu_to_highest_weight,
     partial_sums,
     partitions_of,
+    skew_schur_expand,
+    stability_gap,
 )
-from theta_factor.partitions import _hook_content_dimension, _weyl_dimension
+from theta_factor.partitions import MAX_ECHO, _hook_content_dimension, _shown, _weyl_dimension
 
 from oracles import ssyt_count
 
@@ -223,3 +233,41 @@ class TestHelpers:
     def test_partial_sums(self):
         assert partial_sums((1, 2, 1)) == (1, 3, 4)
         assert partial_sums(()) == ()
+
+
+ONES = (1,) * 5000
+# library calls whose message names an input array of 5,000 entries
+LONG_INPUTS = {
+    "unsorted parts": lambda: Partition(ONES + (2,)),
+    "negative part": lambda: Partition(ONES + (-1,)),
+    "pad": lambda: Partition(ONES).padded(3),
+    "complement": lambda: complement_in_box(ONES, 2, 1),
+    "flag": lambda: FlagType(ONES + (0,)),
+    "weights": lambda: WeightVector((0,) * 5000),
+    "point": lambda: MarkedPoint.from_json_dict(list(ONES)),
+    "spec points": lambda: ModuliSpec.from_json_dict({"points": "x" * 5000}),
+    "schubert m": lambda: StratumDatum(5000, ONES, (2,) + ONES[1:]),
+    "schubert entries": lambda: StratumDatum(5000, ONES, (-1,) + ONES[1:]),
+    "stability n": lambda: stability_gap((0,) * 5000, (0,) * 5000, ONES),
+    "highest weight": lambda: mu_to_highest_weight(ONES, 2),
+    "boundary": lambda: mu_to_boundary(ONES, 2, 3),
+    "skew shape": lambda: skew_schur_expand((1,), ONES),
+    "expansion": lambda: SchurExpansion({ONES: 0}),
+}
+
+
+class TestShown:
+    def test_short_value_is_its_repr(self):
+        assert _shown((1, 2, 3)) == "(1, 2, 3)"
+        assert _shown("x" * (MAX_ECHO - 2)) == repr("x" * (MAX_ECHO - 2))
+
+    def test_long_value_gives_its_start_and_length(self):
+        text = repr(ONES)
+        assert _shown(ONES) == f"{text[:MAX_ECHO]}... ({len(text)} characters)"
+
+    @pytest.mark.parametrize("call", LONG_INPUTS.values(), ids=list(LONG_INPUTS))
+    def test_messages_show_long_inputs_short(self, call):
+        with pytest.raises(ValueError) as info:
+            call()
+        message = str(info.value)
+        assert len(message) < 250 and " characters)" in message
