@@ -328,8 +328,8 @@ def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
         try:
             aggregate = aggregate_dimension(tree, leaf_value)
         except LeafOracleError as exc:
-            # the message already says "leaf oracle failed on <spec>"
-            raise CLIError("validation", f"{exc} (leaf spec: {exc.spec.canonical_json()})") from exc
+            # the message names the leaf by its canonical JSON
+            raise CLIError("validation", str(exc)) from exc
     return {
         "depth": depth,
         "oracle": oracle_desc,

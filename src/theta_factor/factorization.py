@@ -132,12 +132,18 @@ def _check_balanced(spec: ModuliSpec) -> None:
         raise ValueError(f"spec fails the balance condition: lhs={lhs} rhs={rhs}")
 
 
-def _boundary_row(mus, r: int, k: int, level: int):
+def _boundary_row(spec: ModuliSpec, mus, level: int):
     """The BoundaryData of each mu, its points labeled x1@level, x2@level.
 
+    Each point is checked once, against spec: every node that takes the
+    row has spec's rank and level, so ModuliSpec._child checks nothing.
     degenerate makes one row per call, build_tree one per tree level.
     """
-    return [mu_to_boundary(mu, r, k, (f"x1@{level}", f"x2@{level}")) for mu in mus]
+    row = [mu_to_boundary(mu, spec.rank, spec.level, (f"x1@{level}", f"x2@{level}")) for mu in mus]
+    for data in row:
+        spec._check_point(data.point1)
+        spec._check_point(data.point2)
+    return row
 
 
 def degenerate(spec: ModuliSpec):
@@ -152,7 +158,7 @@ def degenerate(spec: ModuliSpec):
         raise ValueError("cannot degenerate a genus-0 spec")
     _check_balanced(spec)
     mus = list(mu_indices(spec.rank, spec.level))
-    row = _boundary_row(mus, spec.rank, spec.level, _next_label_level(spec.points))
+    row = _boundary_row(spec, mus, _next_label_level(spec.points))
     return [(mu, spec._child(data.point1, data.point2)) for mu, data in zip(mus, row)]
 
 
@@ -168,15 +174,15 @@ class _KnownHash:
         return self.value
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class DecompositionTree:
     """A recursion tree: specs at nodes, mu labels on edges.
 
     children is an ordered tuple of (mu, subtree) pairs, empty at leaves.
-    walk, the counts, aggregate_dimension, ==, hash and repr use an
-    explicit stack, so they handle a tree of any depth; ==, hash and repr
-    give what the dataclass-generated methods, which recurse once per
-    level, give on (spec, children).  to_json_dict recurses per level.
+    Nodes have slots.  walk, the counts, aggregate_dimension, ==, hash and
+    repr use an explicit stack, so they handle a tree of any depth; ==,
+    hash and repr give what the dataclass-generated methods, which recurse
+    once per level, give on (spec, children).  to_json_dict recurses per level.
     """
 
     spec: ModuliSpec
@@ -280,11 +286,13 @@ def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
     Children appear in mu enumeration order, so the tree is deterministic
     and equal to the one that chaining degenerate gives.  Every node at
     tree level d gets the same boundary points, labeled x1@L, x2@L with
-    L = _next_label_level(spec.points) + d, so they are made once per
-    (mu, level) and shared.  Balance is checked for the root only: the
-    boundary-balance identity (verify_boundary_balance) keeps every child
-    of a balanced spec balanced, and a child checks only its two new
-    points (ModuliSpec._child).  The tree is grown on an explicit stack.
+    L = _next_label_level(spec.points) + d, so they are made and checked
+    once per (mu, level) (_boundary_row) and shared.  Balance is checked
+    for the root only: the boundary-balance identity
+    (verify_boundary_balance) keeps every child of a balanced spec
+    balanced.  The specs are made one tree level at a time, then joined
+    bottom up: node i of a level takes the next level's trees i*N to
+    (i+1)*N - 1, N = len(mus).
     """
     if not isinstance(depth, int) or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
@@ -293,30 +301,27 @@ def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
     if levels == 0:
         # a leaf: the mu box, which can be huge, is never enumerated
         return DecompositionTree(spec, ())
-    r, k = spec.rank, spec.level
-    mus = list(mu_indices(r, k))
+    mus = list(mu_indices(spec.rank, spec.level))
     first = _next_label_level(spec.points)
-    rows = [_boundary_row(mus, r, k, first + d) for d in range(levels)]
-    # post-order: a frame is (node spec, its tree level, its finished subtrees)
-    stack = [(spec, 0, [])]
-    while True:
-        node, d, done = stack[-1]
-        if d < len(rows) and len(done) < len(mus):
-            data = rows[d][len(done)]
-            stack.append((node._child(data.point1, data.point2), d + 1, []))
-            continue
-        stack.pop()
-        tree = DecompositionTree(node, tuple(zip(mus, done)))
-        if not stack:
-            return tree
-        stack[-1][2].append(tree)
+    specs = [[spec]]
+    for d in range(levels):
+        row = [(data.point1, data.point2) for data in _boundary_row(spec, mus, first + d)]
+        specs.append([node._child(p1, p2) for node in specs[-1] for p1, p2 in row])
+    n = len(mus)
+    trees = [DecompositionTree(node, ()) for node in specs.pop()]
+    while specs:
+        trees = [
+            DecompositionTree(node, tuple(zip(mus, trees[i * n : (i + 1) * n])))
+            for i, node in enumerate(specs.pop())
+        ]
+    return trees[0]
 
 
 class LeafOracleError(RuntimeError):
     """The leaf oracle rejected a spec; the offending spec is attached."""
 
     def __init__(self, spec: ModuliSpec, reason):
-        super().__init__(f"leaf oracle failed on {spec.to_json_dict()!r}: {reason}")
+        super().__init__(f"leaf oracle failed on {spec.canonical_json()}: {reason}")
         self.spec = spec
 
 
@@ -329,14 +334,20 @@ def aggregate_dimension(tree: DecompositionTree, leaf_oracle) -> int:
     aggregation with the offending leaf spec attached.
     """
     total = 0
-    for _, leaf in tree.leaves():
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            # the preorder of leaves(), without mu paths
+            stack.extend([child for _, child in reversed(node.children)])
+            continue
         try:
-            value = leaf_oracle(leaf.spec)
+            value = leaf_oracle(node.spec)
         except LeafOracleError:
             raise
         except Exception as exc:
-            raise LeafOracleError(leaf.spec, exc) from exc
+            raise LeafOracleError(node.spec, exc) from exc
         if not isinstance(value, int) or isinstance(value, bool):
-            raise LeafOracleError(leaf.spec, f"oracle returned a non-integer: {value!r}")
+            raise LeafOracleError(node.spec, f"oracle returned a non-integer: {value!r}")
         total += value
     return total

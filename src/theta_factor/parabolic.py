@@ -2,9 +2,9 @@
 
 All validation of values happens when they are constructed, so the
 arithmetic operations below never see malformed data.  A child spec made
-from a valid parent by degeneration (ModuliSpec._child) checks only its
-two new points.  The from_json_dict readers also reject what only a JSON
-spec can get wrong: unknown keys, repeated point labels, and integers
+by degeneration (ModuliSpec._child) checks nothing: its two new points
+were checked once, with their boundary row.  The from_json_dict readers
+also reject what only a JSON spec can get wrong: unknown keys, repeated point labels, and integers
 longer than MAX_INT_DIGITS digits.  Rationals are exact.
 """
 
@@ -103,10 +103,10 @@ class MarkedPoint:
             raise ValueError("point label must be a nonempty string")
         if len(self.flag) != len(self.weights):
             raise ValueError(
-                f"point {self.label!r}: flag length {len(self.flag)} != weight length {len(self.weights)}"
+                f"point {_shown(self.label)}: flag length {len(self.flag)} != weight length {len(self.weights)}"
             )
         if not isinstance(self.alpha, int) or isinstance(self.alpha, bool) or self.alpha < 0:
-            raise ValueError(f"point {self.label!r}: alpha must be a nonnegative integer")
+            raise ValueError(f"point {_shown(self.label)}: alpha must be a nonnegative integer")
 
     def star_term(self) -> int:
         """Sum of d_i * r_i over the flag steps, in one pass."""
@@ -141,7 +141,7 @@ class MarkedPoint:
             raise ValueError(f"marked point is missing field {missing}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModuliSpec:
     """The data (genus, rank, degree, level, ell, marked points).
 
@@ -176,23 +176,21 @@ class ModuliSpec:
             raise ValueError(f"points must be MarkedPoint values, got {_shown(pt)}")
         if pt.flag.rank != self.rank:
             raise ValueError(
-                f"point {pt.label!r}: flag multiplicities sum to {pt.flag.rank}, rank is {self.rank}"
+                f"point {_shown(pt.label)}: flag multiplicities sum to {pt.flag.rank}, rank is {self.rank}"
             )
         if pt.weights[-1] > self.level:
             raise ValueError(
-                f"point {pt.label!r}: weight {pt.weights[-1]} exceeds level {self.level}"
+                f"point {_shown(pt.label)}: weight {pt.weights[-1]} exceeds level {self.level}"
             )
 
     def _child(self, point1, point2) -> "ModuliSpec":
         """The spec of genus one less with point1 and point2 added.
 
-        Only the two new points are checked: the rest was checked when
-        self was made.  The caller ensures self has positive genus.
+        Nothing is checked.  The caller ensures self has positive genus and
+        has checked both points against a spec of self's rank and level
+        (factorization._boundary_row).
         """
-        self._check_point(point1)
-        self._check_point(point2)
         child = object.__new__(ModuliSpec)
-        # the fields in __init__'s order, so instances keep sharing dict keys
         object.__setattr__(child, "genus", self.genus - 1)
         object.__setattr__(child, "rank", self.rank)
         object.__setattr__(child, "degree", self.degree)
@@ -247,7 +245,7 @@ class ModuliSpec:
         labels = set()
         for pt in points:
             if pt.label in labels:
-                raise ValueError(f"duplicate point label {pt.label!r}")
+                raise ValueError(f"duplicate point label {_shown(pt.label)}")
             labels.add(pt.label)
         return cls(**fields, points=points)
 

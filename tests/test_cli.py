@@ -116,6 +116,29 @@ class TestVerifyStar:
         assert error["type"] == "validation"
         assert "duplicate point label 'p'" in error["message"]
 
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            ([{}, {"alpha": 1}], "duplicate point label 'ppp"),
+            ([{"flag": [2, 1], "weights": [0, 1]}], "flag multiplicities sum to 3, rank is 2"),
+            ([{"weights": [4]}], "weight 4 exceeds level 3"),
+            ([{"weights": [0, 1]}], "flag length 1 != weight length 2"),
+            ([{"alpha": -1}], "alpha must be a nonnegative integer"),
+        ],
+        ids=["duplicate", "wrong-rank", "too-heavy", "flag-length", "alpha"],
+    )
+    def test_long_label_is_shortened(self, capsys, tmp_path, points, message):
+        label = "p" * 5000
+        base = {"label": label, "flag": [2], "weights": [0], "alpha": 0}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SPEC, points=[dict(base, **point) for point in points])))
+        code, out, err = run_cli(capsys, ["verify-star", str(bad)])
+        assert code == 1 and out == ""
+        assert len(err.encode()) < 300
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation"
+        assert message in error["message"] and "(5002 characters)" in error["message"]
+
     def test_undecodable_bytes_are_a_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"genus": "\xff"}')

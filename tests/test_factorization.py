@@ -427,26 +427,56 @@ class TestTreeEngine:
                 child.genus, child.rank, child.degree, child.level, child.ell, child.points
             )
             assert child == public and hash(child) == hash(public)
-            # the same fields in the same order, so instances share dict keys
             assert repr(child) == repr(public)
-            assert list(vars(child).items()) == list(vars(public).items())
+            # every slot holds the very value the public constructor stores
+            for field in dataclasses.fields(ModuliSpec):
+                assert getattr(child, field.name) is getattr(public, field.name)
 
-    def test_child_checks_its_new_points(self):
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (MarkedPoint("wide", [2, 1], [0, 1], 0), r"point 'wide': flag multiplicities sum to 3, rank is 2"),
+            (MarkedPoint("heavy", [1, 1], [0, 4], 0), r"point 'heavy': weight 4 exceeds level 3"),
+            ("x2", "points must be MarkedPoint values"),
+        ],
+        ids=["wrong-rank", "too-heavy", "not-a-point"],
+    )
+    def test_boundary_row_checks_its_points(self, monkeypatch, bad, message):
         spec = balanced_spec()
-        fits = MarkedPoint("ok", [1, 1], [0, 1], 0)
-        wrong_rank = MarkedPoint("wide", [2, 1], [0, 1], 0)
-        with pytest.raises(ValueError, match=r"point 'wide': flag multiplicities sum to 3, rank is 2"):
-            spec._child(fits, wrong_rank)
-        too_heavy = MarkedPoint("heavy", [1, 1], [0, 4], 0)
-        with pytest.raises(ValueError, match=r"point 'heavy': weight 4 exceeds level 3"):
-            spec._child(too_heavy, fits)
-        with pytest.raises(ValueError, match="points must be MarkedPoint values"):
-            spec._child(fits, "x2")
+        last = list(mu_indices(spec.rank, spec.level))[-1]
+
+        def bad_last_point(mu, r, k, labels):
+            data = mu_to_boundary(mu, r, k, labels)
+            return dataclasses.replace(data, point2=bad) if mu == last else data
+
+        monkeypatch.setattr(factorization, "mu_to_boundary", bad_last_point)
+        with pytest.raises(ValueError, match=message):
+            build_tree(spec, 2)
+        with pytest.raises(ValueError, match=message):
+            degenerate(spec)
         # the public constructor gives the same messages
-        with pytest.raises(ValueError, match=r"point 'heavy': weight 4 exceeds level 3"):
-            ModuliSpec(1, 2, 4, 3, 3, (too_heavy,))
-        child = spec._child(fits, fits)
-        assert child == ModuliSpec(1, 2, 4, 3, 3, (fits, fits))
+        with pytest.raises(ValueError, match=message):
+            ModuliSpec(1, 2, 4, 3, 3, (bad,))
+
+    def test_each_boundary_point_checked_once(self, monkeypatch):
+        checked = []
+        check_point = ModuliSpec._check_point
+
+        def counting_check_point(self, pt):
+            checked.append(pt)
+            check_point(self, pt)
+
+        monkeypatch.setattr(ModuliSpec, "_check_point", counting_check_point)
+        spec = balanced_spec(genus=3)
+        n = len(list(mu_indices(spec.rank, spec.level)))
+        tree = build_tree(spec, 3)
+        # two new points per mu and tree level, each checked once
+        assert len(checked) == len(set(checked)) == 2 * n * 3
+        added = {pt for _, _, node in tree.walk() for pt in node.spec.points}
+        assert added == set(checked)
+        checked.clear()
+        assert [child for _, child in degenerate(spec)] == [child.spec for _, child in tree.children]
+        assert len(checked) == 2 * n
 
     def test_children_skip_the_full_check(self, monkeypatch):
         calls = []
@@ -598,6 +628,8 @@ class TestAggregate:
         with pytest.raises(LeafOracleError) as info:
             aggregate_dimension(tree, broken)
         assert info.value.spec.genus == 0
+        # the leaf is stated once, as its canonical JSON
+        assert str(info.value) == f"leaf oracle failed on {info.value.spec.canonical_json()}: 'missing'"
 
     def test_oracle_must_return_integer(self):
         spec = balanced_spec(genus=1, rank=1, level=2, ell=2)
@@ -606,3 +638,37 @@ class TestAggregate:
             aggregate_dimension(tree, lambda s: 1.5)
         with pytest.raises(LeafOracleError):
             aggregate_dimension(tree, lambda s: True)
+
+    @given(
+        st.recursive(st.just(()), lambda kids: st.lists(kids, max_size=4).map(tuple), max_leaves=40),
+        st.integers(0, 60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_called_in_leaves_order(self, shape, fail_at):
+        # an irregular hand-built tree: node i of the preorder has degree i
+        count = 0
+
+        def make(kids):
+            nonlocal count
+            spec = ModuliSpec(0, 1, count, 1, 1)
+            count += 1
+            return DecompositionTree(spec, tuple((Partition((i,)), make(kid)) for i, kid in enumerate(kids)))
+
+        tree = make(shape)
+        leaves = [node.spec for _, node in tree.leaves()]
+        calls = []
+
+        def oracle(spec):
+            calls.append(spec)
+            if len(calls) == fail_at + 1:
+                raise KeyError("missing")
+            return spec.degree
+
+        if fail_at < len(leaves):
+            with pytest.raises(LeafOracleError) as info:
+                aggregate_dimension(tree, oracle)
+            assert info.value.spec is leaves[fail_at]
+            assert calls == leaves[: fail_at + 1]
+        else:
+            assert aggregate_dimension(tree, oracle) == sum(spec.degree for spec in leaves)
+            assert calls == leaves
