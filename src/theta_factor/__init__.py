@@ -57,6 +57,7 @@ from .symmetric_functions import (
     ContainmentError,
     SchurExpansion,
     lr_coefficient,
+    lr_expand,
     rectangular_lr_is_delta,
     skew_schur_expand,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "gps_slope",
     "stability_gap",
     "lr_coefficient",
+    "lr_expand",
     "mu_indices",
     "mu_to_boundary",
     "mu_to_highest_weight",

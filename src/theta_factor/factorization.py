@@ -251,11 +251,24 @@ class DecompositionTree:
             if node.is_leaf():
                 yield path, node
 
+    def _counts(self) -> tuple[int, int]:
+        """(nodes, leaves), by one pass without mu paths."""
+        nodes = leaves = 0
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            if node.children:
+                stack += [child for _, child in node.children]
+            else:
+                leaves += 1
+        return nodes, leaves
+
     def node_count(self) -> int:
-        return sum(1 for _ in self.walk())
+        return self._counts()[0]
 
     def leaf_count(self) -> int:
-        return sum(1 for _ in self.leaves())
+        return self._counts()[1]
 
     def to_json_dict(self, point_dicts: dict | None = None) -> dict:
         """Nodes carry specs, edges carry mu arrays padded to the node's rank.

@@ -1,15 +1,18 @@
 """Skew Schur expansion and Littlewood-Richardson coefficients.
 
-Two deliberately separate routes are kept side by side: lr_coefficient
-counts lattice-word tableaux directly, while skew_schur_expand evaluates
-the Jacobi-Trudi determinant by Laplace expansion along its columns,
-multiplying Schur expansions by one horizontal strip (Pieri's rule) per
-entry and never leaving lam.  Tests insist the two agree.
+Two deliberately separate routes are kept side by side.  The tableau
+route (lr_expand, lr_coefficient) counts lattice-word tableaux a row at a
+time, for every content at once; the determinant route
+(skew_schur_expand) evaluates the Jacobi-Trudi determinant by Laplace
+expansion along its columns, multiplying Schur expansions by one
+horizontal strip (Pieri's rule) per entry and never leaving lam.  Neither
+calls the other, and tests insist the two agree.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import accumulate
 
 from .partitions import Partition, _shown, complement_in_box, partitions_of
@@ -18,6 +21,7 @@ __all__ = [
     "ContainmentError",
     "SchurExpansion",
     "lr_coefficient",
+    "lr_expand",
     "rectangular_lr_is_delta",
     "skew_schur_expand",
 ]
@@ -84,7 +88,10 @@ def lr_coefficient(mu, nu, lam) -> int:
     Counts fillings of the skew shape lam/mu with content nu whose rows
     weakly increase, columns strictly increase, and whose reverse reading
     word (right to left, top to bottom) is a lattice word.  Returns 0 on
-    degree mismatch or when mu is not contained in lam.
+    degree mismatch or when mu is not contained in lam.  Otherwise nu is
+    read from the whole table of lam/mu (see lr_expand), which is kept for
+    the last few shapes, so asking for every nu of one shape in turn
+    counts its tableaux once.
     """
     mu, nu, lam = Partition(mu), Partition(nu), Partition(lam)
     if mu.size + nu.size != lam.size:
@@ -96,40 +103,69 @@ def lr_coefficient(mu, nu, lam) -> int:
     # the content of a lattice filling is always contained in the shape
     if not lam.contains(nu):
         return 0
+    return _lr_table(lam, mu).get(nu, 0)
 
-    rows = len(lam)
-    lamp = lam.padded(rows)
-    mup = mu.padded(rows)
-    k = len(nu)
-    cells = [(i, j) for i in range(rows) for j in range(lamp[i] - 1, mup[i] - 1, -1)]
-    remaining = list(nu)
-    counts = [0] * (k + 1)
-    grid = {}
 
-    def place(idx):
-        if idx == len(cells):
-            return 1
-        i, j = cells[idx]
-        right = grid.get((i, j + 1))
-        above = grid.get((i - 1, j)) if i > 0 else None
-        lo = 1 if above is None else above + 1
-        hi = k if right is None else right
-        total = 0
-        for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            counts[v] += 1
-            remaining[v - 1] -= 1
-            grid[(i, j)] = v
-            total += place(idx + 1)
-            counts[v] -= 1
-            remaining[v - 1] += 1
-        grid.pop((i, j), None)
-        return total
+def lr_expand(lam, mu) -> SchurExpansion:
+    """Expansion of s_{lam/mu} by counting LR tableaux, for every content at once.
 
-    return place(0)
+    The tableau route's counterpart of skew_schur_expand: the coefficient
+    of s_nu is the number of fillings of lam/mu counted by lr_coefficient.
+    The tableaux are built a row at a time (the Littlewood-Richardson rule
+    in Fulton, Young Tableaux, section 5).  Row i (0-based) holds only
+    values up to i + 1, and since rows weakly increase, its content fixes
+    the row.  A state is the content T so far with the previous row's
+    running counts C (C(v) = its entries of value at most v); a count
+    rides on each state and equal states merge.  A new row is a run of
+    running counts C_i that keeps two inequalities:
+
+    - columns strictly increase: mu_i + C_i(v) <= mu_{i-1} + C_{i-1}(v - 1),
+      since the cells of value at most v must sit under cells of mu or of
+      value below v;
+    - the reverse reading word is a lattice word: T_i(v) <= T_{i-1}(v - 1),
+      checked where row i's last v has been read and none of its v - 1.
+    """
+    lam, mu = Partition(lam), Partition(mu)
+    if not lam.contains(mu):
+        raise ContainmentError(f"{_shown(tuple(mu))} is not contained in {_shown(tuple(lam))}")
+    return SchurExpansion(_lr_table(lam, mu))
+
+
+@lru_cache(maxsize=8)
+def _lr_table(lam, mu) -> dict:
+    """nu -> number of LR tableaux of lam/mu with content nu (see lr_expand).
+
+    A state is (T, run): T[u] counts the value u + 1 so far, and run is
+    (0, C(1), ..., C(i + 1)) for the last row i.  A new row's run is built
+    one value at a time, on a stack.  C(u + 1) is at least the row length
+    less T[u], as the larger values fill at most T[u] cells of the row
+    (the lattice inequality, summed).
+    """
+    mup = mu.padded(len(lam))
+    states = {((), (0,)): 1}
+    for i, length in enumerate(a - b for a, b in zip(lam, mup)):
+        gap = mup[i - 1] - mup[i] if i else 0
+        grown = {}
+        for (content, prev), count in states.items():
+            # partial rows: the run so far and the content T it makes
+            stack = [((0,), ())]
+            while stack:
+                run, made = stack.pop()
+                u, last = len(made), run[-1]
+                if u == i:
+                    key = (made + (length - last,), run + (length,))
+                    grown[key] = grown.get(key, 0) + count
+                    continue
+                t = content[u]
+                room = content[u - 1] - t if u else length
+                for c in range(max(last, length - t), min(length, gap + prev[u], last + room) + 1):
+                    stack.append((run + (c,), made + (t + c - last,)))
+        states = grown
+    table = {}
+    for (content, _), count in states.items():
+        nu = Partition(content)
+        table[nu] = table.get(nu, 0) + count
+    return table
 
 
 def _strip_extensions(cur, outer, size):
@@ -224,19 +260,20 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
 def rectangular_lr_is_delta(mu, r: int, m: int):
     """Check that against the r x m rectangle, mu pairs only with its complement.
 
-    Returns (complement, 1) after verifying by direct tableau counts that
-    the coefficient is 1 at the box complement of mu and 0 at every other
-    partition of the complementary size.
+    Returns (complement, 1) after verifying by one tableau expansion of
+    rect/mu that the coefficient is 1 at the box complement of mu and 0 at
+    every other partition of the complementary size.  A mismatch names the
+    first partition, in partitions_of order, where they differ.
     """
     mu = Partition(mu)
     comp = complement_in_box(mu, r, m)
     rect = Partition((m,) * r)
-    degree = rect.size - mu.size
-    for nu in partitions_of(degree):
-        expected = 1 if nu == comp else 0
-        got = lr_coefficient(mu, nu, rect)
-        if got != expected:
-            raise ArithmeticError(
-                f"rectangle pairing failed at nu={_shown(tuple(nu))}: got {got}, expected {expected}"
-            )
+    expansion = lr_expand(rect, mu)
+    if expansion != {comp: 1}:
+        for nu in partitions_of(rect.size - mu.size):
+            got, expected = expansion.coefficient(nu), int(nu == comp)
+            if got != expected:
+                raise ArithmeticError(
+                    f"rectangle pairing failed at nu={_shown(tuple(nu))}: got {got}, expected {expected}"
+                )
     return comp, 1

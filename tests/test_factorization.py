@@ -316,6 +316,24 @@ class TestDegenerate:
             degenerate(spec)
 
 
+def tree_shapes():
+    """Nested tuples of children: () is a leaf."""
+    return st.recursive(st.just(()), lambda kids: st.lists(kids, max_size=4).map(tuple), max_leaves=40)
+
+
+def irregular_tree(shape):
+    """A hand-built tree of the given shape: node i of the preorder has degree i."""
+    count = 0
+
+    def make(kids):
+        nonlocal count
+        spec = ModuliSpec(0, 1, count, 1, 1)
+        count += 1
+        return DecompositionTree(spec, tuple((Partition((i,)), make(kid)) for i, kid in enumerate(kids)))
+
+    return make(shape)
+
+
 class TestBuildTree:
     def test_depth_zero(self):
         spec = balanced_spec()
@@ -350,6 +368,13 @@ class TestBuildTree:
     def test_determinism(self):
         spec = balanced_spec()
         assert build_tree(spec, 2) == build_tree(spec, 2)
+
+    @given(tree_shapes())
+    @settings(max_examples=100, deadline=None)
+    def test_counts_match_walk(self, shape):
+        tree = irregular_tree(shape)
+        assert tree.node_count() == sum(1 for _ in tree.walk())
+        assert tree.leaf_count() == sum(1 for _ in tree.leaves())
 
     def test_walk_paths(self):
         spec = balanced_spec(genus=2, rank=1, level=2, ell=2)
@@ -639,22 +664,10 @@ class TestAggregate:
         with pytest.raises(LeafOracleError):
             aggregate_dimension(tree, lambda s: True)
 
-    @given(
-        st.recursive(st.just(()), lambda kids: st.lists(kids, max_size=4).map(tuple), max_leaves=40),
-        st.integers(0, 60),
-    )
+    @given(tree_shapes(), st.integers(0, 60))
     @settings(max_examples=150, deadline=None)
     def test_oracle_called_in_leaves_order(self, shape, fail_at):
-        # an irregular hand-built tree: node i of the preorder has degree i
-        count = 0
-
-        def make(kids):
-            nonlocal count
-            spec = ModuliSpec(0, 1, count, 1, 1)
-            count += 1
-            return DecompositionTree(spec, tuple((Partition((i,)), make(kid)) for i, kid in enumerate(kids)))
-
-        tree = make(shape)
+        tree = irregular_tree(shape)
         leaves = [node.spec for _, node in tree.leaves()]
         calls = []
 

@@ -5,6 +5,8 @@ Jacobi-Trudi determinant); the polynomial expansion in oracles.py is a
 third, independent route used to pin expected values.
 """
 
+import ast
+import inspect
 from itertools import permutations
 
 import pytest
@@ -17,13 +19,16 @@ from theta_factor import (
     complement_in_box,
     enumerate_in_box,
     lr_coefficient,
+    lr_expand,
     partitions_of,
     rectangular_lr_is_delta,
     skew_schur_expand,
 )
 
-from theta_factor.symmetric_functions import _strip_extensions
+from theta_factor import symmetric_functions
+from theta_factor.symmetric_functions import _lr_table, _strip_extensions
 
+import oracles
 from oracles import horizontal_strip_shapes, lr_via_polynomials
 
 
@@ -160,6 +165,87 @@ class TestLRCoefficient:
         assert lr_coefficient(mu, nu, lam) == lr_coefficient(nu, mu, lam)
 
 
+class TestLRExpand:
+    """The tableau route's whole expansion, counted row by row."""
+
+    @given(skew_in_box(7, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_jacobi_trudi(self, shape):
+        # whole expansions: a term missing from either side shows
+        lam, mu = shape
+        assert lr_expand(lam, mu) == skew_schur_expand(lam, mu)
+
+    def test_long_row(self):
+        assert lr_coefficient((), (1200,), (1200,)) == 1
+        assert lr_expand((1200,), ()) == {(1200,): 1}
+
+    def test_long_skew_shape(self):
+        # two disjoint rows of 600 cells: s_600 * s_600, by Pieri's rule
+        lam, mu = (1200, 600), (600,)
+        assert lr_expand(lam, mu) == {(1200 - k, k): 1 for k in range(601)}
+        assert lr_coefficient(mu, (900, 300), lam) == 1
+        assert lr_coefficient(mu, (900, 200, 100), lam) == 0
+
+    def test_nine_row_staircase(self):
+        # both routes agree on it in TestTallShapes
+        assert len(lr_expand((9, 8, 7, 6, 5, 4, 3, 2, 1), (3, 2, 1))) == 434
+
+    def test_edge_shapes(self):
+        assert lr_expand((), ()) == {(): 1}
+        assert lr_expand((2, 1), (2, 1)) == {(): 1}
+        assert lr_expand((2, 2), (2,)) == {(2,): 1}
+        with pytest.raises(ContainmentError):
+            lr_expand((2,), (1, 1))
+
+    def test_same_answers_after_cache_clear_and_interleaved(self):
+        # more shapes than the table cache keeps, so tables are evicted and rebuilt
+        shapes = [
+            (lam, mu)
+            for lam in [(4, 3, 2, 1), (4, 4, 2, 2), (3, 3, 3), (5, 3, 1), (4, 2, 2, 1)]
+            for mu in [(), (1,), (2, 1)]
+        ]
+        first = {shape: lr_expand(*shape) for shape in shapes}
+        _lr_table.cache_clear()
+        assert {shape: lr_expand(*shape) for shape in shapes} == first
+        _lr_table.cache_clear()
+        # nu by nu, so calls for different shapes take turns
+        asked = sorted((nu, lam, mu) for lam, mu in shapes for nu in partitions_of(sum(lam) - sum(mu)))
+        for nu, lam, mu in asked:
+            assert lr_coefficient(mu, nu, lam) == first[lam, mu].coefficient(nu), (lam, mu, nu)
+
+
+class TestRouteIndependence:
+    """The two routes and the oracles must not lean on one another."""
+
+    TABLEAU = ("lr_coefficient", "lr_expand", "_lr_table", "rectangular_lr_is_delta")
+    DETERMINANT = ("skew_schur_expand", "_strip_extensions")
+
+    @staticmethod
+    def names_in(function):
+        tree = ast.parse(inspect.getsource(inspect.unwrap(function)))
+        return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+        }
+
+    def test_oracles_import_nothing_from_the_package(self):
+        tree = ast.parse(inspect.getsource(oracles))
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "relative import in oracles.py"
+                modules.append(node.module)
+        assert modules
+        assert not [m for m in modules if m.split(".")[0] == "theta_factor"]
+
+    @pytest.mark.parametrize("name", TABLEAU)
+    def test_tableau_route_names_no_determinant_code(self, name):
+        assert not self.names_in(getattr(symmetric_functions, name)) & set(self.DETERMINANT)
+
+    @pytest.mark.parametrize("name", DETERMINANT)
+    def test_determinant_route_names_no_tableau_code(self, name):
+        assert not self.names_in(getattr(symmetric_functions, name)) & set(self.TABLEAU)
+
+
 class TestSkewSchurExpand:
     def test_single_cell(self):
         assert skew_schur_expand(Partition((2,)), Partition((1,))) == {Partition((1,)): 1}
@@ -260,6 +346,7 @@ class TestTallShapes:
     def test_matches_direct_lr(self, lam, mu):
         lam, mu = Partition(lam), Partition(mu)
         expansion = skew_schur_expand(lam, mu)
+        assert lr_expand(lam, mu) == expansion
         # s_nu occurs in s_{lam/mu} only for nu inside lam
         inside = [nu for nu in partitions_of(lam.size - mu.size) if lam.contains(nu)]
         assert set(expansion) <= set(inside)
@@ -331,6 +418,20 @@ class TestRectangularDelta:
                     comp, mult = rectangular_lr_is_delta(mu, r, m)
                     assert comp == complement_in_box(mu, r, m)
                     assert mult == 1
+
+    @pytest.mark.parametrize(
+        "terms,message",
+        [
+            ({(3,): 1, (2, 1): 1}, r"nu=\(3,\): got 1, expected 0"),
+            ({}, r"nu=\(2, 1\): got 0, expected 1"),
+            ({(2, 1): 1, (1, 1, 1): 2}, r"nu=\(1, 1, 1\): got 2, expected 0"),
+        ],
+    )
+    def test_mismatch_names_first_differing_nu(self, monkeypatch, terms, message):
+        # against the 2 x 2 box, (1,) pairs with (2, 1) only
+        monkeypatch.setattr(symmetric_functions, "lr_expand", lambda lam, mu: SchurExpansion(terms))
+        with pytest.raises(ArithmeticError, match=message):
+            rectangular_lr_is_delta(Partition((1,)), 2, 2)
 
     def test_box_violation(self):
         with pytest.raises(ValueError):
