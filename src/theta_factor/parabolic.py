@@ -190,13 +190,14 @@ class ModuliSpec:
         has checked both points against a spec of self's rank and level
         (factorization._boundary_row).
         """
+        # the slots' own descriptors, past the frozen __setattr__
         child = object.__new__(ModuliSpec)
-        object.__setattr__(child, "genus", self.genus - 1)
-        object.__setattr__(child, "rank", self.rank)
-        object.__setattr__(child, "degree", self.degree)
-        object.__setattr__(child, "level", self.level)
-        object.__setattr__(child, "ell", self.ell)
-        object.__setattr__(child, "points", self.points + (point1, point2))
+        ModuliSpec.genus.__set__(child, self.genus - 1)
+        ModuliSpec.rank.__set__(child, self.rank)
+        ModuliSpec.degree.__set__(child, self.degree)
+        ModuliSpec.level.__set__(child, self.level)
+        ModuliSpec.ell.__set__(child, self.ell)
+        ModuliSpec.points.__set__(child, self.points + (point1, point2))
         return child
 
     def derived_n(self) -> int:

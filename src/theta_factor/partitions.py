@@ -44,14 +44,17 @@ class Partition(tuple):
             return parts
         parts = tuple(parts)
         for p in parts:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+            if not isinstance(p, int) or isinstance(p, bool):
                 raise ValueError(f"parts must be nonnegative integers: {_shown(parts)}")
-        if any(a < b for a, b in zip(parts, parts[1:])):
+        # a negative part anywhere is reported before the order; sorted, the
+        # smallest part is the last, and the zeros to strip are all at the end
+        if parts != tuple(sorted(parts, reverse=True)):
+            if min(parts) < 0:
+                raise ValueError(f"parts must be nonnegative integers: {_shown(parts)}")
             raise ValueError(f"parts must be weakly decreasing: {_shown(parts)}")
-        end = len(parts)
-        while end > 0 and parts[end - 1] == 0:
-            end -= 1
-        return super().__new__(cls, parts[:end])
+        if parts and parts[-1] < 0:
+            raise ValueError(f"parts must be nonnegative integers: {_shown(parts)}")
+        return super().__new__(cls, parts[: len(parts) - parts.count(0)])
 
     @property
     def size(self) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import accumulate
 
 from .partitions import Partition, _shown, complement_in_box, partitions_of
 
@@ -46,6 +45,22 @@ class SchurExpansion:
                 raise ValueError(f"multiplicity of {_shown(tuple(p))} must be a positive integer")
             clean[p] = coeff
         self._terms = dict(sorted(clean.items()))
+
+    @classmethod
+    def _of_shapes(cls, shapes):
+        """From padded partitions of one length -> coefficients.
+
+        The shapes are not checked again, only stripped of trailing zeros;
+        each coefficient must still be positive.
+        """
+        expansion = object.__new__(cls)
+        expansion._terms = terms = {}
+        for shape, coeff in sorted(shapes.items()):
+            p = tuple.__new__(Partition, shape[: len(shape) - shape.count(0)])
+            if coeff < 1:
+                raise ValueError(f"multiplicity of {_shown(tuple(p))} must be a positive integer")
+            terms[p] = coeff
+        return expansion
 
     @property
     def terms(self) -> dict:
@@ -173,28 +188,43 @@ def _strip_extensions(cur, outer, size):
 
     All shapes are tuples padded to len(outer), in lexicographic order; no
     two added cells may share a column, which caps row i at the previous
-    row's old length.  Row i has caps[i] free cells and rows i.. have
-    room[i], so row i takes at least what the rows below cannot.
+    row's old length.  One pass from the top finds each row's free cells
+    (caps) and their total; walking down, below is what rows i + 1.. can
+    still take, so row i takes at least the rest.
     """
-    caps = [(outer[0] if i == 0 else min(outer[i], cur[i - 1])) - cur[i] for i in range(len(cur))]
-    room = list(accumulate(reversed(caps), initial=0))[::-1]
-    if size > room[0]:
-        return []
     if size == 0:
         return [cur]
+    caps = []
+    below = 0
+    prev = outer[0]
+    for o, c in zip(outer, cur):
+        cap = (o if o < prev else prev) - c
+        caps.append(cap)
+        below += cap
+        prev = c
+    if size > below:
+        return []
     partial = [((), size)]
-    for i in range(len(cur) - 1):
-        c, cap, below = cur[i], caps[i], room[i + 1]
+    last = len(cur) - 1
+    for i in range(last):
+        c, cap = cur[i], caps[i]
+        below -= cap
         partial = [
             (acc + (c + a,), left - a)
             for acc, left in partial
             for a in range(max(0, left - below), min(cap, left) + 1)
         ]
-    return [acc + (cur[-1] + left,) for acc, left in partial]
+    c = cur[last]
+    return [acc + (c + left,) for acc, left in partial]
 
 
 def skew_schur_expand(lam, mu) -> SchurExpansion:
     """Expansion of the skew Schur function s_{lam/mu} in the Schur basis.
+
+    Rows with lam_i = mu_i at the top or the bottom hold no cells, and a
+    skew Schur function depends only on its diagram up to translation
+    (Macdonald, I.5), so they are dropped first: the n rows left are
+    those from the first to the last row with a cell.
 
     Evaluates the Jacobi-Trudi determinant det(h_{lam_i - mu_j - i + j})
     by Laplace expansion along its columns, from the last to the first.
@@ -224,9 +254,14 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
     mu = Partition(mu)
     if not lam.contains(mu):
         raise ContainmentError(f"{_shown(tuple(mu))} is not contained in {_shown(tuple(lam))}")
-    n = max(len(lam), 1)
-    lamp = lam.padded(n)
-    mup = mu.padded(n)
+    mup = mu.padded(len(lam))
+    top, end = 0, len(lam)
+    while top < end and lam[top] == mup[top]:
+        top += 1
+    while end > top and lam[end - 1] == mup[end - 1]:
+        end -= 1
+    lamp, mup = lam[top:end], mup[top:end]
+    n = end - top
     reach = [sum(lamp[i] - i >= mup[j] - j for i in range(n)) for j in range(n)]
 
     masks = [(1 << r) - 1 for r in reach]
@@ -234,10 +269,10 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
     hall = {}
     states = {0: {(0,) * n: 1}}
     for j in reversed(range(n)):
+        entries = [(1 << i, lamp[i] - mup[j] - i + j) for i in range(reach[j])]
         grown = {}
         for used, expansion in states.items():
-            for i in range(reach[j]):
-                bit = 1 << i
+            for bit, t in entries:
                 if used & bit:
                     continue
                 rows = used | bit
@@ -251,10 +286,11 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
                 sign = -1 if (used & (bit - 1)).bit_count() % 2 else 1
                 target = grown.setdefault(rows, {})
                 for shape, coeff in expansion.items():
-                    for ext in _strip_extensions(shape, lamp, lamp[i] - mup[j] - i + j):
-                        target[ext] = target.get(ext, 0) + sign * coeff
+                    coeff *= sign
+                    for ext in _strip_extensions(shape, lamp, t):
+                        target[ext] = target.get(ext, 0) + coeff
         states = {rows: {s: c for s, c in e.items() if c} for rows, e in grown.items()}
-    return SchurExpansion(states.get((1 << n) - 1, {}))
+    return SchurExpansion._of_shapes(states.get((1 << n) - 1, {}))
 
 
 def rectangular_lr_is_delta(mu, r: int, m: int):

@@ -41,7 +41,58 @@ def boxed_partitions(max_rows=4, max_cols=4):
     )
 
 
+def partition_parts_as_before(parts):
+    """The checks Partition made part by part before its one sorted comparison."""
+    parts = tuple(parts)
+    for p in parts:
+        if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+            raise ValueError(f"parts must be nonnegative integers: {_shown(parts)}")
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"parts must be weakly decreasing: {_shown(parts)}")
+    end = len(parts)
+    while end > 0 and parts[end - 1] == 0:
+        end -= 1
+    return parts[:end]
+
+
+class Count(int):
+    """An int subclass, which Partition accepts as a part."""
+
+
+@st.composite
+def mixed_part_lists(draw):
+    """Lists of small ints, sorted or not, short or long, with a few parts
+    swapped for negative ints, bools, floats or Count values."""
+    parts = draw(st.lists(st.integers(0, 6), max_size=draw(st.sampled_from([5, 300]))))
+    if draw(st.booleans()):
+        parts.sort(reverse=True)
+    odd = st.one_of(
+        st.integers(-3, -1),
+        st.booleans(),
+        st.floats(-2, 6),
+        st.integers(0, 6).map(Count),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        if parts:
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(odd)
+    return parts
+
+
 class TestPartition:
+    @given(mixed_part_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_and_rejects_as_the_part_by_part_checks(self, parts):
+        try:
+            want = partition_parts_as_before(parts)
+        except ValueError as error:
+            with pytest.raises(ValueError) as got:
+                Partition(parts)
+            assert str(got.value) == str(error)
+        else:
+            lam = Partition(parts)
+            assert type(lam) is Partition and lam == want
+            assert [type(p) for p in lam] == [type(p) for p in want]
+
     def test_strips_trailing_zeros(self):
         assert Partition((3, 1, 0, 0)) == Partition((3, 1))
         assert Partition((0, 0)) == Partition(())

@@ -284,6 +284,66 @@ class TestSkewSchurExpand:
                     )
 
 
+@st.composite
+def skew_with_empty_rows(draw):
+    """(lam, mu, lam', mu'): a 4x4-box skew shape, and it with empty rows
+    added to both sides: rows (c) on top with c >= lam_0, and rows (d) at
+    the bottom with d no longer than mu's last row padded to len(lam)."""
+    lam, mu = draw(skew_in_4x4_box())
+    outer, inner = tuple(lam), mu.padded(len(lam))
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.integers(outer[0] if outer else 0, 6))
+        outer, inner = (c,) + outer, (c,) + inner
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(0, inner[-1] if inner else 6))
+        outer, inner = outer + (d,), inner + (d,)
+    return lam, mu, Partition(outer), Partition(inner)
+
+
+class TestEmptyRows:
+    """Rows with lam_i = mu_i hold no cells and change no expansion."""
+
+    @given(skew_with_empty_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_added_empty_rows_change_nothing(self, shapes):
+        lam, mu, outer, inner = shapes
+        untouched = lr_expand(lam, mu)
+        assert skew_schur_expand(lam, mu) == untouched
+        assert skew_schur_expand(outer, inner) == untouched
+        assert lr_expand(outer, inner) == untouched
+
+    @pytest.mark.parametrize(
+        "lam,mu,expected",
+        [
+            ((), (), {(): 1}),
+            ((3, 3, 1), (3, 3, 1), {(): 1}),
+            ((4,), (1,), {(3,): 1}),
+            # one row with cells, between empty rows
+            ((4, 3, 1), (4, 1, 1), {(2,): 1}),
+            ((3, 3, 3), (3, 3), {(3,): 1}),
+            ((2, 2, 2, 2), (2, 2, 2), {(2,): 1}),
+            # an empty middle row stays: s_2 * s_1
+            ((4, 2, 1), (2, 2), {(3,): 1, (2, 1): 1}),
+        ],
+    )
+    def test_edge_shapes(self, lam, mu, expected):
+        assert skew_schur_expand(lam, mu) == expected
+        assert lr_expand(lam, mu) == expected
+
+    def test_determinant_has_only_the_rows_with_cells(self, monkeypatch):
+        seen = set()
+
+        def spy(cur, outer, size):
+            seen.add(outer)
+            return _strip_extensions(cur, outer, size)
+
+        monkeypatch.setattr(symmetric_functions, "_strip_extensions", spy)
+        # rows 0-1 and 4-5 are empty: lam/mu sits in rows 2-3
+        lam, mu = (5, 5, 4, 3, 1, 1), (5, 5, 2, 1, 1, 1)
+        assert skew_schur_expand(lam, mu) == lr_expand(lam, mu)
+        assert seen == {(4, 3)}
+
+
 class TestPieriChainRoute:
     @given(skew_in_4x4_box())
     @settings(max_examples=40, deadline=None)
@@ -368,6 +428,14 @@ class TestSchurExpansion:
             SchurExpansion({Partition((1,)): 0})
         with pytest.raises(ValueError):
             SchurExpansion({Partition((1,)): -2})
+
+    def test_of_shapes_strips_sorts_and_checks_multiplicities(self):
+        exp = SchurExpansion._of_shapes({(2, 0, 0): 1, (1, 1, 1): 3, (2, 1, 0): 2, (0, 0, 0): 1})
+        assert repr(exp) == repr(SchurExpansion({(2,): 1, (1, 1, 1): 3, (2, 1): 2, (): 1}))
+        assert all(type(p) is Partition for p in exp)
+        for coeff in (0, -2):
+            with pytest.raises(ValueError, match=r"multiplicity of \(2, 1\) must be a positive integer"):
+                SchurExpansion._of_shapes({(2, 1, 0): coeff})
 
     def test_coefficient_default(self):
         exp = SchurExpansion({Partition((2,)): 3})
