@@ -35,8 +35,8 @@ from .factorization import (
     build_tree,
     mu_indices,
 )
-from .parabolic import MAX_INT_DIGITS, ModuliSpec, _reject_long_ints, check_star
-from .partitions import MAX_ECHO, Partition, _weyl_pairs, dim_schur
+from .parabolic import MAX_INT_DIGITS, ModuliSpec, _canonical_sha256, _reject_long_ints, check_star
+from .partitions import MAX_ECHO, Partition, _dimension_formula, dim_schur
 
 TOOL_NAME = "theta-factor"
 
@@ -53,7 +53,7 @@ MAX_RANK = 1_000
 # 1.1 GB at 300).  That size sets the cap; memory does not grow with it, as
 # the report goes out in batches.  _indented_json recurses once per container,
 # three per tree level, and at the default recursion limit renders chains up
-# to 330 levels; to_json_dict up to 496.
+# to 330 levels.
 MAX_TREE_NODES = 10_000
 MAX_TREE_DEPTH = 64
 # branch writes one row per mu in the rank x power box, C(rank+power, rank).
@@ -61,9 +61,9 @@ MAX_BRANCH_ROWS = 10_000
 # The identities balance sweep checks C(r+k-1, r) cases for every rank r
 # and level k up to its bounds; the other two sweeps are fixed.
 MAX_BALANCE_CASES = 50_000
-# dims multiplies min(Weyl pairs, |lam|) factors, each at most lam_1 + vars
-# (partitions.dim_schur); their digits bound the numerator.  A numerator
-# of that size takes about half a second.
+# dims multiplies the factors of partitions._dimension_formula, each at most
+# lam_1 + vars; their digits bound the numerator.  A numerator of that size
+# takes about half a second.
 MAX_DIMS_DIGITS = 100_000
 # reports reach standard output this many JSON chunks or text lines at a time
 BATCH = 4096
@@ -115,13 +115,6 @@ def _quoted(text: str) -> str:
 
 def _sha256_bytes(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
-
-
-def _canonical_sha256(value) -> str:
-    """sha256 of the sorted, compact JSON of value (parameters or a spec)."""
-    return _sha256_bytes(
-        json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
-    )
 
 
 def _read_file(path: str) -> bytes:
@@ -356,7 +349,7 @@ def _dims(partition: list, vars: int) -> dict:
         raise ValueError(f"--vars must be nonnegative, got {vars}")
     if len(lam) <= vars:
         # every factor has at least one digit, so a factor count above the cap settles it
-        factors = min(_weyl_pairs(len(lam), vars), lam.size)
+        _, factors = _dimension_formula(lam, vars)
         largest = (lam[0] if lam else 0) + vars
         digits = None if factors > MAX_DIMS_DIGITS else factors * len(str(largest))
         _check_work("dims numerator digit count", digits, MAX_DIMS_DIGITS)
@@ -418,26 +411,6 @@ def _compositions(total: int):
             yield (head,) + rest
 
 
-def _telescoping_worker(r: int):
-    flags = list(_compositions(r))
-    return len(flags), [{"flag": list(flag)} for flag in flags if not telescoping_check(flag)]
-
-
-def _branching_worker(case):
-    r, m = case
-    lhs, rhs, equal = verify_branching_identity(r, m)
-    return 1, [] if equal else [{"rank": r, "power": m, "lhs": lhs, "rhs": rhs}]
-
-
-def _sweep(name: str, worker, cases) -> dict:
-    outcomes = [worker(case) for case in cases]
-    return {
-        "name": name,
-        "cases": sum(count for count, _ in outcomes),
-        "failures": [failure for _, chunk in outcomes for failure in chunk],
-    }
-
-
 def _balance_cases(max_rank: int, max_level: int) -> int | None:
     """Sum over r <= R, k <= K of C(r+k-1, r) = C(R+K+1, R+1) - K - 1.
 
@@ -455,12 +428,17 @@ def _identities(max_rank: int, max_level: int) -> dict:
     _check_work("identities rank", max_rank, MAX_RANK)
     cases = _balance_cases(max_rank, max_level)
     _check_work("identities balance case count", cases, MAX_BALANCE_CASES)
-    branching = [(r, m) for r in (1, 2, 3) for m in range(0, 5)]
-    sweeps = [
-        _sweep("balance", lambda r: _balance_worker(r, max_level), range(1, max_rank + 1)),
-        _sweep("telescoping", _telescoping_worker, range(1, 9)),
-        _sweep("branching", _branching_worker, branching),
+    balance = [_balance_worker(r, max_level) for r in range(1, max_rank + 1)]
+    flags = [flag for r in range(1, 9) for flag in _compositions(r)]
+    branching = [(r, m, *verify_branching_identity(r, m)) for r in (1, 2, 3) for m in range(0, 5)]
+    outcomes = [
+        ("balance", sum(count for count, _ in balance), [f for _, chunk in balance for f in chunk]),
+        ("telescoping", len(flags), [{"flag": list(flag)} for flag in flags if not telescoping_check(flag)]),
+        ("branching", len(branching), [
+            {"rank": r, "power": m, "lhs": lhs, "rhs": rhs} for r, m, lhs, rhs, equal in branching if not equal
+        ]),
     ]
+    sweeps = [{"name": name, "cases": count, "failures": failures} for name, count, failures in outcomes]
     return {"sweeps": sweeps, "all_pass": all(not sweep["failures"] for sweep in sweeps)}
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .parabolic import FlagType, MarkedPoint, ModuliSpec, WeightVector, check_star
+from .parabolic import MAX_INT_DIGITS, FlagType, MarkedPoint, ModuliSpec, WeightVector, check_star
 from .partitions import BoxViolationError, Partition, _shown, enumerate_in_box
 
 __all__ = [
@@ -122,6 +122,10 @@ def _next_label_level(points) -> int:
     for pt in points:
         _, sep, tail = pt.label.rpartition("@")
         if sep and tail.isdecimal():
+            if len(tail) > MAX_INT_DIGITS:
+                raise ValueError(
+                    f"point {_shown(pt.label)}: label level has more than {MAX_INT_DIGITS} digits"
+                )
             top = max(top, int(tail))
     return top + 1
 
@@ -179,10 +183,10 @@ class DecompositionTree:
     """A recursion tree: specs at nodes, mu labels on edges.
 
     children is an ordered tuple of (mu, subtree) pairs, empty at leaves.
-    Nodes have slots.  walk, the counts, aggregate_dimension, ==, hash and
-    repr use an explicit stack, so they handle a tree of any depth; ==,
-    hash and repr give what the dataclass-generated methods, which recurse
-    once per level, give on (spec, children).  to_json_dict recurses per level.
+    Nodes have slots.  walk, the counts, aggregate_dimension, ==, hash,
+    repr and to_json_dict use an explicit stack, so they handle a tree of
+    any depth; ==, hash and repr give what the dataclass-generated methods,
+    which recurse once per level, give on (spec, children).
     """
 
     spec: ModuliSpec
@@ -270,27 +274,31 @@ class DecompositionTree:
     def leaf_count(self) -> int:
         return self._counts()[1]
 
-    def to_json_dict(self, point_dicts: dict | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         """Nodes carry specs, edges carry mu arrays padded to the node's rank.
 
         Every node that build_tree or degenerate makes has the root's rank.
-        One dict is made per distinct MarkedPoint in the whole call
-        (point_dicts collects them), and every node carrying that point
-        lists the same dict object: the root's points and the boundary
-        points build_tree shares between siblings are each one dict.  The
-        result is == to fresh dicts per node; a caller that mutates a
-        point dict changes it at every node.
+        One dict is made per distinct MarkedPoint in the whole tree, and
+        every node carrying that point lists the same dict object: the
+        root's points and the boundary points build_tree shares between
+        siblings are each one dict.  The result is == to fresh dicts per
+        node; a caller that mutates a point dict changes it at every node.
+        Each node's dict is made empty under its parent and filled when
+        the stack reaches it.
         """
-        if point_dicts is None:
-            point_dicts = {}
-        r = self.spec.rank
-        return {
-            "spec": self.spec.to_json_dict(point_dicts),
-            "children": [
-                {"mu": list(mu.padded(r)), "node": child.to_json_dict(point_dicts)}
-                for mu, child in self.children
-            ],
-        }
+        point_dicts = {}
+        root = {}
+        stack = [(self, root)]
+        while stack:
+            node, out = stack.pop()
+            r = node.spec.rank
+            out["spec"] = node.spec.to_json_dict(point_dicts)
+            out["children"] = children = []
+            for mu, child in node.children:
+                child_out = {}
+                children.append({"mu": list(mu.padded(r)), "node": child_out})
+                stack.append((child, child_out))
+        return root
 
 
 def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:

@@ -251,10 +251,20 @@ class ModuliSpec:
         return cls(**fields, points=points)
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_json_dict())
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return _canonical_sha256(self.to_json_dict())
+
+
+def _canonical_json(value) -> str:
+    """The sorted, compact JSON of value: a spec's JSON dict, or a command's parameters."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _canonical_sha256(value) -> str:
+    """sha256 of _canonical_json(value); a spec's is the key of a leaf-oracle table."""
+    return hashlib.sha256(_canonical_json(value).encode()).hexdigest()
 
 
 def _reject_unknown_keys(data: dict, known, where: str) -> None:

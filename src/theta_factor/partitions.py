@@ -15,9 +15,11 @@ from itertools import accumulate
 __all__ = [
     "BoxViolationError",
     "Partition",
+    "box_count",
     "complement_in_box",
     "dim_schur",
     "enumerate_in_box",
+    "partial_sums",
     "partitions_of",
 ]
 
@@ -93,7 +95,7 @@ def dim_schur(lam, n: int) -> int:
     A diagram with more than n rows gives the zero module, so the
     dimension is 0.  Otherwise the formula with fewer factors is used:
     Weyl's product when n is small against |lam|, hook content when |lam|
-    is small against n (see _weyl_pairs).  Both are exact integer
+    is small against n (see _dimension_formula).  Both are exact integer
     divisions performed once at the end.
     """
     lam = Partition(lam)
@@ -101,14 +103,21 @@ def dim_schur(lam, n: int) -> int:
         raise ValueError(f"need n >= 0, got {n}")
     if len(lam) > n:
         return 0
-    if _weyl_pairs(len(lam), n) <= lam.size:
-        return _weyl_dimension(lam, n)
-    return _hook_content_dimension(lam, n)
+    formula, _ = _dimension_formula(lam, n)
+    return formula(lam, n)
 
 
-def _weyl_pairs(length: int, n: int) -> int:
-    """Factors of Weyl's product that are not 1: pairs i < j < n with i < length."""
-    return length * (n - 1) - length * (length - 1) // 2
+def _dimension_formula(lam, n: int):
+    """(formula, factors): the formula dim_schur uses for lam at n, and its numerator's factor count.
+
+    Weyl's product has a factor other than 1 for each pair i < j < n with
+    i < len(lam), hook content one per cell; Weyl's product wins a tie.
+    """
+    length = len(lam)
+    pairs = length * (n - 1) - length * (length - 1) // 2
+    if pairs <= lam.size:
+        return _weyl_dimension, pairs
+    return _hook_content_dimension, lam.size
 
 
 def _weyl_dimension(lam, n: int) -> int:
@@ -185,23 +194,37 @@ def box_count(r: int, m: int) -> int:
 def partitions_of(total: int, max_parts: int | None = None, max_part: int | None = None):
     """Yield all partitions of the given total, largest-first order.
 
-    Optional caps on the number of parts and the largest part.
+    Optional caps on the number of parts and the largest part; a negative
+    cap counts as 0.  Each partition is the previous one with its last
+    part that can drop by one lowered, and the rest after it refilled by
+    the largest parts allowed, which takes the fewest slots.
     """
     if total < 0:
         raise ValueError(f"cannot partition {total}")
-    cap = total if max_part is None else min(max_part, total)
+    top = total if max_part is None else min(max_part, total)
     slots = total if max_parts is None else max_parts
-
-    def rec(prefix, remaining, bound, room):
-        if remaining == 0:
-            yield Partition(prefix)
+    if total and (top < 1 or -(-total // top) > slots):
+        return
+    parts, rest = [], total
+    while True:
+        # rest goes after parts as parts of top and one smaller remainder
+        count, tail = divmod(rest, top) if rest else (0, 0)
+        parts += [top] * count
+        if tail:
+            parts.append(tail)
+        # weakly decreasing and positive by construction: not checked again
+        yield tuple.__new__(Partition, parts)
+        rest = 0
+        while parts:
+            top = parts.pop() - 1
+            rest += top + 1
+            # lowered to top, the part leaves rest - top to refill in the slots left
+            if top and len(parts) + 1 - (-(rest - top) // top) <= slots:
+                parts.append(top)
+                rest -= top
+                break
+        else:
             return
-        if room == 0:
-            return
-        for v in range(min(bound, remaining), 0, -1):
-            yield from rec(prefix + (v,), remaining - v, v, room - 1)
-
-    yield from rec((), total, cap, slots)
 
 
 def partial_sums(seq) -> tuple[int, ...]:

@@ -118,7 +118,7 @@ def lr_coefficient(mu, nu, lam) -> int:
     # the content of a lattice filling is always contained in the shape
     if not lam.contains(nu):
         return 0
-    return _lr_table(lam, mu).get(nu, 0)
+    return _lr_table(lam, mu).coefficient(nu)
 
 
 def lr_expand(lam, mu) -> SchurExpansion:
@@ -143,12 +143,15 @@ def lr_expand(lam, mu) -> SchurExpansion:
     lam, mu = Partition(lam), Partition(mu)
     if not lam.contains(mu):
         raise ContainmentError(f"{_shown(tuple(mu))} is not contained in {_shown(tuple(lam))}")
-    return SchurExpansion(_lr_table(lam, mu))
+    return _lr_table(lam, mu)
 
 
 @lru_cache(maxsize=8)
-def _lr_table(lam, mu) -> dict:
+def _lr_table(lam, mu) -> SchurExpansion:
     """nu -> number of LR tableaux of lam/mu with content nu (see lr_expand).
+
+    The table is cached and handed out as it is, since a SchurExpansion has
+    no mutator.  Each content is a partition padded to len(lam) parts.
 
     A state is (T, run): T[u] counts the value u + 1 so far, and run is
     (0, C(1), ..., C(i + 1)) for the last row i.  A new row's run is built
@@ -178,9 +181,8 @@ def _lr_table(lam, mu) -> dict:
         states = grown
     table = {}
     for (content, _), count in states.items():
-        nu = Partition(content)
-        table[nu] = table.get(nu, 0) + count
-    return table
+        table[content] = table.get(content, 0) + count
+    return SchurExpansion._of_shapes(table)
 
 
 def _strip_extensions(cur, outer, size):

@@ -266,6 +266,15 @@ class TestDecompose:
         labels = [point["label"] for point in edge["node"]["spec"]["points"]]
         assert labels == ["x@²", "x1@1", "x2@1"]
 
+    def test_label_suffix_longer_than_a_spec_integer(self, capsys, tmp_path):
+        label = "x@" + "1" * 4301
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(X_SQUARED, points=[dict(X_SQUARED["points"][0], label=label)])))
+        code, out, err = run_cli(capsys, ["decompose", str(path)])
+        assert code == 1 and out == ""
+        message = f"point {repr(label)[:40]}... (4305 characters): label level has more than 1000 digits"
+        assert json.loads(err) == {"error": {"type": "validation", "message": message}}
+
     @pytest.mark.parametrize("nested", ["spec", "oracle"])
     def test_deeply_nested_input_is_a_validation_error(self, capsys, tmp_path, spec_file, nested):
         # the stdlib decoder recurses once per array and would raise RecursionError

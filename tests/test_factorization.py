@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from theta_factor import factorization
+from theta_factor.partitions import _shown
 from theta_factor import (
     BoxViolationError,
     DecompositionTree,
@@ -303,6 +304,20 @@ class TestDegenerate:
         _, grandchild = degenerate(child)[0]
         assert {pt.label for pt in grandchild.points} == {"x1@1", "x2@1", "x1@2", "x2@2"}
 
+    def test_long_label_level_is_named(self):
+        # a level suffix longer than a spec integer may be; int() would refuse 4,301 digits
+        point = MarkedPoint("p@" + "1" * 4301, (1,), (0,), 0)
+        spec = ModuliSpec(genus=1, rank=1, degree=1, level=1, ell=1, points=(point,))
+        message = f"point {_shown(point.label)}: label level has more than 1000 digits"
+        for build in (degenerate, lambda s: build_tree(s, 1)):
+            with pytest.raises(ValueError) as info:
+                build(spec)
+            assert str(info.value) == message
+        # 1,000 digits are still a level
+        point = MarkedPoint("p@" + "9" * 1000, (1,), (0,), 0)
+        (_, child), = degenerate(dataclasses.replace(spec, points=(point,)))
+        assert child.points[-1].label == "x2@1" + "0" * 1000
+
     def test_rejects_genus_zero(self):
         spec = ModuliSpec(genus=0, rank=1, degree=1, level=1, ell=2, points=())
         assert check_star(spec)[2]
@@ -582,6 +597,27 @@ class TestTreeEngine:
         other = build_tree(chain, 1100)
         assert other is not tree and other == tree
         assert hash(other) == hash(tree)
+
+    def test_json_dict_of_a_deep_chain(self):
+        # 1,101 nested node dicts, built without recursion
+        chain = ModuliSpec(genus=1100, rank=1, degree=1100, level=1, ell=1, points=())
+        tree = build_tree(chain, 1100)
+        data = tree.to_json_dict()
+        nodes, node = [], data
+        while True:
+            assert list(node) == ["spec", "children"]
+            nodes.append(node)
+            if not node["children"]:
+                break
+            (edge,) = node["children"]
+            assert edge["mu"] == [0]
+            node = edge["node"]
+        assert len(nodes) == 1101
+        (_, leaf), = tree.leaves()
+        assert nodes[-1]["spec"] == leaf.spec.to_json_dict()
+        # each boundary point is one dict, listed by every node below its level
+        points = [id(point) for node in nodes for point in node["spec"]["points"]]
+        assert len(points) == 1100 * 1101 and len(set(points)) == 2200
 
     def test_dataclass_methods_on_a_deep_chain(self):
         # 1,100 levels over one shared spec, so repr stays small

@@ -29,7 +29,13 @@ from theta_factor import (
     skew_schur_expand,
     stability_gap,
 )
-from theta_factor.partitions import MAX_ECHO, _hook_content_dimension, _shown, _weyl_dimension
+from theta_factor.partitions import (
+    MAX_ECHO,
+    _dimension_formula,
+    _hook_content_dimension,
+    _shown,
+    _weyl_dimension,
+)
 
 from oracles import ssyt_count
 
@@ -210,6 +216,14 @@ class TestDimSchur:
         assert dim_schur(Partition((1,)), big) == big
         assert dim_schur(Partition((1, 1)), big) == big * (big - 1) // 2
 
+    def test_formula_and_its_factor_count(self):
+        # (2,) at n = 3: two Weyl pairs against two cells, and Weyl's product wins the tie
+        assert _dimension_formula(Partition((2,)), 3) == (_weyl_dimension, 2)
+        assert _dimension_formula(Partition((3,)), 3) == (_weyl_dimension, 2)
+        assert _dimension_formula(Partition((1,)), 5) == (_hook_content_dimension, 1)
+        assert _dimension_formula(Partition((1,) * 1000), 1000) == (_hook_content_dimension, 1000)
+        assert _dimension_formula(Partition(()), 0) == (_weyl_dimension, 0)
+
     def test_determinant_twist(self):
         # appending a full column of height n leaves the dimension fixed
         for lam in [Partition(()), Partition((2, 1)), Partition((3, 3))]:
@@ -280,6 +294,40 @@ class TestHelpers:
         got = list(partitions_of(4, max_part=2))
         assert Partition((3, 1)) not in got
         assert Partition((2, 2)) in got
+
+    def test_partitions_of_every_pair_of_caps(self):
+        # brute force: the weakly decreasing compositions, largest first;
+        # a negative cap counts as 0
+        def compositions(total):
+            if total == 0:
+                return [()]
+            return [(head, *rest) for head in range(1, total + 1) for rest in compositions(total - head)]
+
+        caps = [None, -2, -1, *range(14)]
+        for total in range(13):
+            every = sorted(
+                (c for c in compositions(total) if list(c) == sorted(c, reverse=True)), reverse=True
+            )
+            for max_parts in caps:
+                for max_part in caps:
+                    want = [
+                        Partition(p) for p in every
+                        if (max_parts is None or len(p) <= max(max_parts, 0))
+                        and (max_part is None or all(v <= max_part for v in p))
+                    ]
+                    got = list(partitions_of(total, max_parts, max_part))
+                    assert got == want, (total, max_parts, max_part)
+                    assert all(type(p) is Partition for p in got)
+
+    def test_partitions_of_1200_parts(self):
+        # one part per step, with no recursion
+        assert list(partitions_of(1200, max_part=1)) == [Partition((1,) * 1200)]
+        assert list(partitions_of(1200, max_parts=1200, max_part=1)) == [Partition((1,) * 1200)]
+        assert list(partitions_of(1200, max_parts=1199, max_part=1)) == []
+        twos = list(partitions_of(1200, max_part=2))
+        assert len(twos) == 601
+        assert twos[0] == Partition((2,) * 600) and twos[-1] == Partition((1,) * 1200)
+        assert list(partitions_of(1200, max_parts=1)) == [Partition((1200,))]
 
     def test_partial_sums(self):
         assert partial_sums((1, 2, 1)) == (1, 3, 4)

@@ -197,6 +197,24 @@ class TestLRExpand:
         with pytest.raises(ContainmentError):
             lr_expand((2,), (1, 1))
 
+    def test_the_cached_table_is_the_expansion(self):
+        # a SchurExpansion has no mutator, so the cached table is handed out as it is
+        _lr_table.cache_clear()
+        expansion = lr_expand((4, 3, 2, 1), (2, 1))
+        assert type(expansion) is SchurExpansion
+        assert lr_expand(Partition((4, 3, 2, 1)), Partition((2, 1))) is expansion
+        assert all(type(nu) is Partition and nu == Partition(nu) for nu in expansion)
+        terms = expansion.terms
+        terms.clear()
+        assert expansion == skew_schur_expand((4, 3, 2, 1), (2, 1))
+        assert lr_coefficient((2, 1), (3, 2, 1, 1), (4, 3, 2, 1)) == expansion.coefficient((3, 2, 1, 1)) == 2
+
+    def test_table_keys_are_not_checked_again(self):
+        # every content the rows make is a partition of len(lam) entries
+        tree = ast.parse(inspect.getsource(inspect.unwrap(_lr_table)))
+        calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert not [func for func in calls if isinstance(func, ast.Name) and func.id == "Partition"]
+
     def test_same_answers_after_cache_clear_and_interleaved(self):
         # more shapes than the table cache keeps, so tables are evicted and rebuilt
         shapes = [
