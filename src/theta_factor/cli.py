@@ -29,6 +29,7 @@ from .codimension import (
     telescoping_check,
 )
 from .factorization import (
+    DecompositionTree,
     LeafOracleError,
     aggregate_dimension,
     boundary_levels,
@@ -113,10 +114,6 @@ def _quoted(text: str) -> str:
     return repr(text) if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
 
 
-def _sha256_bytes(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _read_file(path: str) -> bytes:
     try:
         with open(path, "rb") as handle:
@@ -140,10 +137,6 @@ def _parse_json(blob: bytes, what: str):
             "validation",
             f"{what} holds an integer of more than {sys.get_int_max_str_digits()} digits",
         ) from None
-
-
-def _load_spec(path: str, blob: bytes) -> ModuliSpec:
-    return ModuliSpec.from_json_dict(_parse_json(blob, path))
 
 
 def _too_long(what: str) -> CLIError:
@@ -282,7 +275,7 @@ def _parse_oracle(text: str | None):
             raise ValueError(f"no oracle entry for leaf {digest}")
         return table[digest]
 
-    return lookup, f"table:{_sha256_bytes(blob)}"
+    return lookup, f"table:{hashlib.sha256(blob).hexdigest()}"
 
 
 def _binomial(n: int, k: int, cap: int) -> int | None:
@@ -329,7 +322,7 @@ def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
         "nodes": tree.node_count(),
         "leaves": tree.leaf_count(),
         "aggregate": aggregate,
-        "tree": tree.to_json_dict(),
+        "tree": tree,
     }
 
 
@@ -475,12 +468,12 @@ def _text_rows(command: str, result: dict):
         yield f"leaves = {result['leaves']}"
         if result["aggregate"] is not None:
             yield f"aggregate = {result['aggregate']}"
-        for depth, path, node in _tree_rows(result["tree"]):
-            spec = node["spec"]
-            label = ">".join(_mu_text(mu) for mu in path) or "(root)"
+        for depth, path, node in result["tree"].walk():
+            spec = node.spec
+            label = ">".join(_mu_text(mu.padded(spec.rank)) for mu in path) or "(root)"
             yield (
                 "  " * depth
-                + f"{label}: genus={spec['genus']} degree={spec['degree']} points={len(spec['points'])}"
+                + f"{label}: genus={spec.genus} degree={spec.degree} points={len(spec.points)}"
             )
     else:
         for key, value in result.items():
@@ -492,12 +485,6 @@ def _text_rows(command: str, result: dict):
                 yield f"{key} = {_mu_text(value)}"
 
 
-def _tree_rows(tree_dict: dict, depth: int = 0, path: tuple = ()):
-    yield depth, path, tree_dict
-    for edge in tree_dict["children"]:
-        yield from _tree_rows(edge["node"], depth + 1, path + (tuple(edge["mu"]),))
-
-
 def _branch_csv(result: dict):
     yield "mu,dim_left,dim_right"
     for row in result["rows"]:
@@ -506,11 +493,10 @@ def _branch_csv(result: dict):
 
 def _decompose_csv(result: dict):
     yield "level,mu_path,leaf_sha256"
-    for depth, path, node in _tree_rows(result["tree"]):
-        if not node["children"]:
-            mu_path = ">".join(_mu_text(mu) for mu in path)
-            # a leaf's node["spec"] is its to_json_dict(), so this is its sha256()
-            yield f"{depth},\"{mu_path}\",{_canonical_sha256(node['spec'])}"
+    for path, leaf in result["tree"].leaves():
+        mu_path = ">".join(_mu_text(mu.padded(leaf.spec.rank)) for mu in path)
+        # the digest an --oracle table keys the leaf on
+        yield f"{len(path)},\"{mu_path}\",{leaf.spec.sha256()}"
 
 
 # The commands that offer --format csv, with their row writers.
@@ -520,11 +506,12 @@ _CSV_ROWS = {"branch": _branch_csv, "decompose": _decompose_csv}
 def _indented_json(value, out) -> None:
     """Write json.dumps(value, indent=2) to out, byte for byte, in batches of BATCH chunks.
 
-    value holds str, int, None, True or False, in lists and str-keyed dicts;
-    anything else raises TypeError.  json.dumps with indent neither streams nor
-    uses its C encoder.  A batch ends only before an item of a list of dicts.
-    A dict with no dict inside (the points to_json_dict shares) met again at a
-    depth is joined once and its text reused there.  It recurses once per container.
+    value holds str, int, None, True or False, in lists and str-keyed dicts, and
+    DecompositionTree values, written as their to_json_dict(); anything else raises
+    TypeError.  json.dumps with indent neither streams nor uses its C encoder.  A batch
+    ends only before an item of a list of dicts.  A dict with no dict inside (the points
+    to_json_dict shares) met again at a depth is joined once and its text reused there.
+    It recurses once per container.
     """
     chunks = []
     append = chunks.append
@@ -535,6 +522,8 @@ def _indented_json(value, out) -> None:
     keys = {}
     # layouts[d]: the strings around the items of a container at depth d
     layouts = []
+    # each tree's dict stays alive until the end, so no id in texts is reused
+    trees = []
 
     def layout(depth):
         while len(layouts) <= depth:
@@ -594,6 +583,9 @@ def _indented_json(value, out) -> None:
             if not nested:
                 texts[memo] = "".join(chunks[start:]) if memo in texts else None
             return True
+        elif isinstance(value, DecompositionTree):
+            trees.append(value.to_json_dict())
+            return write(trees[-1], depth)
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not a report value")
 
@@ -639,8 +631,8 @@ def run(argv=None) -> int:
         fmt = params.pop("format")
         if "spec" in params:
             blob = _read_file(params["spec"])
-            input_sha256 = _sha256_bytes(blob)
-            params["spec"] = _load_spec(params["spec"], blob)
+            input_sha256 = hashlib.sha256(blob).hexdigest()
+            params["spec"] = ModuliSpec.from_json_dict(_parse_json(blob, params["spec"]))
         else:
             input_sha256 = _canonical_sha256({"command": command, **params})
         result = _HANDLERS[command](**params)

@@ -151,7 +151,7 @@ def complete_intersection_height(r: int, r_i: int) -> int:
     Cross-checked against the ambient dimension r*r_i + r*(r - r_i) = r^2
     minus double_det_dim at a = p = r_i, b = q = r - r_i.
     """
-    if not isinstance(r, int) or not isinstance(r_i, int) or not 0 <= r_i <= r:
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (r, r_i)) or not 0 <= r_i <= r:
         raise ValueError(f"need 0 <= r_i <= r, got r_i={r_i!r}, r={r!r}")
     height = r_i * (r - r_i)
     ambient = r * r

@@ -52,23 +52,27 @@ class BoundaryData:
         return contribution, contribution == k * r
 
 
+def _check_rank_level(r, k) -> None:
+    """Reject a rank or level that is not a positive int (bool is not one)."""
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+        raise ValueError(f"rank must be a positive integer, got {r!r}")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"level must be a positive integer, got {k!r}")
+
+
 def mu_indices(r: int, k: int):
     """Yield the mu indices for rank r and level k in enumeration order.
 
     The box is r x (k-1).
     """
-    if k < 1:
-        raise ValueError(f"level must be a positive integer, got {k!r}")
+    _check_rank_level(r, k)
     return enumerate_in_box(r, k - 1)
 
 
 def _validate_mu(mu, r: int, k: int) -> Partition:
     # a Partition, as mu_indices makes, passes through unchecked
     mu = Partition(mu)
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"rank must be a positive integer, got {r!r}")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"level must be a positive integer, got {k!r}")
+    _check_rank_level(r, k)
     if not mu.fits_in_box(r, k - 1):
         raise BoxViolationError(f"{_shown(tuple(mu))} is not in the {r}x{k - 1} box")
     return mu
@@ -130,26 +134,6 @@ def _next_label_level(points) -> int:
     return top + 1
 
 
-def _check_balanced(spec: ModuliSpec) -> None:
-    lhs, rhs, ok = check_star(spec)
-    if not ok:
-        raise ValueError(f"spec fails the balance condition: lhs={lhs} rhs={rhs}")
-
-
-def _boundary_row(spec: ModuliSpec, mus, level: int):
-    """The BoundaryData of each mu, its points labeled x1@level, x2@level.
-
-    Each point is checked once, against spec: every node that takes the
-    row has spec's rank and level, so ModuliSpec._child checks nothing.
-    degenerate makes one row per call, build_tree one per tree level.
-    """
-    row = [mu_to_boundary(mu, spec.rank, spec.level, (f"x1@{level}", f"x2@{level}")) for mu in mus]
-    for data in row:
-        spec._check_point(data.point1)
-        spec._check_point(data.point2)
-    return row
-
-
 def degenerate(spec: ModuliSpec):
     """One degeneration step: the list of (mu, child spec) pairs.
 
@@ -157,13 +141,11 @@ def degenerate(spec: ModuliSpec):
     and gains the boundary points x1@L, x2@L, L one above the parent's
     highest @L label suffix.  The parent must have positive genus and
     satisfy the balance condition; every child then satisfies it too.
+    The children are the first level of build_tree(spec, 1).
     """
     if spec.genus < 1:
         raise ValueError("cannot degenerate a genus-0 spec")
-    _check_balanced(spec)
-    mus = list(mu_indices(spec.rank, spec.level))
-    row = _boundary_row(spec, mus, _next_label_level(spec.points))
-    return [(mu, spec._child(data.point1, data.point2)) for mu, data in zip(mus, row)]
+    return [(mu, child.spec) for mu, child in build_tree(spec, 1).children]
 
 
 class _KnownHash:
@@ -277,7 +259,7 @@ class DecompositionTree:
     def to_json_dict(self) -> dict:
         """Nodes carry specs, edges carry mu arrays padded to the node's rank.
 
-        Every node that build_tree or degenerate makes has the root's rank.
+        Every node that build_tree makes has the root's rank.
         One dict is made per distinct MarkedPoint in the whole tree, and
         every node carrying that point lists the same dict object: the
         root's points and the boundary points build_tree shares between
@@ -304,20 +286,21 @@ class DecompositionTree:
 def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
     """Degenerate repeatedly until genus 0 or the depth bound.
 
-    Children appear in mu enumeration order, so the tree is deterministic
-    and equal to the one that chaining degenerate gives.  Every node at
-    tree level d gets the same boundary points, labeled x1@L, x2@L with
-    L = _next_label_level(spec.points) + d, so they are made and checked
-    once per (mu, level) (_boundary_row) and shared.  Balance is checked
-    for the root only: the boundary-balance identity
-    (verify_boundary_balance) keeps every child of a balanced spec
-    balanced.  The specs are made one tree level at a time, then joined
-    bottom up: node i of a level takes the next level's trees i*N to
-    (i+1)*N - 1, N = len(mus).
+    Children appear in mu enumeration order, so the tree is deterministic;
+    its first level is what degenerate gives.  Every node at tree level d
+    gets the same boundary points, labeled x1@L, x2@L with
+    L = _next_label_level(spec.points) + d, so they are made once per
+    (mu, level) and shared.  Balance is checked for the root only: the
+    boundary-balance identity (verify_boundary_balance) keeps every child
+    of a balanced spec balanced.  The specs are made one tree level at a
+    time, then joined bottom up: node i of a level takes the next level's
+    trees i*N to (i+1)*N - 1, N = len(mus).
     """
     if not isinstance(depth, int) or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
-    _check_balanced(spec)
+    lhs, rhs, ok = check_star(spec)
+    if not ok:
+        raise ValueError(f"spec fails the balance condition: lhs={lhs} rhs={rhs}")
     levels = min(depth, spec.genus)
     if levels == 0:
         # a leaf: the mu box, which can be huge, is never enumerated
@@ -326,8 +309,14 @@ def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
     first = _next_label_level(spec.points)
     specs = [[spec]]
     for d in range(levels):
-        row = [(data.point1, data.point2) for data in _boundary_row(spec, mus, first + d)]
-        specs.append([node._child(p1, p2) for node in specs[-1] for p1, p2 in row])
+        labels = (f"x1@{first + d}", f"x2@{first + d}")
+        row = [mu_to_boundary(mu, spec.rank, spec.level, labels) for mu in mus]
+        # each point is checked once, against spec: every node that takes
+        # the row has spec's rank and level, so ModuliSpec._child checks nothing
+        for data in row:
+            spec._check_point(data.point1)
+            spec._check_point(data.point2)
+        specs.append([node._child(data.point1, data.point2) for node in specs[-1] for data in row])
     n = len(mus)
     trees = [DecompositionTree(node, ()) for node in specs.pop()]
     while specs:

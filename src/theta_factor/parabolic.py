@@ -188,7 +188,7 @@ class ModuliSpec:
 
         Nothing is checked.  The caller ensures self has positive genus and
         has checked both points against a spec of self's rank and level
-        (factorization._boundary_row).
+        (factorization.build_tree checks each boundary point once per tree level).
         """
         # the slots' own descriptors, past the frozen __setattr__
         child = object.__new__(ModuliSpec)
@@ -298,7 +298,7 @@ def check_star(spec: ModuliSpec):
 
 def pardeg(degree: int, points, k: int) -> Fraction:
     """Parabolic degree: degree + (1/k) * sum over points of sum_i n_i * a_i."""
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"level k must be a positive integer, got {k!r}")
     total = Fraction(degree)
     for pt in points:
@@ -308,7 +308,7 @@ def pardeg(degree: int, points, k: int) -> Fraction:
 
 def gps_slope(degree: int, q_dim: int, rank: int) -> Fraction:
     """Slope (degree - q_dim) / rank of a generalized parabolic sheaf."""
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
     if not isinstance(q_dim, int) or isinstance(q_dim, bool) or q_dim < 0:
         raise ValueError(f"quotient dimension must be a nonnegative integer, got {q_dim!r}")

@@ -41,17 +41,17 @@ class SchurExpansion:
             p = Partition(key)
             if p in clean:
                 raise ValueError(f"two keys name the partition {_shown(tuple(p))}")
-            if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff < 1:
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise ValueError(f"multiplicity of {_shown(tuple(p))} must be a positive integer")
             clean[p] = coeff
-        self._terms = dict(sorted(clean.items()))
+        self._terms = SchurExpansion._of_shapes(clean)._terms
 
     @classmethod
     def _of_shapes(cls, shapes):
-        """From padded partitions of one length -> coefficients.
+        """From partitions, all padded to one length or all stripped -> int coefficients.
 
         The shapes are not checked again, only stripped of trailing zeros;
-        each coefficient must still be positive.
+        each coefficient must still be positive, which is checked here only.
         """
         expansion = object.__new__(cls)
         expansion._terms = terms = {}
@@ -97,6 +97,14 @@ class SchurExpansion:
         }
 
 
+def _skew_shape(lam, mu):
+    """(lam, mu) as Partitions, for either route; mu must lie inside lam."""
+    lam, mu = Partition(lam), Partition(mu)
+    if not lam.contains(mu):
+        raise ContainmentError(f"{_shown(tuple(mu))} is not contained in {_shown(tuple(lam))}")
+    return lam, mu
+
+
 def lr_coefficient(mu, nu, lam) -> int:
     """Littlewood-Richardson coefficient N of (mu, nu; lam).
 
@@ -140,10 +148,7 @@ def lr_expand(lam, mu) -> SchurExpansion:
     - the reverse reading word is a lattice word: T_i(v) <= T_{i-1}(v - 1),
       checked where row i's last v has been read and none of its v - 1.
     """
-    lam, mu = Partition(lam), Partition(mu)
-    if not lam.contains(mu):
-        raise ContainmentError(f"{_shown(tuple(mu))} is not contained in {_shown(tuple(lam))}")
-    return _lr_table(lam, mu)
+    return _lr_table(*_skew_shape(lam, mu))
 
 
 @lru_cache(maxsize=8)
@@ -252,10 +257,7 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
     is inside lam, so the shapes dropped are those whose signed total is
     zero anyway.
     """
-    lam = Partition(lam)
-    mu = Partition(mu)
-    if not lam.contains(mu):
-        raise ContainmentError(f"{_shown(tuple(mu))} is not contained in {_shown(tuple(lam))}")
+    lam, mu = _skew_shape(lam, mu)
     mup = mu.padded(len(lam))
     top, end = 0, len(lam)
     while top < end and lam[top] == mup[top]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from theta_factor import MarkedPoint, ModuliSpec, cli, factorization, parabolic
+from theta_factor import DecompositionTree, MarkedPoint, ModuliSpec, cli, factorization, parabolic
 from test_factorization import small_balanced_specs
 
 
@@ -858,7 +858,7 @@ class TestBatchedReport:
             "result": cli._decompose(ModuliSpec.from_json_dict(GENUS_3), None, None),
         }
         assert len(parts) > 2
-        assert "".join(parts) == json.dumps(report, indent=2) + "\n"
+        assert "".join(parts) == json.dumps(report, indent=2, default=DecompositionTree.to_json_dict) + "\n"
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_text_and_csv_lines(self, monkeypatch, genus_3, fmt):
@@ -887,6 +887,93 @@ class TestBatchedReport:
             err = child.stderr.read()
             assert child.wait(timeout=60) == 0
         assert err == b""
+
+
+def reference_tree_rows(tree_dict, depth=0, path=()):
+    """(depth, mu path, node dict) for every node of a JSON report's tree, preorder."""
+    yield depth, path, tree_dict
+    for edge in tree_dict["children"]:
+        yield from reference_tree_rows(edge["node"], depth + 1, path + (tuple(edge["mu"]),))
+
+
+def lines_from_json_report(report, fmt):
+    """The text or CSV lines of a decompose report, read from its JSON report."""
+    result = report["result"]
+    lines = [
+        f"# theta-factor {report['tool']['version']}",
+        "# command: decompose",
+        f"# input sha256: {report['input_sha256']}",
+    ]
+    mu_path = lambda path: ">".join("[" + ",".join(map(str, mu)) + "]" for mu in path)
+    rows = list(reference_tree_rows(result["tree"]))
+    if fmt == "text":
+        lines += [f"{key} = {result[key]}" for key in ("depth", "nodes", "leaves")]
+        if result["aggregate"] is not None:
+            lines.append(f"aggregate = {result['aggregate']}")
+        for depth, path, node in rows:
+            spec = node["spec"]
+            lines.append(
+                "  " * depth + f"{mu_path(path) or '(root)'}: genus={spec['genus']} "
+                f"degree={spec['degree']} points={len(spec['points'])}"
+            )
+    else:
+        lines.append("level,mu_path,leaf_sha256")
+        for depth, path, node in rows:
+            if not node["children"]:
+                canonical = json.dumps(node["spec"], sort_keys=True, separators=(",", ":"))
+                digest = hashlib.sha256(canonical.encode()).hexdigest()
+                lines.append(f'{depth},"{mu_path(path)}",{digest}')
+    return lines
+
+
+# rank 3, level 2, genus 1: four children of the root
+RANK_3 = ModuliSpec(genus=1, rank=3, degree=3, level=2, ell=2)
+
+
+class TestTreeRows:
+    """decompose text and CSV rows say what the JSON report says."""
+
+    @pytest.fixture(scope="class")
+    def spec_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("rows") / "spec.json"
+
+    def reports(self, spec_path, spec, extra=()):
+        spec_path.write_text(json.dumps(spec.to_json_dict()))
+        reports = {}
+        for fmt in ("json", "text", "csv"):
+            code, out, _ = run_contract(["decompose", str(spec_path), *extra, "--format", fmt])
+            assert code == 0
+            reports[fmt] = out
+        return reports
+
+    @given(
+        spec=small_balanced_specs().filter(
+            lambda spec: math.comb(spec.rank + spec.level - 1, spec.rank) ** spec.genus <= 64
+        ),
+        depth=st.none() | st.integers(0, 3),
+        oracle=st.none() | st.integers(-3, 3),
+    )
+    @example(spec=RANK_3, depth=None, oracle=None)
+    @example(spec=RANK_3, depth=0, oracle=2)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_json_report(self, spec_path, spec, depth, oracle):
+        extra = [] if depth is None else ["--depth", str(depth)]
+        extra += [] if oracle is None else ["--oracle", f"const:{oracle}"]
+        reports = self.reports(spec_path, spec, extra)
+        report = json.loads(reports["json"])
+        for fmt in ("text", "csv"):
+            assert reports[fmt] == "\n".join(lines_from_json_report(report, fmt)) + "\n"
+
+    def test_text_and_csv_build_no_json_tree(self, monkeypatch, spec_path):
+        expected = self.reports(spec_path, RANK_3)
+
+        def refuse(tree):
+            raise AssertionError("the JSON tree was built")
+
+        monkeypatch.setattr(DecompositionTree, "to_json_dict", refuse)
+        for fmt in ("text", "csv"):
+            code, out, _ = run_contract(["decompose", str(spec_path), "--format", fmt])
+            assert code == 0 and out == expected[fmt]
 
 
 def spec_documents():

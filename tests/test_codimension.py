@@ -205,6 +205,12 @@ class TestHeight:
         with pytest.raises(ValueError):
             complete_intersection_height(2, 3)
 
+    @pytest.mark.parametrize("r,r_i", [(2, True), (True, 1), (True, False), (2, 1.0), (2.0, 1)])
+    def test_rejects_bool_and_float(self, r, r_i):
+        # the message names the caller's arguments, not double_det_dim's
+        with pytest.raises(ValueError, match=rf"^need 0 <= r_i <= r, got r_i={r_i!r}, r={r!r}$"):
+            complete_intersection_height(r, r_i)
+
 
 class TestTelescoping:
     def test_trivial_flag(self):

@@ -58,12 +58,23 @@ def small_balanced_specs(draw):
 
 
 def reference_tree(spec, depth):
-    """The tree obtained by chaining the public degenerate recursively."""
+    """The tree made one node at a time by the public constructors.
+
+    Each child is ModuliSpec(...), which checks every point, with the two
+    points mu_to_boundary gives, labeled one above the node's highest @n
+    suffix; build_tree and degenerate share none of this code path.
+    """
     if depth == 0 or spec.genus == 0:
         return DecompositionTree(spec, ())
-    return DecompositionTree(
-        spec, tuple((mu, reference_tree(child, depth - 1)) for mu, child in degenerate(spec))
-    )
+    suffixes = [pt.label.rpartition("@") for pt in spec.points]
+    level = 1 + max((int(tail) for _, sep, tail in suffixes if sep and tail.isdecimal()), default=0)
+    children = []
+    for mu in mu_indices(spec.rank, spec.level):
+        data = mu_to_boundary(mu, spec.rank, spec.level, (f"x1@{level}", f"x2@{level}"))
+        points = spec.points + (data.point1, data.point2)
+        child = ModuliSpec(spec.genus - 1, spec.rank, spec.degree, spec.level, spec.ell, points)
+        children.append((mu, reference_tree(child, depth - 1)))
+    return DecompositionTree(spec, tuple(children))
 
 
 def reference_walk(tree, depth=0, path=()):
@@ -123,6 +134,24 @@ class TestMuIndices:
     def test_all_fit_the_box(self):
         for mu in mu_indices(3, 4):
             assert mu.fits_in_box(3, 3)
+
+    @pytest.mark.parametrize(
+        "r,k,message",
+        [
+            (2, 2.0, "level must be a positive integer, got 2.0"),
+            (2, True, "level must be a positive integer, got True"),
+            (2, 0, "level must be a positive integer, got 0"),
+            (2.0, 2, "rank must be a positive integer, got 2.0"),
+            (True, 2, "rank must be a positive integer, got True"),
+            (0, 2, "rank must be a positive integer, got 0"),
+        ],
+    )
+    def test_rank_and_level_checked(self, r, k, message):
+        # the same check and messages as mu_to_boundary's
+        for call in (lambda: mu_indices(r, k), lambda: mu_to_boundary((), r, k)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestMuToBoundary:
@@ -440,6 +469,8 @@ class TestTreeEngine:
         expected = reference_tree(spec, depth)
         # dataclass equality compares specs, mu labels and child order
         assert tree == expected
+        if spec.genus:
+            assert degenerate(spec) == [(mu, child.spec) for mu, child in reference_tree(spec, 1).children]
         assert list(tree.walk()) == list(reference_walk(expected))
         assert tree.node_count() == sum(1 for _ in reference_walk(expected))
         data = tree.to_json_dict()
@@ -457,8 +488,7 @@ class TestTreeEngine:
     @given(small_balanced_specs(), st.integers(0, 3))
     @settings(max_examples=80, deadline=None)
     def test_children_equal_publicly_built_specs(self, spec, depth):
-        # reference_tree chains degenerate, which makes children the same
-        # way build_tree does, so compare each node with the public constructor
+        # every slot of a node build_tree makes, against the public constructor
         n = math.comb(spec.rank + spec.level - 1, spec.rank)
         assume(sum(n**i for i in range(min(depth, spec.genus) + 1)) <= 500)
         for _, _, node in build_tree(spec, depth).walk():

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from pathlib import Path
 
 import theta_factor
 from theta_factor import branching, codimension, factorization, parabolic, partitions, symmetric_functions
@@ -52,3 +53,47 @@ def test_init_defines_only_the_version_and_the_list():
             # only the docstring
             assert isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
     assert defined == ["__version__", "__all__"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports at its top level and never reads.
+
+    A name counts as read where it appears as a name in the code (an
+    annotation included) or as a string in __all__; star imports and
+    __future__ imports bind nothing to check.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read |= {item.value for item in ast.walk(node.value) if isinstance(item, ast.Constant)}
+    return [name for name in imported if name not in read]
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\n"
+        "import json.encoder\n"
+        "from .a import *\n"
+        "from .b import kept, listed, dropped as alias\n"
+        "__all__ = ['listed']\n"
+        "def f(x: kept):\n"
+        "    return json.encoder\n"
+    )
+    assert unused_imports(source) == ["os", "osp", "alias"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(Path(theta_factor.__file__).parent.glob("*.py"))
+    assert len(paths) == len(MODULES) + 2
+    for path in paths:
+        assert unused_imports(path.read_text()) == [], path.name

@@ -279,6 +279,10 @@ class TestParabolicDegree:
         with pytest.raises(ValueError):
             pardeg(0, (), 0)
 
+    def test_rejects_bool_level(self):
+        with pytest.raises(ValueError, match="level k must be a positive integer, got True"):
+            pardeg(0, [], True)
+
     @given(
         st.integers(min_value=-5, max_value=5),
         st.integers(min_value=1, max_value=4),
@@ -304,6 +308,10 @@ class TestGpsSlope:
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             gps_slope(1, 1, 0)
+
+    def test_rejects_bool_rank(self):
+        with pytest.raises(ValueError, match="rank must be a positive integer, got True"):
+            gps_slope(1, 0, True)
 
     @given(
         st.integers(min_value=-10, max_value=10),

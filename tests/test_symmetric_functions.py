@@ -26,6 +26,7 @@ from theta_factor import (
 )
 
 from theta_factor import symmetric_functions
+from theta_factor.partitions import _shown
 from theta_factor.symmetric_functions import _lr_table, _strip_extensions
 
 import oracles
@@ -287,6 +288,11 @@ class TestSkewSchurExpand:
         with pytest.raises(ContainmentError):
             skew_schur_expand(Partition((2,)), Partition((1, 1)))
 
+    @pytest.mark.parametrize("route", [lr_expand, skew_schur_expand])
+    def test_both_routes_name_the_shapes(self, route):
+        with pytest.raises(ContainmentError, match=r"^\(1, 1\) is not contained in \(2,\)$"):
+            route([2], (1, 1, 0))
+
     def test_agrees_with_direct_lr_in_3x3_box(self):
         for lam in enumerate_in_box(3, 3):
             for mu in enumerate_in_box(3, 3):
@@ -440,7 +446,59 @@ class TestTallShapes:
             assert expansion.coefficient(nu) == lr_coefficient(mu, nu, lam), (lam, mu, nu)
 
 
+def reference_expansion_failure(terms):
+    """(type, message) that SchurExpansion(terms) raised with all its checks per key, or None."""
+    clean = {}
+    for key, coeff in terms.items():
+        try:
+            p = Partition(key)
+        except Exception as exc:
+            return type(exc), str(exc)
+        if p in clean:
+            return ValueError, f"two keys name the partition {_shown(tuple(p))}"
+        if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff < 1:
+            return ValueError, f"multiplicity of {_shown(tuple(p))} must be a positive integer"
+        clean[p] = coeff
+    return None
+
+
+@st.composite
+def terms_with_one_fault(draw):
+    """Valid terms, some keys padded, plus at most one faulty item at a drawn position."""
+    shapes = draw(st.lists(st.sampled_from(list(enumerate_in_box(3, 3))), unique=True, max_size=6))
+    items = [
+        (tuple(p) + (0,) * draw(st.integers(0, 2)), draw(st.integers(1, 5))) for p in shapes
+    ]
+    fault = draw(st.sampled_from(["none", "key", "duplicate", "type", "value"]))
+    if fault == "key":
+        items.append((draw(st.sampled_from([(1, 2), (0, 1), (-1,), (2, -1), (1.0,), (True,)])), 1))
+    elif fault == "duplicate" and items:
+        key, _ = draw(st.sampled_from(items))
+        items.append((key + (0,), draw(st.integers(1, 5))))
+    elif fault in ("type", "value") and items:
+        i = draw(st.integers(0, len(items) - 1))
+        bad = [1.0, True, False, "1", None, 2.5] if fault == "type" else [0, -1, -7]
+        items[i] = (items[i][0], draw(st.sampled_from(bad)))
+    # the faulty item, appended last, may sit anywhere in the dict's order
+    if items and fault in ("key", "duplicate"):
+        items.insert(draw(st.integers(0, len(items) - 1)), items.pop())
+    return dict(items)
+
+
 class TestSchurExpansion:
+    @given(terms_with_one_fault())
+    @settings(max_examples=300, deadline=None)
+    def test_single_fault_messages_kept(self, terms):
+        expected = reference_expansion_failure(terms)
+        if expected is None:
+            exp = SchurExpansion(terms)
+            assert exp.terms == dict(sorted((Partition(k), v) for k, v in terms.items()))
+            assert list(exp) == sorted(exp)
+            return
+        with pytest.raises(Exception) as info:
+            SchurExpansion(terms)
+        assert (info.type, str(info.value)) == expected
+
     def test_rejects_zero_or_negative_multiplicity(self):
         with pytest.raises(ValueError):
             SchurExpansion({Partition((1,)): 0})
