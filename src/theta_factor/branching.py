@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Partition, _shown, box_count, dim_schur, enumerate_in_box
+from .partitions import Partition, _check_int, _shown, box_count, dim_schur, enumerate_in_box
 
 __all__ = [
     "BranchingTable",
@@ -58,10 +58,8 @@ def decompose_rectangular(r: int, m: int) -> BranchingTable:
     The dual factor has the same dimension as the plain one, so both
     columns come from the same hook content evaluation at rank r.
     """
-    if r < 1:
-        raise ValueError(f"rank must be positive, got {r}")
-    if m < 0:
-        raise ValueError(f"power must be nonnegative, got {m}")
+    _check_int("rank", r, 1)
+    _check_int("power", m, 0)
     rows = []
     for mu in enumerate_in_box(r, m):
         d = dim_schur(mu, r)
@@ -87,6 +85,7 @@ def mu_to_highest_weight(mu, r: int):
     zero coefficients.
     """
     mu = Partition(mu)
+    _check_int("r", r, 1)
     if len(mu) > r:
         raise ValueError(f"{_shown(tuple(mu))} has more than {r} parts")
     padded = mu.padded(r)

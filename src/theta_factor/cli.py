@@ -316,11 +316,12 @@ def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
         except LeafOracleError as exc:
             # the message names the leaf by its canonical JSON
             raise CLIError("validation", str(exc)) from exc
+    nodes, leaves = tree._counts()
     return {
         "depth": depth,
         "oracle": oracle_desc,
-        "nodes": tree.node_count(),
-        "leaves": tree.leaf_count(),
+        "nodes": nodes,
+        "leaves": leaves,
         "aggregate": aggregate,
         "tree": tree,
     }

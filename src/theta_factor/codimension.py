@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .parabolic import FlagType
-from .partitions import _shown, partial_sums
+from .partitions import _check_int, _shown, partial_sums
 
 __all__ = [
     "StratumDatum",
@@ -34,19 +34,24 @@ class StratumDatum:
 
     def __post_init__(self):
         object.__setattr__(self, "n", FlagType(self.n))
-        m = tuple(self.m)
-        for x in m:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                raise ValueError(f"m entries must be nonnegative integers: {_shown(m)}")
+        m = _check_split(self.m, self.n)
         object.__setattr__(self, "m", m)
-        if len(self.n) != len(m):
-            raise ValueError(f"n and m must have equal length: {len(self.n)} != {len(m)}")
-        if any(a > b for a, b in zip(m, self.n)):
-            raise ValueError(f"need m <= n componentwise: m={_shown(m)}, n={_shown(self.n)}")
-        if not isinstance(self.r1, int) or isinstance(self.r1, bool) or self.r1 < 1:
-            raise ValueError(f"r1 must be a positive integer, got {self.r1!r}")
+        _check_int("r1", self.r1, 1)
         if sum(m) != self.r1:
             raise ValueError(f"m must sum to r1={self.r1}, got {sum(m)}")
+
+
+def _check_split(m, n: FlagType) -> tuple:
+    """m as a tuple, checked as a split of the flag n: nonnegative ints, one per piece, m <= n."""
+    m = tuple(m)
+    for x in m:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            raise ValueError(f"m entries must be nonnegative integers: {_shown(m)}")
+    if len(n) != len(m):
+        raise ValueError(f"n and m must have equal length: {len(n)} != {len(m)}")
+    if any(a > b for a, b in zip(m, n)):
+        raise ValueError(f"need m <= n componentwise: m={_shown(m)}, n={_shown(n)}")
+    return m
 
 
 def schubert_codim(datum: StratumDatum) -> int:
@@ -72,19 +77,11 @@ def stability_gap(n, m, a) -> Fraction:
     and there are at least two blocks.  With a single block the two
     sides coincide for every m, so the gap is identically zero there.
     """
-    n = tuple(n)
-    m = tuple(m)
+    n = FlagType(n)
+    m = _check_split(m, n)
     a = tuple(Fraction(x) for x in a)
-    if not (len(n) == len(m) == len(a)):
-        raise ValueError("n, m, a must have equal length")
-    if not n:
-        raise ValueError("need at least one flag piece")
-    for x in n:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ValueError(f"n entries must be positive integers: {_shown(n)}")
-    for x, cap in zip(m, n):
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x <= cap:
-            raise ValueError(f"need 0 <= m <= n componentwise: m={_shown(m)}, n={_shown(n)}")
+    if len(a) != len(n):
+        raise ValueError(f"n and a must have equal length: {len(n)} != {len(a)}")
     if a[0] <= 0 or a[-1] > 1:
         raise ValueError(f"weights must lie in (0, 1]: {_shown(a)}")
     if any(x >= y for x, y in zip(a, a[1:])):
@@ -110,6 +107,8 @@ def quot_codim_bounds(r: int, g_tilde: int, has_parabolic: bool):
     the second is (r-1)(g_tilde-1)+1 either way.  Bounds only; attainment
     is not claimed.
     """
+    _check_int("r", r, 1)
+    _check_int("g_tilde", g_tilde, 0)
     base = (r - 1) * (g_tilde - 1)
     ss_minus_s = base + 1 if has_parabolic else base
     return ss_minus_s, base + 1
@@ -122,6 +121,8 @@ def gps_codim_bounds(r: int, g_tilde: int, has_parabolic: bool):
     first is (r-1)*g_tilde+1; the second drops the +1 when there are no
     marked points.  Bounds only; attainment is not claimed.
     """
+    _check_int("r", r, 1)
+    _check_int("g_tilde", g_tilde, 0)
     base = (r - 1) * g_tilde
     nonstable = base + 1 if has_parabolic else base
     return base + 1, nonstable
@@ -134,8 +135,7 @@ def double_det_dim(a: int, b: int, p: int, q: int, r: int) -> int:
     rank Y <= b; requires 0 <= a <= min(p, r), 0 <= b <= min(q, r), a+b <= r.
     """
     for name, value in (("a", a), ("b", b), ("p", p), ("q", q), ("r", r)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        _check_int(name, value, 0)
     if a > min(p, r):
         raise ValueError(f"need a <= min(p, r): a={a}, p={p}, r={r}")
     if b > min(q, r):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .parabolic import MAX_INT_DIGITS, FlagType, MarkedPoint, ModuliSpec, WeightVector, check_star
-from .partitions import BoxViolationError, Partition, _shown, enumerate_in_box
+from .partitions import BoxViolationError, Partition, _check_int, _shown, enumerate_in_box
 
 __all__ = [
     "BoundaryData",
@@ -52,27 +52,21 @@ class BoundaryData:
         return contribution, contribution == k * r
 
 
-def _check_rank_level(r, k) -> None:
-    """Reject a rank or level that is not a positive int (bool is not one)."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"rank must be a positive integer, got {r!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"level must be a positive integer, got {k!r}")
-
-
 def mu_indices(r: int, k: int):
     """Yield the mu indices for rank r and level k in enumeration order.
 
     The box is r x (k-1).
     """
-    _check_rank_level(r, k)
+    _check_int("rank", r, 1)
+    _check_int("level", k, 1)
     return enumerate_in_box(r, k - 1)
 
 
 def _validate_mu(mu, r: int, k: int) -> Partition:
     # a Partition, as mu_indices makes, passes through unchecked
     mu = Partition(mu)
-    _check_rank_level(r, k)
+    _check_int("rank", r, 1)
+    _check_int("level", k, 1)
     if not mu.fits_in_box(r, k - 1):
         raise BoxViolationError(f"{_shown(tuple(mu))} is not in the {r}x{k - 1} box")
     return mu
@@ -296,8 +290,7 @@ def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
     time, then joined bottom up: node i of a level takes the next level's
     trees i*N to (i+1)*N - 1, N = len(mus).
     """
-    if not isinstance(depth, int) or depth < 0:
-        raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
+    _check_int("depth", depth, 0)
     lhs, rhs, ok = check_star(spec)
     if not ok:
         raise ValueError(f"spec fails the balance condition: lhs={lhs} rhs={rhs}")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul, sub
 
-from .partitions import _shown, partial_sums
+from .partitions import _check_int, _shown, partial_sums
 
 __all__ = [
     "FlagType",
@@ -157,16 +157,8 @@ class ModuliSpec:
     points: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.genus, int) or isinstance(self.genus, bool) or self.genus < 0:
-            raise ValueError(f"genus must be a nonnegative integer, got {self.genus!r}")
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
-        if not isinstance(self.degree, int) or isinstance(self.degree, bool):
-            raise ValueError(f"degree must be an integer, got {self.degree!r}")
-        if not isinstance(self.level, int) or isinstance(self.level, bool) or self.level < 1:
-            raise ValueError(f"level must be a positive integer, got {self.level!r}")
-        if not isinstance(self.ell, int) or isinstance(self.ell, bool) or self.ell < 1:
-            raise ValueError(f"ell must be a positive integer, got {self.ell!r}")
+        for name, least in (("genus", 0), ("rank", 1), ("degree", None), ("level", 1), ("ell", 1)):
+            _check_int(name, getattr(self, name), least)
         object.__setattr__(self, "points", tuple(self.points))
         for pt in self.points:
             self._check_point(pt)
@@ -298,8 +290,7 @@ def check_star(spec: ModuliSpec):
 
 def pardeg(degree: int, points, k: int) -> Fraction:
     """Parabolic degree: degree + (1/k) * sum over points of sum_i n_i * a_i."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"level k must be a positive integer, got {k!r}")
+    _check_int("level k", k, 1)
     total = Fraction(degree)
     for pt in points:
         total += Fraction(sum(n * a for n, a in zip(pt.flag, pt.weights)), k)
@@ -308,8 +299,6 @@ def pardeg(degree: int, points, k: int) -> Fraction:
 
 def gps_slope(degree: int, q_dim: int, rank: int) -> Fraction:
     """Slope (degree - q_dim) / rank of a generalized parabolic sheaf."""
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise ValueError(f"rank must be a positive integer, got {rank!r}")
-    if not isinstance(q_dim, int) or isinstance(q_dim, bool) or q_dim < 0:
-        raise ValueError(f"quotient dimension must be a nonnegative integer, got {q_dim!r}")
+    _check_int("rank", rank, 1)
+    _check_int("quotient dimension", q_dim, 0)
     return Fraction(degree - q_dim, rank)

@@ -5,6 +5,11 @@ integers with trailing zeros stripped, so ``Partition((2, 1, 0))`` and
 ``Partition((2, 1))`` are the same value.  Operations that care about a
 surrounding box take the box dimensions (r rows, parts at most m)
 explicitly rather than trusting padded lengths.
+
+Every module imports this one, so it owns the rules validation messages
+share: _shown caps what a message echoes of an input, and _check_int is
+the one check of a scalar integer argument.  Per-element checks of hot
+sequence types such as Partition stay inline.
 """
 
 from __future__ import annotations
@@ -31,6 +36,13 @@ def _shown(value) -> str:
     """repr(value), or for a long one its first MAX_ECHO characters and its length."""
     text = repr(value)
     return text if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]}... ({len(text)} characters)"
+
+
+def _check_int(what: str, value, least: int | None = None) -> None:
+    """Reject a value that is not an int (a bool is not one) or is below least (0, 1 or None)."""
+    if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
+        kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[least]
+        raise ValueError(f"{what} must be {kind} integer, got {_shown(value)}")
 
 
 class BoxViolationError(ValueError):
@@ -99,8 +111,7 @@ def dim_schur(lam, n: int) -> int:
     divisions performed once at the end.
     """
     lam = Partition(lam)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _check_int("n", n, 0)
     if len(lam) > n:
         return 0
     formula, _ = _dimension_formula(lam, n)
@@ -156,8 +167,8 @@ def _exact(num: int, den: int, lam) -> int:
 def complement_in_box(mu, r: int, m: int) -> Partition:
     """Complement (m - mu_r, ..., m - mu_1) of mu inside the r x m box."""
     mu = Partition(mu)
-    if r < 0 or m < 0:
-        raise ValueError(f"box dimensions must be nonnegative, got {r}x{m}")
+    _check_int("r", r, 0)
+    _check_int("m", m, 0)
     if not mu.fits_in_box(r, m):
         raise BoxViolationError(f"{_shown(tuple(mu))} does not fit in a {r}x{m} box")
     return Partition(m - p for p in reversed(mu.padded(r)))
@@ -170,8 +181,8 @@ def enumerate_in_box(r: int, m: int):
     first: (0,..,0), then (1,0,..,0), and so on up to the full box.
     Exactly binomial(r + m, r) partitions come out.
     """
-    if r < 0 or m < 0:
-        raise ValueError(f"box dimensions must be nonnegative, got {r}x{m}")
+    _check_int("r", r, 0)
+    _check_int("m", m, 0)
     parts = [0] * r
     while True:
         yield Partition(parts)
@@ -188,6 +199,8 @@ def enumerate_in_box(r: int, m: int):
 
 def box_count(r: int, m: int) -> int:
     """Number of partitions in the r x m box."""
+    _check_int("r", r, 0)
+    _check_int("m", m, 0)
     return math.comb(r + m, r)
 
 
@@ -199,8 +212,10 @@ def partitions_of(total: int, max_parts: int | None = None, max_part: int | None
     part that can drop by one lowered, and the rest after it refilled by
     the largest parts allowed, which takes the fewest slots.
     """
-    if total < 0:
-        raise ValueError(f"cannot partition {total}")
+    _check_int("total", total, 0)
+    for name, cap in (("max_parts", max_parts), ("max_part", max_part)):
+        if cap is not None:
+            _check_int(name, cap)
     top = total if max_part is None else min(max_part, total)
     slots = total if max_parts is None else max_parts
     if total and (top < 1 or -(-total // top) > slots):

@@ -139,6 +139,24 @@ class TestVerifyStar:
         assert error["type"] == "validation"
         assert message in error["message"] and "(5002 characters)" in error["message"]
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("genus", "g" * 5000, "genus must be a nonnegative integer, got 'ggg"),
+            ("rank", [1] * 3000, "rank must be a positive integer, got [1, 1"),
+        ],
+        ids=["genus-string", "rank-list"],
+    )
+    def test_long_field_value_is_shortened(self, capsys, tmp_path, field, value, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SPEC, **{field: value})))
+        code, out, err = run_cli(capsys, ["verify-star", str(bad)])
+        assert code == 1 and out == ""
+        assert len(err.encode()) < 200 and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation"
+        assert message in error["message"] and f"({len(repr(value))} characters)" in error["message"]
+
     def test_undecodable_bytes_are_a_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"genus": "\xff"}')

@@ -20,17 +20,21 @@ from theta_factor import (
     WeightVector,
     box_count,
     complement_in_box,
+    decompose_rectangular,
     dim_schur,
     enumerate_in_box,
+    gps_codim_bounds,
     mu_to_boundary,
     mu_to_highest_weight,
     partial_sums,
     partitions_of,
+    quot_codim_bounds,
     skew_schur_expand,
     stability_gap,
 )
 from theta_factor.partitions import (
     MAX_ECHO,
+    _check_int,
     _dimension_formula,
     _hook_content_dimension,
     _shown,
@@ -370,3 +374,83 @@ class TestShown:
             call()
         message = str(info.value)
         assert len(message) < 250 and " characters)" in message
+
+
+def check_int_as_before(what, value, least):
+    """The scalar check as each site wrote it by hand before _check_int."""
+    if least is None:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+    elif least == 0:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+    elif not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+
+
+def raised(call, *args):
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def drained(generator_function):
+    return lambda *args: list(generator_function(*args))
+
+
+# (entry point, valid arguments, index of the integer argument to spoil,
+# whether a negative value there is invalid too: a negative cap counts as 0)
+INT_ARGUMENTS = {
+    "partitions_of total": (drained(partitions_of), (3, None, None), 0, True),
+    "partitions_of max_parts": (drained(partitions_of), (3, 2, None), 1, False),
+    "partitions_of max_part": (drained(partitions_of), (3, None, 2), 2, False),
+    "gps_codim_bounds r": (gps_codim_bounds, (2, 1, True), 0, True),
+    "gps_codim_bounds g_tilde": (gps_codim_bounds, (2, 1, True), 1, True),
+    "quot_codim_bounds r": (quot_codim_bounds, (2, 1, True), 0, True),
+    "quot_codim_bounds g_tilde": (quot_codim_bounds, (2, 1, True), 1, True),
+    "mu_to_highest_weight r": (mu_to_highest_weight, ((1,), 2), 1, True),
+    "dim_schur n": (dim_schur, ((2,), 2), 1, True),
+    "enumerate_in_box r": (drained(enumerate_in_box), (2, 2), 0, True),
+    "enumerate_in_box m": (drained(enumerate_in_box), (2, 2), 1, True),
+    "complement_in_box r": (complement_in_box, ((1,), 2, 2), 1, True),
+    "complement_in_box m": (complement_in_box, ((1,), 2, 2), 2, True),
+    "box_count r": (box_count, (2, 2), 0, True),
+    "box_count m": (box_count, (2, 2), 1, True),
+    "decompose_rectangular rank": (decompose_rectangular, (2, 1), 0, True),
+    "decompose_rectangular power": (decompose_rectangular, (2, 1), 1, True),
+}
+
+
+class TestCheckInt:
+    @given(
+        st.one_of(
+            st.integers(),
+            st.booleans(),
+            st.floats(allow_nan=False),
+            st.integers().map(Count),
+            st.text(max_size=60),
+        ),
+        st.sampled_from([None, 0, 1]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_inline_check(self, value, least):
+        got = raised(_check_int, "field", value, least)
+        want = raised(check_int_as_before, "field", value, least)
+        assert (got is None) == (want is None)
+        if len(repr(value)) <= MAX_ECHO:
+            assert got == want
+        elif got is not None:
+            assert got == want.replace(repr(value), _shown(value))
+
+    @pytest.mark.parametrize("entry", INT_ARGUMENTS.values(), ids=list(INT_ARGUMENTS))
+    @pytest.mark.parametrize("bad", [True, 2.0, -1], ids=["bool", "float", "negative"])
+    def test_public_entry_points_reject_non_integers(self, entry, bad):
+        call, args, index, negative_is_invalid = entry
+        call(*args)
+        if bad == -1 and not negative_is_invalid:
+            call(*args[:index], bad, *args[index + 1:])
+            return
+        with pytest.raises(ValueError, match="integer, got "):
+            call(*args[:index], bad, *args[index + 1:])
