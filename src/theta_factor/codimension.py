@@ -79,7 +79,11 @@ def stability_gap(n, m, a) -> Fraction:
     """
     n = FlagType(n)
     m = _check_split(m, n)
-    a = tuple(Fraction(x) for x in a)
+    a = tuple(a)
+    # Fraction(0.1) is the binary float's value, not one tenth
+    if any(isinstance(x, (bool, float)) for x in a):
+        raise ValueError(f"weights must be exact rationals, not floats or bools: {_shown(a)}")
+    a = tuple(map(Fraction, a))
     if len(a) != len(n):
         raise ValueError(f"n and a must have equal length: {len(n)} != {len(a)}")
     if a[0] <= 0 or a[-1] > 1:
@@ -152,7 +156,7 @@ def complete_intersection_height(r: int, r_i: int) -> int:
     minus double_det_dim at a = p = r_i, b = q = r - r_i.
     """
     if any(not isinstance(x, int) or isinstance(x, bool) for x in (r, r_i)) or not 0 <= r_i <= r:
-        raise ValueError(f"need 0 <= r_i <= r, got r_i={r_i!r}, r={r!r}")
+        raise ValueError(f"need 0 <= r_i <= r, got r_i={_shown(r_i)}, r={_shown(r)}")
     height = r_i * (r - r_i)
     ambient = r * r
     variety = double_det_dim(r_i, r - r_i, r_i, r - r_i, r)

@@ -142,60 +142,34 @@ def degenerate(spec: ModuliSpec):
     return [(mu, child.spec) for mu, child in build_tree(spec, 1).children]
 
 
-class _KnownHash:
-    """Stands in for a subtree whose hash is already computed."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __hash__(self) -> int:
-        return self.value
-
-
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class DecompositionTree:
     """A recursion tree: specs at nodes, mu labels on edges.
 
     children is an ordered tuple of (mu, subtree) pairs, empty at leaves.
     Nodes have slots.  walk, the counts, aggregate_dimension, ==, hash,
-    repr and to_json_dict use an explicit stack, so they handle a tree of
-    any depth; ==, hash and repr give what the dataclass-generated methods,
-    which recurse once per level, give on (spec, children).
+    repr and to_json_dict use an explicit stack, so a tree of any depth
+    works.  == matches the dataclass method on (spec, children), hash
+    agrees with ==, and repr is the dataclass text.
     """
 
     spec: ModuliSpec
     children: tuple = ()
 
+    def _shape(self) -> list:
+        """(node class, spec, child mus) for every node of walk(); it fixes the tree."""
+        return [
+            (node.__class__, node.spec, tuple(mu for mu, _ in node.children))
+            for _, _, node in self.walk()
+        ]
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or not isinstance(a, DecompositionTree):
-                if a != b:
-                    return False
-                continue
-            if a.spec != b.spec or len(a.children) != len(b.children):
-                return False
-            for (mu_a, child_a), (mu_b, child_b) in zip(a.children, b.children):
-                if mu_a != mu_b:
-                    return False
-                stack.append((child_a, child_b))
-        return True
+        return self._shape() == other._shape()
 
     def __hash__(self) -> int:
-        # hash((spec, children)) bottom-up: a tuple's hash depends only on
-        # the hashes of its items, so a child enters as its known hash
-        hashes = {}
-        for _, _, node in reversed(list(self.walk())):
-            children = tuple((mu, _KnownHash(hashes[id(child)])) for mu, child in node.children)
-            hashes[id(node)] = hash((node.spec, children))
-        return hashes[id(self)]
+        return hash(tuple(self._shape()))
 
     def __repr__(self) -> str:
         # pieces are strings, or nodes still to write, on a stack

@@ -183,6 +183,10 @@ def enumerate_in_box(r: int, m: int):
     """
     _check_int("r", r, 0)
     _check_int("m", m, 0)
+    return _box_partitions(r, m)
+
+
+def _box_partitions(r: int, m: int):
     parts = [0] * r
     while True:
         yield Partition(parts)
@@ -216,6 +220,10 @@ def partitions_of(total: int, max_parts: int | None = None, max_part: int | None
     for name, cap in (("max_parts", max_parts), ("max_part", max_part)):
         if cap is not None:
             _check_int(name, cap)
+    return _partitions_of(total, max_parts, max_part)
+
+
+def _partitions_of(total: int, max_parts: int | None, max_part: int | None):
     top = total if max_part is None else min(max_part, total)
     slots = total if max_parts is None else max_parts
     if total and (top < 1 or -(-total // top) > slots):

@@ -17,6 +17,7 @@ from theta_factor import (
     schubert_codim,
     telescoping_check,
 )
+from theta_factor.partitions import _shown
 
 from oracles import flag_codim_oracle
 
@@ -126,6 +127,14 @@ class TestStabilityGap:
             stability_gap((1,), (0,), (0,))  # weight not positive
         with pytest.raises(ValueError):
             stability_gap((0,), (0,), (1,))  # n must be positive
+        with pytest.raises(ValueError, match="^n and a must have equal length: 2 != 1$"):
+            stability_gap((1, 1), (0, 0), (1,))
+
+    @pytest.mark.parametrize("a", [(0.1, 1.0), (Fraction(1, 2), 1.0), (Fraction(1, 2), True)])
+    def test_rejects_float_and_bool_weights(self, a):
+        # Fraction(0.1) would be the binary float's value, not one tenth
+        with pytest.raises(ValueError, match="^weights must be exact rationals, not floats or bools: "):
+            stability_gap((1, 2), (0, 1), a)
 
     def test_sign_dichotomy_spot_checks(self):
         weights = (Fraction(1, 3), Fraction(2, 3))
@@ -210,6 +219,12 @@ class TestHeight:
         # the message names the caller's arguments, not double_det_dim's
         with pytest.raises(ValueError, match=rf"^need 0 <= r_i <= r, got r_i={r_i!r}, r={r!r}$"):
             complete_intersection_height(r, r_i)
+
+    def test_long_argument_is_shown_short(self):
+        with pytest.raises(ValueError) as info:
+            complete_intersection_height("x" * 5000, 1)
+        assert str(info.value) == f"need 0 <= r_i <= r, got r_i=1, r={_shown('x' * 5000)}"
+        assert len(str(info.value)) < 100
 
 
 class TestTelescoping:

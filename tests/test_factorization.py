@@ -378,6 +378,69 @@ def irregular_tree(shape):
     return make(shape)
 
 
+@st.composite
+def small_trees(draw):
+    """irregular_tree trees, and build_tree trees of at most 200 nodes."""
+    if draw(st.booleans()):
+        return irregular_tree(draw(tree_shapes()))
+    spec, depth = draw(small_balanced_specs()), draw(st.integers(0, 2))
+    n = math.comb(spec.rank + spec.level - 1, spec.rank)
+    assume(sum(n**i for i in range(min(depth, spec.genus) + 1)) <= 200)
+    return build_tree(spec, depth)
+
+
+class SubclassTree(DecompositionTree):
+    """A node of another class: == tells it from a DecompositionTree with its data."""
+
+
+def changed(tree, target, change):
+    """A fresh copy of tree, with one change at node number target of the preorder."""
+    count = 0
+
+    def copy(node):
+        nonlocal count
+        here = count
+        count += 1
+        spec, cls = node.spec, DecompositionTree
+        children = [(mu, copy(child)) for mu, child in node.children]
+        if here == target:
+            if change == "spec":
+                spec = balanced_spec(genus=5)
+            elif change == "mu" and children:
+                children[0] = (Partition((9,)), children[0][1])
+            elif change == "order":
+                children.reverse()
+            elif change == "leaf":
+                children.append((Partition(()), DecompositionTree(spec)))
+            elif change == "subclass":
+                cls = SubclassTree
+        return cls(spec, tuple(children))
+
+    return copy(tree)
+
+
+def pairwise_eq(self, other):
+    """DecompositionTree.__eq__ as it was: the two trees walked pairwise on one stack."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__ or not isinstance(a, DecompositionTree):
+            if a != b:
+                return False
+            continue
+        if a.spec != b.spec or len(a.children) != len(b.children):
+            return False
+        for (mu_a, child_a), (mu_b, child_b) in zip(a.children, b.children):
+            if mu_a != mu_b:
+                return False
+            stack.append((child_a, child_b))
+    return True
+
+
 class TestBuildTree:
     def test_depth_zero(self):
         spec = balanced_spec()
@@ -480,7 +543,7 @@ class TestTreeEngine:
         assert len({id(point) for point in json_point_dicts(data)}) == len(distinct)
         reference = reference_dataclass_tree(expected)
         assert repr(tree) == repr(reference)
-        assert hash(tree) == hash(reference)
+        assert hash(tree) == hash(expected)
         value = lambda leaf: len(leaf.points) + leaf.degree
         expected_sum = sum(value(node.spec) for _, _, node in reference_walk(expected) if node.is_leaf())
         assert aggregate_dimension(tree, value) == expected_sum
@@ -687,6 +750,21 @@ class TestTreeEngine:
         assert tree != reference_dataclass_tree(tree)
         assert tree.__eq__(spec) is NotImplemented
 
+    @given(small_trees(), st.sampled_from(["none", "spec", "mu", "order", "leaf", "subclass"]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equality_matches_the_pairwise_walk(self, tree, change, data):
+        variant = changed(tree, data.draw(st.integers(0, tree.node_count() - 1)), change)
+        expected = pairwise_eq(variant, tree)
+        if expected is NotImplemented:
+            # neither side claims the comparison, so Python falls back to identity
+            expected = False
+        assert (variant == tree) is expected and (tree == variant) is expected
+        assert (variant != tree) is not expected
+        if change == "none":
+            assert expected
+        if expected:
+            assert hash(variant) == hash(tree)
+
 
 class TestAggregate:
     def test_constant_oracle_counts_leaves(self):
@@ -721,6 +799,17 @@ class TestAggregate:
         assert info.value.spec.genus == 0
         # the leaf is stated once, as its canonical JSON
         assert str(info.value) == f"leaf oracle failed on {info.value.spec.canonical_json()}: 'missing'"
+
+    def test_oracle_own_failure_passes_unwrapped(self):
+        tree = build_tree(balanced_spec(genus=1, rank=1, level=2, ell=2), 1)
+        own = LeafOracleError(tree.spec, "raised by the oracle itself")
+
+        def oracle(s):
+            raise own
+
+        with pytest.raises(LeafOracleError) as info:
+            aggregate_dimension(tree, oracle)
+        assert info.value is own and info.value.__cause__ is None
 
     def test_oracle_must_return_integer(self):
         spec = balanced_spec(genus=1, rank=1, level=2, ell=2)

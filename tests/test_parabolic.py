@@ -127,6 +127,11 @@ class TestMarkedPoint:
         with pytest.raises(ValueError):
             MarkedPoint.from_json_dict({"label": "x", "flag": [1]})
 
+    @pytest.mark.parametrize("label", ["", 7, None, ("x",)])
+    def test_label_must_be_a_nonempty_string(self, label):
+        with pytest.raises(ValueError, match="^point label must be a nonempty string$"):
+            point(label=label)
+
 
 class TestModuliSpec:
     def test_derived_n(self):

@@ -280,6 +280,21 @@ class TestEnumeration:
                 assert len(set(items)) == len(items)
                 assert all(mu.fits_in_box(r, m) for mu in items)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: enumerate_in_box(-1, 2),
+            lambda: enumerate_in_box(2, True),
+            lambda: partitions_of(-1),
+            lambda: partitions_of(3, 2.0),
+        ],
+        ids=["box r", "box m", "total", "cap"],
+    )
+    def test_arguments_checked_at_the_call(self, call):
+        # not at the first next(): the call alone raises
+        with pytest.raises(ValueError, match="integer, got "):
+            call()
+
     def test_order_is_lexicographic_on_padded_tuples(self):
         for r, m in [(2, 3), (3, 2), (4, 2)]:
             padded = [mu.padded(r) for mu in enumerate_in_box(r, m)]
