@@ -65,7 +65,8 @@ def decompose_rectangular(r: int, m: int) -> BranchingTable:
         d = dim_schur(mu, r)
         rows.append((mu, d, d))
     table = BranchingTable(r, m, tuple(rows))
-    assert len(table.rows) == box_count(r, m)
+    if len(table.rows) != box_count(r, m):
+        raise ArithmeticError(f"{len(table.rows)} branching rows, expected {box_count(r, m)}")
     return table
 
 

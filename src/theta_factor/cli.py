@@ -292,22 +292,24 @@ def _check_work(what: str, size: int | None, cap: int) -> None:
         raise ValueError(f"{what} would be {estimate}, above the cap of {cap}")
 
 
-def _check_tree_size(spec: ModuliSpec, depth: int) -> None:
+def _tree_size(spec: ModuliSpec, depth: int) -> tuple[int, int]:
+    """(nodes, leaves) of build_tree(spec, depth), in closed form once the caps pass."""
     levels = min(depth, spec.genus)
     if levels < 1:
-        return
+        return 1, 1
     _check_work("decompose rank", spec.rank, MAX_RANK)
     _check_work("decompose tree depth", levels, MAX_TREE_DEPTH)
     n = _binomial(spec.rank + spec.level - 1, spec.rank, MAX_TREE_NODES)
     # a tree with one level has 1 + n nodes, so n above the cap settles it
     nodes = None if n is None or n > MAX_TREE_NODES else sum(n**i for i in range(levels + 1))
     _check_work("decompose node count", nodes, MAX_TREE_NODES)
+    return nodes, n**levels
 
 
 def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
     depth = spec.genus if depth is None else depth
     leaf_value, oracle_desc = _parse_oracle(oracle)
-    _check_tree_size(spec, depth)
+    nodes, leaves = _tree_size(spec, depth)
     tree = build_tree(spec, depth)
     aggregate = None
     if leaf_value is not None:
@@ -316,7 +318,6 @@ def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
         except LeafOracleError as exc:
             # the message names the leaf by its canonical JSON
             raise CLIError("validation", str(exc)) from exc
-    nodes, leaves = tree._counts()
     return {
         "depth": depth,
         "oracle": oracle_desc,

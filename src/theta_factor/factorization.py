@@ -147,10 +147,11 @@ class DecompositionTree:
     """A recursion tree: specs at nodes, mu labels on edges.
 
     children is an ordered tuple of (mu, subtree) pairs, empty at leaves.
-    Nodes have slots.  walk, the counts, aggregate_dimension, ==, hash,
-    repr and to_json_dict use an explicit stack, so a tree of any depth
-    works.  == matches the dataclass method on (spec, children), hash
-    agrees with ==, and repr is the dataclass text.
+    Nodes have slots.  walk is the one traversal that carries mu paths, on
+    an explicit stack, so a tree of any depth works; the counts, ==, hash,
+    repr and to_json_dict read it.  aggregate_dimension keeps a path-free
+    loop, measured faster.  == matches the dataclass method on (spec,
+    children), hash agrees with ==, and repr is the dataclass text.
     """
 
     spec: ModuliSpec
@@ -172,20 +173,17 @@ class DecompositionTree:
         return hash(tuple(self._shape()))
 
     def __repr__(self) -> str:
-        # pieces are strings, or nodes still to write, on a stack
-        out = []
-        stack = [self]
-        while stack:
-            item = stack.pop()
-            if item.__class__ is str:
-                out.append(item)
-                continue
-            out.append(f"{item.__class__.__qualname__}(spec={item.spec!r}, children=(")
-            pieces = []
-            for i, (mu, child) in enumerate(item.children):
-                pieces += [f"{', ' if i else ''}({mu!r}, ", child, ")"]
-            pieces.append(",))" if len(item.children) == 1 else "))")
-            stack.extend(reversed(pieces))
+        # closing[d] ends the open node at depth d and, below the root, its item
+        out, closing = [], []
+        for depth, path, node in self.walk():
+            out += reversed(closing[depth:])
+            if path:
+                # a first child comes right after its parent, one level up
+                out.append(f"{', ' if len(closing) > depth else ''}({path[-1]!r}, ")
+            del closing[depth:]
+            out.append(f"{node.__class__.__qualname__}(spec={node.spec!r}, children=(")
+            closing.append(("," if len(node.children) == 1 else "") + "))" + (")" if path else ""))
+        out += reversed(closing)
         return "".join(out)
 
     def is_leaf(self) -> bool:
@@ -205,49 +203,34 @@ class DecompositionTree:
             if node.is_leaf():
                 yield path, node
 
-    def _counts(self) -> tuple[int, int]:
-        """(nodes, leaves), by one pass without mu paths."""
-        nodes = leaves = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            nodes += 1
-            if node.children:
-                stack += [child for _, child in node.children]
-            else:
-                leaves += 1
-        return nodes, leaves
-
     def node_count(self) -> int:
-        return self._counts()[0]
+        return sum(1 for _ in self.walk())
 
     def leaf_count(self) -> int:
-        return self._counts()[1]
+        return sum(1 for _ in self.leaves())
 
     def to_json_dict(self) -> dict:
-        """Nodes carry specs, edges carry mu arrays padded to the node's rank.
+        """Nodes carry specs, edges carry mu arrays padded to the parent's rank.
 
-        Every node that build_tree makes has the root's rank.
-        One dict is made per distinct MarkedPoint in the whole tree, and
-        every node carrying that point lists the same dict object: the
-        root's points and the boundary points build_tree shares between
-        siblings are each one dict.  The result is == to fresh dicts per
-        node; a caller that mutates a point dict changes it at every node.
-        Each node's dict is made empty under its parent and filled when
-        the stack reaches it.
+        Every node that build_tree makes has the root's rank.  One dict is
+        made per distinct MarkedPoint in the whole tree, and every node
+        carrying that point lists the same dict object: the root's points
+        and the boundary points build_tree shares between siblings are
+        each one dict.  The result is == to fresh dicts per node; a caller
+        that mutates a point dict changes it at every node.
         """
         point_dicts = {}
-        root = {}
-        stack = [(self, root)]
-        while stack:
-            node, out = stack.pop()
-            r = node.spec.rank
-            out["spec"] = node.spec.to_json_dict(point_dicts)
-            out["children"] = children = []
-            for mu, child in node.children:
-                child_out = {}
-                children.append({"mu": list(mu.padded(r)), "node": child_out})
-                stack.append((child, child_out))
+        # (children list, rank) of the latest node per depth; a parent is one level up
+        parents = []
+        for depth, path, node in self.walk():
+            out = {"spec": node.spec.to_json_dict(point_dicts), "children": []}
+            del parents[depth:]
+            if path:
+                children, r = parents[-1]
+                children.append({"mu": list(path[-1].padded(r)), "node": out})
+            else:
+                root = out
+            parents.append((out["children"], node.spec.rank))
         return root
 
 
@@ -308,7 +291,8 @@ def aggregate_dimension(tree: DecompositionTree, leaf_oracle) -> int:
     The oracle maps a leaf's ModuliSpec to an integer; no built-in
     default exists on purpose, since the recursion provides structure but
     not base-case values.  Any oracle failure aborts the whole
-    aggregation with the offending leaf spec attached.
+    aggregation with the offending leaf spec attached.  The loop skips
+    walk's mu paths: reading leaves() made tree-aggregate slower.
     """
     total = 0
     stack = [tree]

@@ -160,8 +160,12 @@ class ModuliSpec:
         for name, least in (("genus", 0), ("rank", 1), ("degree", None), ("level", 1), ("ell", 1)):
             _check_int(name, getattr(self, name), least)
         object.__setattr__(self, "points", tuple(self.points))
+        labels = set()
         for pt in self.points:
             self._check_point(pt)
+            if pt.label in labels:
+                raise ValueError(f"duplicate point label {_shown(pt.label)}")
+            labels.add(pt.label)
 
     def _check_point(self, pt) -> None:
         if not isinstance(pt, MarkedPoint):
@@ -180,7 +184,8 @@ class ModuliSpec:
 
         Nothing is checked.  The caller ensures self has positive genus and
         has checked both points against a spec of self's rank and level
-        (factorization.build_tree checks each boundary point once per tree level).
+        (factorization.build_tree checks each boundary point once per tree
+        level; its x1@L, x2@L labels are new by construction).
         """
         # the slots' own descriptors, past the frozen __setattr__
         child = object.__new__(ModuliSpec)
@@ -235,11 +240,6 @@ class ModuliSpec:
         for key, value in fields.items():
             _reject_long_ints((value,), key)
         points = tuple(MarkedPoint.from_json_dict(p) for p in points)
-        labels = set()
-        for pt in points:
-            if pt.label in labels:
-                raise ValueError(f"duplicate point label {_shown(pt.label)}")
-            labels.add(pt.label)
         return cls(**fields, points=points)
 
     def canonical_json(self) -> str:
@@ -290,6 +290,7 @@ def check_star(spec: ModuliSpec):
 
 def pardeg(degree: int, points, k: int) -> Fraction:
     """Parabolic degree: degree + (1/k) * sum over points of sum_i n_i * a_i."""
+    _check_int("degree", degree)
     _check_int("level k", k, 1)
     total = Fraction(degree)
     for pt in points:
@@ -299,6 +300,7 @@ def pardeg(degree: int, points, k: int) -> Fraction:
 
 def gps_slope(degree: int, q_dim: int, rank: int) -> Fraction:
     """Slope (degree - q_dim) / rank of a generalized parabolic sheaf."""
+    _check_int("degree", degree)
     _check_int("rank", rank, 1)
     _check_int("quotient dimension", q_dim, 0)
     return Fraction(degree - q_dim, rank)

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from theta_factor import branching
 from theta_factor import (
     BranchingTable,
     Partition,
@@ -59,6 +60,13 @@ class TestDecomposeRectangular:
             decompose_rectangular(0, 2)
         with pytest.raises(ValueError):
             decompose_rectangular(2, -1)
+
+    def test_row_count_checked_without_assert(self, monkeypatch):
+        # an ArithmeticError, which python -O keeps, when a box partition goes missing
+        enumerate_in_box = branching.enumerate_in_box
+        monkeypatch.setattr(branching, "enumerate_in_box", lambda r, m: list(enumerate_in_box(r, m))[1:])
+        with pytest.raises(ArithmeticError, match="5 branching rows, expected 6"):
+            decompose_rectangular(2, 2)
 
     def test_json_rows_are_padded(self):
         data = decompose_rectangular(2, 1).to_json_dict()

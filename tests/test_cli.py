@@ -981,6 +981,10 @@ class TestTreeRows:
         report = json.loads(reports["json"])
         for fmt in ("text", "csv"):
             assert reports[fmt] == "\n".join(lines_from_json_report(report, fmt)) + "\n"
+        rows = list(reference_tree_rows(report["result"]["tree"]))
+        assert (report["result"]["nodes"], report["result"]["leaves"]) == (
+            len(rows), sum(1 for _, _, node in rows if not node["children"])
+        )
 
     def test_text_and_csv_build_no_json_tree(self, monkeypatch, spec_path):
         expected = self.reports(spec_path, RANK_3)

@@ -116,6 +116,17 @@ def reference_json(tree, r):
     }
 
 
+def reference_parent_rank_json(tree):
+    """to_json_dict by recursion: each edge's mu is padded to its parent's rank."""
+    return {
+        "spec": tree.spec.to_json_dict(),
+        "children": [
+            {"mu": list(mu.padded(tree.spec.rank)), "node": reference_parent_rank_json(child)}
+            for mu, child in tree.children
+        ],
+    }
+
+
 def balanced_spec(genus=2, rank=2, level=3, ell=3):
     # with no points the balance condition forces k*d = r*ell - k*r*(1-g)
     product = rank * ell + level * rank * (genus - 1)
@@ -764,6 +775,31 @@ class TestTreeEngine:
             assert expected
         if expected:
             assert hash(variant) == hash(tree)
+
+
+class TestWalkReaders:
+    """repr, to_json_dict and the counts read walk(); each matches a recursive reference."""
+
+    @given(small_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_recursive_references(self, tree):
+        assert repr(tree) == repr(reference_dataclass_tree(tree))
+        assert tree.to_json_dict() == reference_parent_rank_json(tree)
+        rows = list(reference_walk(tree))
+        assert tree.node_count() == len(rows)
+        assert tree.leaf_count() == sum(1 for _, _, node in rows if node.is_leaf())
+
+    def test_edges_are_padded_to_the_parent_rank(self):
+        # rank 3 over rank 1 over rank 2: each edge takes its parent's rank
+        grandchild = DecompositionTree(ModuliSpec(0, 2, 0, 1, 1))
+        child = DecompositionTree(ModuliSpec(0, 1, 0, 1, 1), ((Partition((1,)), grandchild),))
+        tree = DecompositionTree(ModuliSpec(0, 3, 0, 1, 1), ((Partition((2,)), child),))
+        (edge,) = tree.to_json_dict()["children"]
+        assert edge["mu"] == [2, 0, 0]
+        (inner,) = edge["node"]["children"]
+        assert inner["mu"] == [1]
+        assert inner["node"] == {"spec": grandchild.spec.to_json_dict(), "children": []}
+        assert tree.to_json_dict() == reference_parent_rank_json(tree)
 
 
 class TestAggregate:

@@ -220,6 +220,29 @@ class TestModuliSpec:
         with pytest.raises(ValueError, match=message):
             ModuliSpec.from_json_dict(data)
 
+    def test_point_labels_are_distinct(self):
+        with pytest.raises(ValueError, match="duplicate point label 'x'"):
+            ModuliSpec(genus=1, rank=2, degree=0, level=2, ell=1, points=(point(), point(alpha=1)))
+        ModuliSpec(genus=1, rank=2, degree=0, level=2, ell=1, points=(point(), point("y")))
+
+    @given(st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 2)), max_size=4))
+    def test_every_constructed_spec_survives_its_json_round_trip(self, pairs):
+        points = tuple(point(label, alpha=alpha) for label, alpha in pairs)
+        try:
+            spec = ModuliSpec(genus=1, rank=2, degree=0, level=2, ell=1, points=points)
+        except ValueError:
+            assert len({label for label, _ in pairs}) < len(pairs)
+            return
+        assert ModuliSpec.from_json_dict(spec.to_json_dict()) == spec
+
+    def test_bad_field_is_reported_before_a_repeated_label(self):
+        data = {
+            "genus": -1, "rank": 2, "degree": 0, "level": 2, "ell": 1,
+            "points": [point().to_json_dict(), point().to_json_dict()],
+        }
+        with pytest.raises(ValueError, match="genus must be a nonnegative integer"):
+            ModuliSpec.from_json_dict(data)
+
     def test_longest_ints_keep_report_values_printable(self):
         top = 10**1000 - 1
         data = {"genus": top, "rank": top, "degree": -top, "level": top, "ell": top, "points": []}
@@ -288,6 +311,11 @@ class TestParabolicDegree:
         with pytest.raises(ValueError, match="level k must be a positive integer, got True"):
             pardeg(0, [], True)
 
+    @pytest.mark.parametrize("degree", [0.1, 1.0, True, "1", None])
+    def test_rejects_non_integer_degree(self, degree):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            pardeg(degree, (), 1)
+
     @given(
         st.integers(min_value=-5, max_value=5),
         st.integers(min_value=1, max_value=4),
@@ -317,6 +345,11 @@ class TestGpsSlope:
     def test_rejects_bool_rank(self):
         with pytest.raises(ValueError, match="rank must be a positive integer, got True"):
             gps_slope(1, 0, True)
+
+    @pytest.mark.parametrize("degree", [0.1, 1.0, True, "1", None])
+    def test_rejects_non_integer_degree(self, degree):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            gps_slope(degree, 0, 1)
 
     @given(
         st.integers(min_value=-10, max_value=10),
