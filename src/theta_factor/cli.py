@@ -37,7 +37,7 @@ from .factorization import (
     mu_indices,
 )
 from .parabolic import MAX_INT_DIGITS, ModuliSpec, _canonical_sha256, _reject_long_ints, check_star
-from .partitions import MAX_ECHO, Partition, _dimension_formula, dim_schur
+from .partitions import MAX_ECHO, Partition, _dimension_formula, _shown, dim_schur
 
 TOOL_NAME = "theta-factor"
 
@@ -79,19 +79,8 @@ class CLIError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage problems; the exit codes here reserve 2
-    # for identity failures, so usage problems become validation errors.
-    # error() quotes long arguments, then long --flag=value values, short.
-    _long_texts = ()
-
-    def parse_known_args(self, args=None, namespace=None):
-        argv = sys.argv[1:] if args is None else args
-        texts = [*argv, *(arg.partition("=")[2] for arg in argv)]
-        self._long_texts = sorted((t for t in texts if len(t) > MAX_ECHO), key=len, reverse=True)
-        return super().parse_known_args(args, namespace)
-
+    # for identity failures, so usage problems become usage errors (exit 1).
     def error(self, message):
-        for text in self._long_texts:
-            message = message.replace(repr(text), _quoted(text)).replace(text, _quoted(text))
         raise CLIError("usage", message)
 
     def add_argument(self, *names, **kwargs):
@@ -103,15 +92,10 @@ class _Parser(argparse.ArgumentParser):
                 try:
                     return _parse_int(text, flag)
                 except ValueError:
-                    raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
+                    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
             kwargs["type"] = parse
         return super().add_argument(*names, **kwargs)
-
-
-def _quoted(text: str) -> str:
-    """repr(text), or for long text the repr of its start and its length."""
-    return repr(text) if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
 
 
 def _read_file(path: str) -> bytes:
@@ -176,7 +160,7 @@ def _int_array(flag: str):
         if not isinstance(data, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in data
         ):
-            raise CLIError("usage", f"{flag} expects a JSON array of integers, got {_quoted(text)}")
+            raise CLIError("usage", f"{flag} expects a JSON array of integers, got {text!r}")
         if any(abs(x) >= 10**MAX_INT_DIGITS for x in data):
             raise _too_long(f"{flag} entry")
         return data
@@ -259,7 +243,7 @@ def _parse_oracle(text: str | None):
         try:
             value = _parse_int(text[len("const:"):], "oracle constant")
         except ValueError as exc:
-            raise CLIError("usage", f"bad oracle constant: {_quoted(text)}") from exc
+            raise CLIError("usage", f"bad oracle constant: {text!r}") from exc
         return (lambda spec: value), f"const:{value}"
     blob = _read_file(text)
     table = _parse_json(blob, f"oracle table {text}")
@@ -288,7 +272,7 @@ def _binomial(n: int, k: int, cap: int) -> int | None:
 def _check_work(what: str, size: int | None, cap: int) -> None:
     """Reject work whose closed-form size is above cap (None: far above)."""
     if size is None or size > cap:
-        estimate = f"more than {cap}" if size is None else size
+        estimate = f"more than {cap}" if size is None else _shown(size)
         raise ValueError(f"{what} would be {estimate}, above the cap of {cap}")
 
 
@@ -341,7 +325,7 @@ def _branch(rank: int, power: int) -> dict:
 def _dims(partition: list, vars: int) -> dict:
     lam = Partition(partition)
     if vars < 0:
-        raise ValueError(f"--vars must be nonnegative, got {vars}")
+        raise ValueError(f"--vars must be nonnegative, got {_shown(vars)}")
     if len(lam) <= vars:
         # every factor has at least one digit, so a factor count above the cap settles it
         _, factors = _dimension_formula(lam, vars)
@@ -625,6 +609,7 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     """Parse arguments, run one subcommand, print its report."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         params = vars(_build_parser().parse_args(argv))
         command = params.pop("command")
@@ -654,6 +639,10 @@ def run(argv=None) -> int:
         return 2 if result.get("all_pass") is False else 0
     except CLIError as err:
         error = {"type": err.kind, "message": str(err)}
+        # a usage message shows each argument, or --flag=value value, that it echoes short
+        texts = [*argv, *(arg.partition("=")[2] for arg in argv)] if err.kind == "usage" else []
+        for text in sorted((t for t in texts if len(t) > MAX_ECHO), key=len, reverse=True):
+            error["message"] = error["message"].replace(repr(text), _shown(text)).replace(text, _shown(text))
     except ValueError as exc:
         error = {"type": "validation", "message": str(exc)}
     sys.stderr.write(json.dumps({"error": error}) + "\n")

@@ -38,7 +38,7 @@ class StratumDatum:
         object.__setattr__(self, "m", m)
         _check_int("r1", self.r1, 1)
         if sum(m) != self.r1:
-            raise ValueError(f"m must sum to r1={self.r1}, got {sum(m)}")
+            raise ValueError(f"m must sum to r1={_shown(self.r1)}, got {_shown(sum(m))}")
 
 
 def _check_split(m, n: FlagType) -> tuple:
@@ -141,11 +141,11 @@ def double_det_dim(a: int, b: int, p: int, q: int, r: int) -> int:
     for name, value in (("a", a), ("b", b), ("p", p), ("q", q), ("r", r)):
         _check_int(name, value, 0)
     if a > min(p, r):
-        raise ValueError(f"need a <= min(p, r): a={a}, p={p}, r={r}")
+        raise ValueError(f"need a <= min(p, r): a={_shown(a)}, p={_shown(p)}, r={_shown(r)}")
     if b > min(q, r):
-        raise ValueError(f"need b <= min(q, r): b={b}, q={q}, r={r}")
+        raise ValueError(f"need b <= min(q, r): b={_shown(b)}, q={_shown(q)}, r={_shown(r)}")
     if a + b > r:
-        raise ValueError(f"need a + b <= r: a={a}, b={b}, r={r}")
+        raise ValueError(f"need a + b <= r: a={_shown(a)}, b={_shown(b)}, r={_shown(r)}")
     return a * (r + p) + b * (r + q) - a * a - b * b - a * b
 
 

@@ -250,7 +250,7 @@ def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
     _check_int("depth", depth, 0)
     lhs, rhs, ok = check_star(spec)
     if not ok:
-        raise ValueError(f"spec fails the balance condition: lhs={lhs} rhs={rhs}")
+        raise ValueError(f"spec fails the balance condition: lhs={_shown(lhs)} rhs={_shown(rhs)}")
     levels = min(depth, spec.genus)
     if levels == 0:
         # a leaf: the mu box, which can be huge, is never enumerated
@@ -309,6 +309,6 @@ def aggregate_dimension(tree: DecompositionTree, leaf_oracle) -> int:
         except Exception as exc:
             raise LeafOracleError(node.spec, exc) from exc
         if not isinstance(value, int) or isinstance(value, bool):
-            raise LeafOracleError(node.spec, f"oracle returned a non-integer: {value!r}")
+            raise LeafOracleError(node.spec, f"oracle returned a non-integer: {_shown(value)}")
         total += value
     return total

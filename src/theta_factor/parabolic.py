@@ -4,7 +4,7 @@ All validation of values happens when they are constructed, so the
 arithmetic operations below never see malformed data.  A child spec made
 by degeneration (ModuliSpec._child) checks nothing: its two new points
 were checked once, with their boundary row.  The from_json_dict readers
-also reject what only a JSON spec can get wrong: unknown keys, repeated point labels, and integers
+also reject what only a JSON spec can get wrong: unknown keys and integers
 longer than MAX_INT_DIGITS digits.  Rationals are exact.
 """
 
@@ -172,11 +172,12 @@ class ModuliSpec:
             raise ValueError(f"points must be MarkedPoint values, got {_shown(pt)}")
         if pt.flag.rank != self.rank:
             raise ValueError(
-                f"point {_shown(pt.label)}: flag multiplicities sum to {pt.flag.rank}, rank is {self.rank}"
+                f"point {_shown(pt.label)}: flag multiplicities sum to {_shown(pt.flag.rank)}, "
+                f"rank is {_shown(self.rank)}"
             )
         if pt.weights[-1] > self.level:
             raise ValueError(
-                f"point {_shown(pt.label)}: weight {pt.weights[-1]} exceeds level {self.level}"
+                f"point {_shown(pt.label)}: weight {_shown(pt.weights[-1])} exceeds level {_shown(self.level)}"
             )
 
     def _child(self, point1, point2) -> "ModuliSpec":
@@ -262,8 +263,7 @@ def _canonical_sha256(value) -> str:
 def _reject_unknown_keys(data: dict, known, where: str) -> None:
     unknown = [key for key in data if key not in known]
     if unknown:
-        names = ", ".join(repr(key) for key in unknown)
-        raise ValueError(f"{where} has unknown key(s) {names}; expected only {', '.join(known)}")
+        raise ValueError(f"{where} has unknown key(s) {_shown(unknown)}; expected only {', '.join(known)}")
 
 
 def _reject_long_ints(values, what: str) -> None:

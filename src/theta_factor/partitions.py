@@ -15,6 +15,7 @@ sequence types such as Partition stay inline.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import accumulate
 
 __all__ = [
@@ -33,8 +34,15 @@ MAX_ECHO = 40
 
 
 def _shown(value) -> str:
-    """repr(value), or for a long one its first MAX_ECHO characters and its length."""
-    text = repr(value)
+    """repr(value), or for a long one the start and the length of it (a str) or of its repr."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= MAX_ECHO else f"{value[:MAX_ECHO]!r}... ({len(value)} characters)"
+    try:
+        text = repr(value)
+    except ValueError:
+        # int refuses to convert more digits than the interpreter's limit
+        holder = "an integer" if isinstance(value, int) else "a value with an integer"
+        return f"{holder} of more than {sys.get_int_max_str_digits()} digits"
     return text if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]}... ({len(text)} characters)"
 
 

@@ -79,10 +79,13 @@ class SchurExpansion:
         return len(self._terms)
 
     def __eq__(self, other):
+        if isinstance(other, dict):
+            try:
+                other = SchurExpansion(other)
+            except (ValueError, TypeError):
+                return False
         if isinstance(other, SchurExpansion):
             return self._terms == other._terms
-        if isinstance(other, dict):
-            return self._terms == {Partition(k): v for k, v in other.items()}
         return NotImplemented
 
     def __repr__(self):

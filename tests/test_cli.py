@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from theta_factor import DecompositionTree, MarkedPoint, ModuliSpec, cli, factorization, parabolic
+from test_cli_golden import CASES as GOLDEN_CASES, EXPECTED as GOLDEN_EXPECTED
 from test_factorization import small_balanced_specs
 
 
@@ -137,7 +139,7 @@ class TestVerifyStar:
         assert len(err.encode()) < 300
         error = json.loads(err)["error"]
         assert error["type"] == "validation"
-        assert message in error["message"] and "(5002 characters)" in error["message"]
+        assert message in error["message"] and "(5000 characters)" in error["message"]
 
     @pytest.mark.parametrize(
         "field,value,message",
@@ -155,7 +157,8 @@ class TestVerifyStar:
         assert len(err.encode()) < 200 and err.count("\n") == 1
         error = json.loads(err)["error"]
         assert error["type"] == "validation"
-        assert message in error["message"] and f"({len(repr(value))} characters)" in error["message"]
+        shown = value if isinstance(value, str) else repr(value)
+        assert message in error["message"] and f"({len(shown)} characters)" in error["message"]
 
     def test_undecodable_bytes_are_a_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -290,7 +293,7 @@ class TestDecompose:
         path.write_text(json.dumps(dict(X_SQUARED, points=[dict(X_SQUARED["points"][0], label=label)])))
         code, out, err = run_cli(capsys, ["decompose", str(path)])
         assert code == 1 and out == ""
-        message = f"point {repr(label)[:40]}... (4305 characters): label level has more than 1000 digits"
+        message = f"point {label[:40]!r}... (4303 characters): label level has more than 1000 digits"
         assert json.loads(err) == {"error": {"type": "validation", "message": message}}
 
     @pytest.mark.parametrize("nested", ["spec", "oracle"])
@@ -1215,3 +1218,67 @@ class TestArgvContract:
     @settings(max_examples=60, deadline=None)
     def test_identities(self, paths, argv):
         self.run(paths, argv)
+
+
+# the longest integer a spec or an integer flag may hold: 1,000 digits
+BIG = 10**999
+POINT = {"label": "p", "flag": [2], "weights": [0], "alpha": 0}
+# argv, and the spec SPEC_ARG names (None: none), of every message the CLI can
+# reach that repeats an input integer or key
+LONG_ECHOES = {
+    "decompose-depth-estimate": (["decompose", SPEC_ARG], dict(SPEC, genus=BIG)),
+    "branch-rank-estimate": (["branch", "--rank", str(BIG), "--power", "1"], None),
+    "identities-rank-estimate": (["identities", "--max-rank", str(BIG)], None),
+    "dims-vars": (["dims", "--partition", "[1]", "--vars", str(-BIG)], None),
+    "balance-lhs-rhs": (["decompose", SPEC_ARG], dict(SPEC, degree=BIG, ell=BIG)),
+    "flag-sum-rank": (["verify-star", SPEC_ARG], dict(SPEC, rank=BIG, points=[dict(POINT, flag=[BIG - 1])])),
+    "weight-level": (["verify-star", SPEC_ARG], dict(SPEC, level=BIG - 1, points=[dict(POINT, weights=[BIG])])),
+    "spec-unknown-key": (["verify-star", SPEC_ARG], dict(SPEC, **{"k" * 5000: 1})),
+    "point-unknown-key": (["verify-star", SPEC_ARG], dict(SPEC, points=[dict(POINT, **{"k" * 5000: 1})])),
+    "schubert-r1": (["codim", "schubert", "--r1", str(BIG), "--n", "[1]", "--m", "[1]"], None),
+    "doubledet-a": (["codim", "doubledet", "--a", str(BIG), "--b", "0", "--p", "1", "--q", "0", "--rank", str(BIG)], None),
+    "doubledet-b": (["codim", "doubledet", "--a", "0", "--b", str(BIG), "--p", "0", "--q", "1", "--rank", str(BIG)], None),
+    "doubledet-sum": (["codim", "doubledet", *(x for flag in ("--a", "--b", "--p", "--q", "--rank") for x in (flag, str(BIG - 1)))], None),
+}
+# usage errors from the golden cases, and text for one of them to echo: it
+# starts with a letter, so it is no option, integer, JSON value or choice,
+# and holds nothing of the "'start'... (N characters)" form a long text takes
+GOLDEN_USAGE = [argv for case_id, argv in GOLDEN_CASES if '"type": "usage"' in GOLDEN_EXPECTED[case_id][2]]
+ECHO_TEXTS = st.builds(
+    str.__add__,
+    st.sampled_from(string.ascii_letters),
+    st.text(string.ascii_letters + string.digits + "_,:[]{}@+", min_size=cli.MAX_ECHO, max_size=400),
+)
+# flags some golden usage case takes, and one none does; --oracle is not
+# among them, since a value for it names a file to read
+ECHO_FLAGS = ["--format", "--rank", "--power", "--vars", "--partition", "--n", "--m", "--depth", "--max", "--colour"]
+
+
+class TestEchoCap:
+    """No error line repeats a long input whole."""
+
+    @pytest.mark.parametrize("argv,spec", LONG_ECHOES.values(), ids=list(LONG_ECHOES))
+    def test_long_input_is_shown_short(self, capsys, tmp_path, argv, spec):
+        path = tmp_path / "spec.json"
+        if spec is not None:
+            path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, [str(path) if arg == SPEC_ARG else arg for arg in argv])
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert len(err.encode()) < 300
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation" and " characters)" in error["message"]
+
+    @given(
+        argv=st.sampled_from(GOLDEN_USAGE),
+        text=ECHO_TEXTS,
+        flag=st.none() | st.sampled_from(ECHO_FLAGS),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_usage_error_shows_a_long_argument_short(self, argv, text, flag, data):
+        arg = text if flag is None else f"{flag}={text}"
+        at = data.draw(st.integers(0, len(argv)))
+        code, _, err = run_contract([*argv[:at], arg, *argv[at:]])
+        assert code == 1 and json.loads(err)["error"]["type"] == "usage"
+        assert len(err.encode()) < 300
+        assert not any(text[i : i + cli.MAX_ECHO + 1] in err for i in range(len(text) - cli.MAX_ECHO))

@@ -97,3 +97,10 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(paths) == len(MODULES) + 2
     for path in paths:
         assert unused_imports(path.read_text()) == [], path.name
+
+
+def test_no_module_asserts():
+    # python -O drops assert statements, so a check the package relies on raises
+    for path in sorted(Path(theta_factor.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == [], path.name

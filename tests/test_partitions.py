@@ -5,6 +5,7 @@ in oracles.py; the sweeps at the bottom re-run the oracle live.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from theta_factor import (
     complement_in_box,
     decompose_rectangular,
     dim_schur,
+    double_det_dim,
     enumerate_in_box,
     gps_codim_bounds,
     mu_to_boundary,
@@ -382,6 +384,35 @@ class TestShown:
     def test_long_value_gives_its_start_and_length(self):
         text = repr(ONES)
         assert _shown(ONES) == f"{text[:MAX_ECHO]}... ({len(text)} characters)"
+
+    @pytest.mark.parametrize("length", [39, 40])
+    def test_str_of_at_most_max_echo_characters_is_its_repr(self, length):
+        assert _shown("x" * length) == repr("x" * length)
+
+    @pytest.mark.parametrize("length", [41, 5000])
+    def test_longer_str_gives_the_repr_of_its_start_and_its_length(self, length):
+        assert _shown("x" * length) == f"'{'x' * MAX_ECHO}'... ({length} characters)"
+
+    def test_other_values_cap_their_repr(self):
+        assert _shown(10**39) == str(10**39)
+        assert _shown(-(10**39)) == "-1" + "0" * 38 + "... (41 characters)"
+        assert _shown(["x" * 41]) == f"['{'x' * 38}... (45 characters)"
+        assert _shown(None) == "None"
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int to str conversion")
+    @pytest.mark.parametrize(
+        "call,name",
+        [(lambda v: dim_schur((), v), "n"), (lambda v: double_det_dim(v, 0, 0, 0, 0), "a")],
+        ids=["dim_schur", "double_det_dim"],
+    )
+    def test_integer_past_the_conversion_limit_is_named(self, call, name):
+        digits = sys.get_int_max_str_digits()
+        huge = -(10**5000)
+        assert _shown(huge) == f"an integer of more than {digits} digits"
+        assert _shown((1, huge)) == f"a value with an integer of more than {digits} digits"
+        with pytest.raises(ValueError) as info:
+            call(huge)
+        assert str(info.value) == f"{name} must be a nonnegative integer, got an integer of more than {digits} digits"
 
     @pytest.mark.parametrize("call", LONG_INPUTS.values(), ids=list(LONG_INPUTS))
     def test_messages_show_long_inputs_short(self, call):

@@ -529,6 +529,13 @@ class TestSchurExpansion:
         assert exp == {Partition((1,)): 1}
         assert exp != {Partition((1,)): 2}
 
+    def test_equality_reads_a_dict_as_the_constructor_does(self):
+        exp = SchurExpansion({(1,): 1})
+        assert exp == {(1, 0): 1} and exp != {(1,): 2}
+        # dicts the constructor rejects: two keys for (1,), in either order, and bad keys or values
+        for other in ({(1,): 2, (1, 0): 1}, {(1, 0): 1, (1,): 2}, {"x": 1}, {1: 1}, {(1,): 0}, {(1,): True}):
+            assert exp != other and not exp == other
+
     def test_trailing_zero_keys(self):
         exp = SchurExpansion({(2, 1, 0): 1, (3, 0, 0): 2})
         assert exp.terms == {Partition((2, 1)): 1, Partition((3,)): 2}
