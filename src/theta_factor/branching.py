@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Partition, _check_int, _shown, box_count, dim_schur, enumerate_in_box
+from .partitions import Partition, _check_int, box_count, dim_schur, enumerate_in_box
 
 __all__ = [
     "BranchingTable",
     "decompose_rectangular",
-    "mu_to_highest_weight",
     "verify_branching_identity",
 ]
 
@@ -77,24 +76,3 @@ def verify_branching_identity(r: int, m: int):
     rhs = sum over the box of dim_left * dim_right.
     """
     return decompose_rectangular(r, m).identity()
-
-
-def mu_to_highest_weight(mu, r: int):
-    """Coefficients of mu on the fundamental weights of GL(r).
-
-    Returns pairs (i, mu_i - mu_{i+1}) for i < r and (r, mu_r), dropping
-    zero coefficients.
-    """
-    mu = Partition(mu)
-    _check_int("r", r, 1)
-    if len(mu) > r:
-        raise ValueError(f"{_shown(tuple(mu))} has more than {r} parts")
-    padded = mu.padded(r)
-    out = []
-    for i in range(r - 1):
-        c = padded[i] - padded[i + 1]
-        if c:
-            out.append((i + 1, c))
-    if padded[r - 1]:
-        out.append((r, padded[r - 1]))
-    return out

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, product
 
 from . import __version__
 from .branching import decompose_rectangular, verify_branching_identity
@@ -256,7 +256,7 @@ def _parse_oracle(text: str | None):
     def lookup(spec: ModuliSpec) -> int:
         digest = spec.sha256()
         if digest not in table:
-            raise ValueError(f"no oracle entry for leaf {digest}")
+            raise ValueError("no oracle entry")
         return table[digest]
 
     return lookup, f"table:{hashlib.sha256(blob).hexdigest()}"
@@ -382,12 +382,10 @@ def _balance_worker(r: int, max_level: int):
 
 
 def _compositions(total: int):
-    if total == 0:
-        yield ()
-        return
-    for head in range(1, total + 1):
-        for rest in _compositions(total - head):
-            yield (head,) + rest
+    """The compositions of total >= 1, ordered by first part, then by the rest; a 1 in cuts ends a part."""
+    for cuts in product((1, 0), repeat=total - 1):
+        ends = [cell for cell, cut in enumerate(cuts, 1) if cut] + [total]
+        yield tuple(b - a for a, b in zip([0] + ends, ends))
 
 
 def _balance_cases(max_rank: int, max_level: int) -> int | None:
@@ -649,8 +647,7 @@ def run(argv=None) -> int:
     return 1
 
 
-def main(argv=None) -> int:
-    return run(argv)
+main = run
 
 
 if __name__ == "__main__":

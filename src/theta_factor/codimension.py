@@ -174,7 +174,7 @@ def telescoping_check(flag: FlagType) -> bool:
     """
     flag = FlagType(flag)
     r = flag.rank
-    sums = flag.partial_sums()
+    sums = partial_sums(flag)
     value = r * (flag[-1] - r) + sum(
         sums[i] * (flag[i] + flag[i + 1]) for i in range(len(flag) - 1)
     )

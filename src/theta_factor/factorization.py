@@ -278,10 +278,13 @@ def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
 
 
 class LeafOracleError(RuntimeError):
-    """The leaf oracle rejected a spec; the offending spec is attached."""
+    """The leaf oracle rejected a spec; the offending spec is attached.
+
+    The message names the leaf by its sha256, which decompose --format csv maps to its mu path.
+    """
 
     def __init__(self, spec: ModuliSpec, reason):
-        super().__init__(f"leaf oracle failed on {spec.canonical_json()}: {reason}")
+        super().__init__(f"leaf oracle failed on leaf {spec.sha256()}: {reason}")
         self.spec = spec
 
 

@@ -5,7 +5,7 @@ arithmetic operations below never see malformed data.  A child spec made
 by degeneration (ModuliSpec._child) checks nothing: its two new points
 were checked once, with their boundary row.  The from_json_dict readers
 also reject what only a JSON spec can get wrong: unknown keys and integers
-longer than MAX_INT_DIGITS digits.  Rationals are exact.
+longer than MAX_INT_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul, sub
 
-from .partitions import _check_int, _shown, partial_sums
+from .partitions import _check_int, _shown
 
 __all__ = [
     "FlagType",
@@ -25,8 +24,6 @@ __all__ = [
     "ModuliSpec",
     "WeightVector",
     "check_star",
-    "gps_slope",
-    "pardeg",
 ]
 
 # The largest number of decimal digits of an integer in a JSON spec.  The
@@ -55,15 +52,6 @@ class FlagType(tuple):
     def rank(self) -> int:
         return sum(self)
 
-    @property
-    def steps(self) -> int:
-        """The number l of proper subspaces in the flag."""
-        return len(self) - 1
-
-    def partial_sums(self) -> tuple[int, ...]:
-        """r_i = n_1 + ... + n_i for i = 1..l+1."""
-        return partial_sums(self)
-
 
 class WeightVector(tuple):
     """Strictly increasing nonnegative integer weights (a_1, ..., a_{l+1})."""
@@ -81,10 +69,6 @@ class WeightVector(tuple):
         if any(x >= y for x, y in zip(weights, weights[1:])):
             raise ValueError(f"weights must be strictly increasing: {_shown(weights)}")
         return super().__new__(cls, weights)
-
-    def differences(self) -> tuple[int, ...]:
-        """d_i = a_{i+1} - a_i for i = 1..l."""
-        return tuple(b - a for a, b in zip(self, self[1:]))
 
 
 @dataclass(frozen=True)
@@ -243,9 +227,6 @@ class ModuliSpec:
         points = tuple(MarkedPoint.from_json_dict(p) for p in points)
         return cls(**fields, points=points)
 
-    def canonical_json(self) -> str:
-        return _canonical_json(self.to_json_dict())
-
     def sha256(self) -> str:
         return _canonical_sha256(self.to_json_dict())
 
@@ -286,21 +267,3 @@ def check_star(spec: ModuliSpec):
         lhs += pt.star_term() + r * pt.alpha
     rhs = spec.level * spec.derived_n()
     return lhs, rhs, lhs == rhs
-
-
-def pardeg(degree: int, points, k: int) -> Fraction:
-    """Parabolic degree: degree + (1/k) * sum over points of sum_i n_i * a_i."""
-    _check_int("degree", degree)
-    _check_int("level k", k, 1)
-    total = Fraction(degree)
-    for pt in points:
-        total += Fraction(sum(n * a for n, a in zip(pt.flag, pt.weights)), k)
-    return total
-
-
-def gps_slope(degree: int, q_dim: int, rank: int) -> Fraction:
-    """Slope (degree - q_dim) / rank of a generalized parabolic sheaf."""
-    _check_int("degree", degree)
-    _check_int("rank", rank, 1)
-    _check_int("quotient dimension", q_dim, 0)
-    return Fraction(degree - q_dim, rank)

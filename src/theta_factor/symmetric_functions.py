@@ -11,7 +11,6 @@ calls the other, and tests insist the two agree.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
 from .partitions import Partition, _shown, complement_in_box
@@ -62,10 +61,6 @@ class SchurExpansion:
             terms[p] = coeff
         return expansion
 
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
     def coefficient(self, p) -> int:
         return self._terms.get(Partition(p), 0)
 
@@ -91,13 +86,6 @@ class SchurExpansion:
     def __repr__(self):
         inner = ", ".join(f"{tuple(k)!r}: {v}" for k, v in self._terms.items())
         return f"SchurExpansion({{{inner}}})"
-
-    def to_json_dict(self) -> dict:
-        """Keys are JSON arrays of parts, e.g. {"[2,1]": 1}."""
-        return {
-            json.dumps(list(k), separators=(",", ":")): v
-            for k, v in self._terms.items()
-        }
 
 
 def _skew_shape(lam, mu):

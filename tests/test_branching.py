@@ -3,7 +3,6 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from theta_factor import branching
 from theta_factor import (
@@ -11,8 +10,6 @@ from theta_factor import (
     Partition,
     complement_in_box,
     decompose_rectangular,
-    dim_schur,
-    mu_to_highest_weight,
     verify_branching_identity,
 )
 
@@ -94,41 +91,3 @@ class TestBranchingIdentity:
         table = BranchingTable(1, 1, ((Partition(()), 1, 1), (Partition((1,)), 2, 3)))
         assert table.product_sum() == 7
 
-
-class TestHighestWeight:
-    def test_zero_weight(self):
-        assert mu_to_highest_weight(Partition(()), 3) == []
-
-    def test_determinant_power(self):
-        assert mu_to_highest_weight(Partition((2, 2, 2)), 3) == [(3, 2)]
-
-    def test_successive_differences(self):
-        assert mu_to_highest_weight(Partition((3, 3, 1, 0)), 4) == [(2, 2), (3, 1)]
-
-    def test_rejects_overlong(self):
-        with pytest.raises(ValueError):
-            mu_to_highest_weight(Partition((1, 1, 1)), 2)
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4),
-        st.integers(min_value=1, max_value=3),
-    )
-    def test_determinant_twist_shifts_only_last_index(self, rows, c):
-        mu = Partition(sorted(rows, reverse=True))
-        r = 4
-        base = dict(mu_to_highest_weight(mu, r))
-        twisted = dict(mu_to_highest_weight(Partition(tuple(p + c for p in mu.padded(r))), r))
-        assert twisted.pop(r, 0) - base.pop(r, 0) == c
-        assert twisted == base
-
-    def test_reconstructs_dimension_consistently(self):
-        # the weight list determines mu up to the stated rank
-        mu = Partition((4, 2, 2, 1))
-        pairs = dict(mu_to_highest_weight(mu, 4))
-        rebuilt = []
-        total = 0
-        for i in range(4, 0, -1):
-            total += pairs.get(i, 0)
-            rebuilt.append(total)
-        assert Partition(tuple(reversed(rebuilt))) == mu
-        assert dim_schur(mu, 4) == dim_schur(Partition(tuple(reversed(rebuilt))), 4)

@@ -226,6 +226,19 @@ class TestDecompose:
         assert error["type"] == "validation"
         assert "no oracle entry" in error["message"]
 
+    def test_missing_leaf_is_named_by_its_digest(self, capsys, tmp_path):
+        # the leaf's spec repeats a 5,000-character label; its sha256 names it short
+        spec_path, table_path = tmp_path / "spec.json", tmp_path / "table.json"
+        spec_path.write_text(json.dumps(dict(X_SQUARED, points=[dict(X_SQUARED["points"][0], label="p" * 5000)])))
+        table_path.write_text("{}")
+        _, out, _ = run_cli(capsys, ["decompose", str(spec_path), "--format", "csv"])
+        ((_, _, digest),) = csv.reader(out.splitlines()[4:])
+        code, out, err = run_cli(capsys, ["decompose", str(spec_path), "--oracle", str(table_path)])
+        assert code == 1 and out == ""
+        assert len(err.encode()) < 300
+        message = f"leaf oracle failed on leaf {digest}: no oracle entry"
+        assert json.loads(err) == {"error": {"type": "validation", "message": message}}
+
     def test_csv_lists_leaves(self, capsys, spec_file):
         code, out, _ = run_cli(
             capsys, ["decompose", str(spec_file), "--depth", "1", "--format", "csv"]
@@ -380,6 +393,9 @@ class TestDims:
         [
             ("-" + "1" * 5000, "--vars has more than 1000 digits"),
             (" +" + "1_0" * 2500 + " ", "--vars has more than 1000 digits"),
+            # int() rejects the double underscore, and 1,000 digits are not over the cap
+            pytest.param("1" * 500 + "__" + "1" * 500, "argument --vars: invalid int value: ",
+                         id="1000-digits-not-an-integer"),
             # long, but not an integer: argparse's wording
             ("1" * 5000 + "x", "argument --vars: invalid int value: "),
         ],
@@ -433,6 +449,9 @@ class TestDims:
                              "above the cap of 100000"),
             # under the cap, but the answer has 5,403 digits
             ([5000], 20000, f"dims dimension has more than {sys.get_int_max_str_digits()} digits"),
+            # exactly --vars parts: 30,000 hook content factors of up to 5 digits
+            ([1] * 30000, 30000, "dims numerator digit count would be 150000, "
+                                 "above the cap of 100000"),
         ],
     )
     def test_work_and_size_caps(self, capsys, partition, vars, message):
@@ -477,6 +496,16 @@ class TestCodim:
         result = json.loads(out)["result"]
         assert result["h_minus_ss"] == 5 and result["nonstable"] == 4
 
+    @pytest.mark.parametrize(
+        "kind,names", [("quot", ["ss_minus_s", "f_minus_ss"]), ("gps", ["h_minus_ss", "nonstable"])]
+    )
+    def test_rank_one_tables(self, capsys, kind, names):
+        # rank 1 is the least rank the bound tables take
+        code, out, _ = run_cli(capsys, ["codim", kind, "--rank", "1", "--genus-tilde", "2", "--points", "1"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert [result[name] for name in names] == [1, 1]
+
     def test_doubledet(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -513,6 +542,30 @@ class TestIdentities:
         )
         assert code == 0
         assert "all identities hold" in out
+
+    def test_compositions_in_recursive_order(self):
+        def reference(total):
+            if total == 0:
+                yield ()
+                return
+            for head in range(1, total + 1):
+                for rest in reference(total - head):
+                    yield (head,) + rest
+
+        for total in range(1, 11):
+            assert list(cli._compositions(total)) == list(reference(total)), total
+
+    def test_telescoping_sweep_lists_every_flag_in_order(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, ["identities", "--max-rank", "1", "--max-level", "1"])
+        assert code == 0
+        assert json.loads(out)["result"]["sweeps"][1]["cases"] == 255
+        # every flag failing: the failures are the compositions of 1..8, in order
+        monkeypatch.setattr(cli, "telescoping_check", lambda flag: False)
+        code, out, _ = run_cli(capsys, ["identities", "--max-rank", "1", "--max-level", "1"])
+        assert code == 2
+        failures = json.loads(out)["result"]["sweeps"][1]["failures"]
+        assert [f["flag"] for f in failures] == [list(c) for r in range(1, 9) for c in cli._compositions(r)]
+        assert failures[:3] == [{"flag": [1]}, {"flag": [1, 1]}, {"flag": [2]}]
 
     def test_failure_exits_two(self, capsys, monkeypatch):
         # one case and one failure per (rank, level), in level order

@@ -528,7 +528,7 @@ EXPECTED = {
     'decompose-empty-table': (
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         1,
-        '{"error": {"type": "validation", "message": "leaf oracle failed on {\\"degree\\":4,\\"ell\\":3,\\"genus\\":1,\\"level\\":3,\\"points\\":[{\\"alpha\\":0,\\"flag\\":[2],\\"label\\":\\"x1@1\\",\\"weights\\":[0]},{\\"alpha\\":3,\\"flag\\":[2],\\"label\\":\\"x2@1\\",\\"weights\\":[0]}],\\"rank\\":2}: no oracle entry for leaf 3cf7c4ed373e2335b02513a146c3bb3ad405a9d597869c0f1f8f7250b690ff68"}}\n',
+        '{"error": {"type": "validation", "message": "leaf oracle failed on leaf 3cf7c4ed373e2335b02513a146c3bb3ad405a9d597869c0f1f8f7250b690ff68: no oracle entry"}}\n',
     ),
     'decompose-bool-table': (
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',

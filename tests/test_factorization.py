@@ -24,8 +24,14 @@ from theta_factor import (
     degenerate,
     mu_indices,
     mu_to_boundary,
+    partial_sums,
     verify_boundary_balance,
 )
+
+
+def differences(weights):
+    """d_i = a_{i+1} - a_i for i = 1..l."""
+    return tuple(b - a for a, b in zip(weights, weights[1:]))
 
 
 @st.composite
@@ -175,8 +181,8 @@ class TestMuToBoundary:
         assert tuple(p1.weights) == (0, 2, 3)
         assert p1.alpha == 0
         assert tuple(p2.flag) == (1, 1, 2)
-        assert p2.flag.partial_sums()[:2] == (1, 2)
-        assert tuple(p2.weights.differences()) == (1, 2)
+        assert partial_sums(p2.flag)[:2] == (1, 2)
+        assert differences(p2.weights) == (1, 2)
         assert p2.alpha == 4 - 3
 
     def test_single_jump(self):
@@ -205,6 +211,11 @@ class TestMuToBoundary:
         with pytest.raises(BoxViolationError):
             mu_to_boundary(Partition((3,)), 2, 3)
 
+    def test_box_violation_names_the_box(self):
+        with pytest.raises(BoxViolationError) as info:
+            mu_to_boundary(Partition((3,)), 2, 3)
+        assert str(info.value) == "(3,) is not in the 2x2 box"
+
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_reversal_relations(self, data):
@@ -213,10 +224,10 @@ class TestMuToBoundary:
         rows = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=r))
         mu = Partition(sorted(rows, reverse=True))
         bdry = mu_to_boundary(mu, r, k)
-        s1 = bdry.point1.flag.partial_sums()[:-1]
-        s2 = bdry.point2.flag.partial_sums()[:-1]
-        d1 = bdry.point1.weights.differences()
-        d2 = bdry.point2.weights.differences()
+        s1 = partial_sums(bdry.point1.flag)[:-1]
+        s2 = partial_sums(bdry.point2.flag)[:-1]
+        d1 = differences(bdry.point1.weights)
+        d2 = differences(bdry.point2.weights)
         assert tuple(s2) == tuple(r - s for s in reversed(s1))
         assert tuple(d2) == tuple(reversed(d1))
         padded = mu.padded(r)
@@ -833,8 +844,8 @@ class TestAggregate:
         with pytest.raises(LeafOracleError) as info:
             aggregate_dimension(tree, broken)
         assert info.value.spec.genus == 0
-        # the leaf is stated once, as its canonical JSON
-        assert str(info.value) == f"leaf oracle failed on {info.value.spec.canonical_json()}: 'missing'"
+        # the leaf is stated once, as its sha256
+        assert str(info.value) == f"leaf oracle failed on leaf {info.value.spec.sha256()}: 'missing'"
 
     def test_oracle_own_failure_passes_unwrapped(self):
         tree = build_tree(balanced_spec(genus=1, rank=1, level=2, ell=2), 1)

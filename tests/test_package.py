@@ -9,27 +9,31 @@ from theta_factor import branching, codimension, factorization, parabolic, parti
 
 MODULES = (branching, codimension, factorization, parabolic, partitions, symmetric_functions)
 
-# what the package exported when __init__ listed its names by hand, and
-# boundary_levels, which factorization.__all__ had and that list missed
+# the package's public names; each one is read somewhere outside the unit
+# tests (test_every_public_name_is_read)
 EXPORTED = [
     "BoundaryData", "BoxViolationError", "BranchingTable", "ContainmentError",
     "DecompositionTree", "FlagType", "LeafOracleError", "MarkedPoint", "ModuliSpec",
     "Partition", "SchurExpansion", "StratumDatum", "WeightVector", "__version__",
-    "aggregate_dimension", "box_count", "build_tree", "check_star", "complement_in_box",
-    "complete_intersection_height", "decompose_rectangular", "degenerate", "dim_schur",
-    "double_det_dim", "enumerate_in_box", "gps_codim_bounds", "gps_slope", "lr_coefficient",
-    "lr_expand", "mu_indices", "mu_to_boundary", "mu_to_highest_weight", "pardeg",
-    "partial_sums", "partitions_of", "quot_codim_bounds", "rectangular_lr_is_delta",
-    "schubert_codim", "skew_schur_expand", "stability_gap", "telescoping_check",
-    "verify_boundary_balance", "verify_branching_identity",
+    "aggregate_dimension", "boundary_levels", "box_count", "build_tree", "check_star",
+    "complement_in_box", "complete_intersection_height", "decompose_rectangular", "degenerate",
+    "dim_schur", "double_det_dim", "enumerate_in_box", "gps_codim_bounds", "lr_coefficient",
+    "lr_expand", "mu_indices", "mu_to_boundary", "partial_sums", "partitions_of",
+    "quot_codim_bounds", "rectangular_lr_is_delta", "schubert_codim", "skew_schur_expand",
+    "stability_gap", "telescoping_check", "verify_boundary_balance", "verify_branching_identity",
 ]
+
+# The files whose reads keep a public name: the package, the demos, the
+# benchmark and the acceptance test.  A name only its unit tests read has no
+# caller, and goes.
+READERS = ("src/theta_factor/*.py", "demos/*.py", "bench/*.py", "tests/test_acceptance.py")
 
 
 def test_all_is_the_module_lists_joined():
     names = theta_factor.__all__
     assert names == [name for module in MODULES for name in module.__all__] + ["__version__"]
     assert len(set(names)) == len(names)
-    assert sorted(names) == sorted(EXPORTED + ["boundary_levels"])
+    assert sorted(names) == sorted(EXPORTED)
 
 
 def test_each_name_is_its_module_object():
@@ -53,6 +57,38 @@ def test_init_defines_only_the_version_and_the_list():
             # only the docstring
             assert isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
     assert defined == ["__version__", "__all__"]
+
+
+def loaded_names(source: str) -> set[str]:
+    """The names and attribute names that source reads (a Load, not a store or an import)."""
+    loaded = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+    return loaded
+
+
+def test_loaded_names_are_found():
+    source = (
+        "from .a import imported\n"
+        "__all__ = ['listed']\n"
+        "stored = module.attribute(called())\n"
+        "module.assigned = stored\n"
+    )
+    assert loaded_names(source) == {"module", "attribute", "called", "stored"}
+
+
+def test_every_public_name_is_read():
+    root = Path(__file__).resolve().parent.parent
+    read = set()
+    for pattern in READERS:
+        paths = sorted(root.glob(pattern))
+        assert paths, pattern
+        for path in paths:
+            read |= loaded_names(path.read_text())
+    assert [name for name in theta_factor.__all__ if name != "__version__" and name not in read] == []
 
 
 def unused_imports(source: str) -> list[str]:

@@ -20,6 +20,7 @@ from theta_factor import (
     StratumDatum,
     WeightVector,
     box_count,
+    build_tree,
     complement_in_box,
     decompose_rectangular,
     dim_schur,
@@ -27,7 +28,6 @@ from theta_factor import (
     enumerate_in_box,
     gps_codim_bounds,
     mu_to_boundary,
-    mu_to_highest_weight,
     partial_sums,
     partitions_of,
     quot_codim_bounds,
@@ -369,7 +369,6 @@ LONG_INPUTS = {
     "schubert m": lambda: StratumDatum(5000, ONES, (2,) + ONES[1:]),
     "schubert entries": lambda: StratumDatum(5000, ONES, (-1,) + ONES[1:]),
     "stability n": lambda: stability_gap((0,) * 5000, (0,) * 5000, ONES),
-    "highest weight": lambda: mu_to_highest_weight(ONES, 2),
     "boundary": lambda: mu_to_boundary(ONES, 2, 3),
     "skew shape": lambda: skew_schur_expand((1,), ONES),
     "expansion": lambda: SchurExpansion({ONES: 0}),
@@ -456,7 +455,6 @@ INT_ARGUMENTS = {
     "gps_codim_bounds g_tilde": (gps_codim_bounds, (2, 1, True), 1, True),
     "quot_codim_bounds r": (quot_codim_bounds, (2, 1, True), 0, True),
     "quot_codim_bounds g_tilde": (quot_codim_bounds, (2, 1, True), 1, True),
-    "mu_to_highest_weight r": (mu_to_highest_weight, ((1,), 2), 1, True),
     "dim_schur n": (dim_schur, ((2,), 2), 1, True),
     "enumerate_in_box r": (drained(enumerate_in_box), (2, 2), 0, True),
     "enumerate_in_box m": (drained(enumerate_in_box), (2, 2), 1, True),
@@ -466,6 +464,18 @@ INT_ARGUMENTS = {
     "box_count m": (box_count, (2, 2), 1, True),
     "decompose_rectangular rank": (decompose_rectangular, (2, 1), 0, True),
     "decompose_rectangular power": (decompose_rectangular, (2, 1), 1, True),
+    "double_det_dim a": (double_det_dim, (1, 1, 2, 2, 2), 0, True),
+    "double_det_dim b": (double_det_dim, (1, 1, 2, 2, 2), 1, True),
+    "double_det_dim p": (double_det_dim, (1, 1, 2, 2, 2), 2, True),
+    "double_det_dim q": (double_det_dim, (1, 1, 2, 2, 2), 3, True),
+    "double_det_dim r": (double_det_dim, (1, 1, 2, 2, 2), 4, True),
+    "StratumDatum r1": (StratumDatum, (2, (1, 1), (1, 1)), 0, True),
+    "ModuliSpec genus": (ModuliSpec, (1, 2, 1, 2, 1), 0, True),
+    "ModuliSpec rank": (ModuliSpec, (1, 2, 1, 2, 1), 1, True),
+    "ModuliSpec degree": (ModuliSpec, (1, 2, 1, 2, 1), 2, False),
+    "ModuliSpec level": (ModuliSpec, (1, 2, 1, 2, 1), 3, True),
+    "ModuliSpec ell": (ModuliSpec, (1, 2, 1, 2, 1), 4, True),
+    "build_tree depth": (build_tree, (ModuliSpec(1, 2, 1, 2, 1), 1), 1, True),
 }
 
 
