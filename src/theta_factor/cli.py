@@ -276,24 +276,23 @@ def _check_work(what: str, size: int | None, cap: int) -> None:
         raise ValueError(f"{what} would be {estimate}, above the cap of {cap}")
 
 
-def _tree_size(spec: ModuliSpec, depth: int) -> tuple[int, int]:
-    """(nodes, leaves) of build_tree(spec, depth), in closed form once the caps pass."""
+def _check_tree_size(spec: ModuliSpec, depth: int) -> None:
+    """Reject build_tree(spec, depth) above the caps, from closed forms, before it is built."""
     levels = min(depth, spec.genus)
     if levels < 1:
-        return 1, 1
+        return
     _check_work("decompose rank", spec.rank, MAX_RANK)
     _check_work("decompose tree depth", levels, MAX_TREE_DEPTH)
     n = _binomial(spec.rank + spec.level - 1, spec.rank, MAX_TREE_NODES)
     # a tree with one level has 1 + n nodes, so n above the cap settles it
     nodes = None if n is None or n > MAX_TREE_NODES else sum(n**i for i in range(levels + 1))
     _check_work("decompose node count", nodes, MAX_TREE_NODES)
-    return nodes, n**levels
 
 
 def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
     depth = spec.genus if depth is None else depth
     leaf_value, oracle_desc = _parse_oracle(oracle)
-    nodes, leaves = _tree_size(spec, depth)
+    _check_tree_size(spec, depth)
     tree = build_tree(spec, depth)
     aggregate = None
     if leaf_value is not None:
@@ -305,8 +304,8 @@ def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
     return {
         "depth": depth,
         "oracle": oracle_desc,
-        "nodes": nodes,
-        "leaves": leaves,
+        "nodes": tree.node_count(),
+        "leaves": tree.leaf_count(),
         "aggregate": aggregate,
         "tree": tree,
     }
@@ -637,12 +636,12 @@ def run(argv=None) -> int:
         return 2 if result.get("all_pass") is False else 0
     except CLIError as err:
         error = {"type": err.kind, "message": str(err)}
-        # a usage message shows each argument, or --flag=value value, that it echoes short
-        texts = [*argv, *(arg.partition("=")[2] for arg in argv)] if err.kind == "usage" else []
-        for text in sorted((t for t in texts if len(t) > MAX_ECHO), key=len, reverse=True):
-            error["message"] = error["message"].replace(repr(text), _shown(text)).replace(text, _shown(text))
     except ValueError as exc:
         error = {"type": "validation", "message": str(exc)}
+    # a message, of any type, shows each argument or --flag=value value it repeats short: a path too
+    texts = [*argv, *(arg.partition("=")[2] for arg in argv)]
+    for text in sorted((t for t in texts if len(t) > MAX_ECHO), key=len, reverse=True):
+        error["message"] = error["message"].replace(repr(text), _shown(text)).replace(text, _shown(text))
     sys.stderr.write(json.dumps({"error": error}) + "\n")
     return 1
 

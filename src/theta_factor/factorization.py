@@ -8,8 +8,8 @@ attaches those two points; iterating yields a decomposition tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 from .parabolic import MAX_INT_DIGITS, FlagType, MarkedPoint, ModuliSpec, WeightVector, check_star
 from .partitions import BoxViolationError, Partition, _check_int, _shown, enumerate_in_box
@@ -62,16 +62,6 @@ def mu_indices(r: int, k: int):
     return enumerate_in_box(r, k - 1)
 
 
-def _validate_mu(mu, r: int, k: int) -> Partition:
-    # a Partition, as mu_indices makes, passes through unchecked
-    mu = Partition(mu)
-    _check_int("rank", r, 1)
-    _check_int("level", k, 1)
-    if not mu.fits_in_box(r, k - 1):
-        raise BoxViolationError(f"{_shown(tuple(mu))} is not in the {r}x{k - 1} box")
-    return mu
-
-
 def boundary_levels(mu, r: int, levels, labels=("x1", "x2")):
     """Yield the BoundaryData mu induces at rank r for each level k in levels.
 
@@ -82,13 +72,24 @@ def boundary_levels(mu, r: int, levels, labels=("x1", "x2")):
     (so the reversed flag) and jumps d_{l-i+1}, with the same base weight
     mu_r.  Alphas are mu_r and k - mu_1.  A constant mu has no jumps: both
     points carry the trivial flag (r) and the single weight mu_r.  Only
-    that alpha depends on k: mu is checked once, in the smallest level's
-    box, and only the second MarkedPoint is made once per level.
+    that alpha depends on k: every level is checked, mu once, in the
+    smallest level's box, and only the second MarkedPoint is made once per
+    level.
     """
     levels = tuple(levels)
     if not levels:
         return
-    mu = _validate_mu(mu, r, min(levels))
+    # a Partition, as mu_indices makes, passes through unchecked
+    mu = Partition(mu)
+    _check_int("rank", r, 1)
+    # one pass over the types in C; _check_int names the first level that is not an int
+    if not set(map(type, levels)) <= {int}:
+        for k in levels:
+            _check_int("level", k, 1)
+    k = min(levels)
+    _check_int("level", k, 1)
+    if not mu.fits_in_box(r, k - 1):
+        raise BoxViolationError(f"{_shown(tuple(mu))} is not in the {r}x{k - 1} box")
     padded = mu.padded(r)
     base = padded[-1]
     positions = [i for i in range(1, r) if padded[i - 1] > padded[i]]
@@ -142,52 +143,62 @@ def degenerate(spec: ModuliSpec):
     return [(mu, child.spec) for mu, child in build_tree(spec, 1).children]
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class DecompositionTree:
-    """A recursion tree: specs at nodes, mu labels on edges.
+    """The degeneration tree of spec to depth min(depth, spec.genus).
 
-    children is an ordered tuple of (mu, subtree) pairs, empty at leaves.
-    Nodes have slots.  walk is the one traversal that carries mu paths, on
-    an explicit stack, so a tree of any depth works; the counts, ==, hash,
-    repr and to_json_dict read it.  aggregate_dimension keeps a path-free
-    loop, measured faster.  == matches the dataclass method on (spec,
-    children), hash agrees with ==, and repr is the dataclass text.
+    Every node at tree level d gains the same two boundary points, labeled
+    x1@L, x2@L with L = _next_label_level(spec.points) + d, so the tree is
+    fixed by its root spec, its mus (mu_indices order, () at a leaf) and
+    its rows: per level, the BoundaryData of each mu.  Making a tree checks
+    depth, the root's balance and each row point once, against spec; the
+    boundary-balance identity (verify_boundary_balance) keeps every node
+    balanced.  A leaf never enumerates the mu box.
+
+    Nodes below the root are made, unchecked, as children is read; each is
+    the tree DecompositionTree(node.spec, remaining depth) makes.  ==, hash
+    and repr are the dataclass methods, flat at any depth; walk is the one
+    traversal that carries mu paths, on an explicit stack.
     """
 
     spec: ModuliSpec
-    children: tuple = ()
+    depth: int
+    mus: tuple = field(init=False, repr=False)
+    rows: tuple = field(init=False, repr=False)
 
-    def _shape(self) -> list:
-        """(node class, spec, child mus) for every node of walk(); it fixes the tree."""
-        return [
-            (node.__class__, node.spec, tuple(mu for mu, _ in node.children))
-            for _, _, node in self.walk()
-        ]
+    def __post_init__(self):
+        spec = self.spec
+        _check_int("depth", self.depth, 0)
+        lhs, rhs, ok = check_star(spec)
+        if not ok:
+            raise ValueError(f"spec fails the balance condition: lhs={_shown(lhs)} rhs={_shown(rhs)}")
+        depth = min(self.depth, spec.genus)
+        mus, rows = (), ()
+        if depth:
+            mus = tuple(mu_indices(spec.rank, spec.level))
+            first = _next_label_level(spec.points)
+            labels = [(f"x1@{level}", f"x2@{level}") for level in range(first, first + depth)]
+            rows = tuple(tuple(mu_to_boundary(mu, spec.rank, spec.level, xs) for mu in mus) for xs in labels)
+            # every node that takes a row has spec's rank and level, so ModuliSpec._child checks nothing
+            for data in chain.from_iterable(rows):
+                spec._check_point(data.point1)
+                spec._check_point(data.point2)
+        _set_fields(self, spec, depth, mus, rows)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._shape() == other._shape()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._shape()))
-
-    def __repr__(self) -> str:
-        # closing[d] ends the open node at depth d and, below the root, its item
-        out, closing = [], []
-        for depth, path, node in self.walk():
-            out += reversed(closing[depth:])
-            if path:
-                # a first child comes right after its parent, one level up
-                out.append(f"{', ' if len(closing) > depth else ''}({path[-1]!r}, ")
-            del closing[depth:]
-            out.append(f"{node.__class__.__qualname__}(spec={node.spec!r}, children=(")
-            closing.append(("," if len(node.children) == 1 else "") + "))" + (")" if path else ""))
-        out += reversed(closing)
-        return "".join(out)
+    @property
+    def children(self) -> tuple:
+        """(mu, subtree) pairs in mus order, () at a leaf."""
+        if not self.depth:
+            return ()
+        spec, depth = self.spec, self.depth - 1
+        below = (depth, self.mus if depth else (), self.rows[1:])
+        return tuple(
+            (mu, _set_fields(object.__new__(DecompositionTree), spec._child(data.point1, data.point2), *below))
+            for mu, data in zip(self.mus, self.rows[0])
+        )
 
     def is_leaf(self) -> bool:
-        return not self.children
+        return not self.depth
 
     def walk(self):
         """Yield (depth, mu path, node) for every node, preorder."""
@@ -195,86 +206,54 @@ class DecompositionTree:
         while stack:
             depth, path, node = stack.pop()
             yield depth, path, node
-            for mu, child in reversed(node.children):
-                stack.append((depth + 1, path + (mu,), child))
+            stack.extend([(depth + 1, path + (mu,), child) for mu, child in reversed(node.children)])
 
     def leaves(self):
-        for _, path, node in self.walk():
-            if node.is_leaf():
-                yield path, node
+        return ((path, node) for _, path, node in self.walk() if node.is_leaf())
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.walk())
+        return sum(len(self.mus) ** i for i in range(self.depth + 1))
 
     def leaf_count(self) -> int:
-        return sum(1 for _ in self.leaves())
+        return len(self.mus) ** self.depth
 
     def to_json_dict(self) -> dict:
-        """Nodes carry specs, edges carry mu arrays padded to the parent's rank.
+        """Nodes carry specs, edges carry mu arrays padded to the rank.
 
-        Every node that build_tree makes has the root's rank.  One dict is
-        made per distinct MarkedPoint in the whole tree, and every node
-        carrying that point lists the same dict object: the root's points
-        and the boundary points build_tree shares between siblings are
-        each one dict.  The result is == to fresh dicts per node; a caller
-        that mutates a point dict changes it at every node.
+        One dict is made per distinct MarkedPoint in the whole tree, and
+        every node carrying that point lists the same dict object: the
+        root's points and each row's points are each one dict.  The result
+        is == to fresh dicts per node; a caller that mutates a point dict
+        changes it at every node.
         """
-        point_dicts = {}
-        # (children list, rank) of the latest node per depth; a parent is one level up
+        point_dicts, r = {}, self.spec.rank
+        # the children list of the latest node per depth; a parent is one level up
         parents = []
         for depth, path, node in self.walk():
             out = {"spec": node.spec.to_json_dict(point_dicts), "children": []}
             del parents[depth:]
             if path:
-                children, r = parents[-1]
-                children.append({"mu": list(path[-1].padded(r)), "node": out})
+                parents[-1].append({"mu": list(path[-1].padded(r)), "node": out})
             else:
                 root = out
-            parents.append((out["children"], node.spec.rank))
+            parents.append(out["children"])
         return root
 
 
+def _set_fields(tree: DecompositionTree, *values) -> DecompositionTree:
+    """tree with spec, depth, mus and rows set to values, past the frozen __setattr__; nothing is checked."""
+    for name, value in zip(("spec", "depth", "mus", "rows"), values):
+        object.__setattr__(tree, name, value)
+    return tree
+
+
 def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
-    """Degenerate repeatedly until genus 0 or the depth bound.
+    """Degenerate repeatedly until genus 0 or the depth bound: DecompositionTree(spec, depth).
 
     Children appear in mu enumeration order, so the tree is deterministic;
-    its first level is what degenerate gives.  Every node at tree level d
-    gets the same boundary points, labeled x1@L, x2@L with
-    L = _next_label_level(spec.points) + d, so they are made once per
-    (mu, level) and shared.  Balance is checked for the root only: the
-    boundary-balance identity (verify_boundary_balance) keeps every child
-    of a balanced spec balanced.  The specs are made one tree level at a
-    time, then joined bottom up: node i of a level takes the next level's
-    trees i*N to (i+1)*N - 1, N = len(mus).
+    its first level is what degenerate gives.
     """
-    _check_int("depth", depth, 0)
-    lhs, rhs, ok = check_star(spec)
-    if not ok:
-        raise ValueError(f"spec fails the balance condition: lhs={_shown(lhs)} rhs={_shown(rhs)}")
-    levels = min(depth, spec.genus)
-    if levels == 0:
-        # a leaf: the mu box, which can be huge, is never enumerated
-        return DecompositionTree(spec, ())
-    mus = list(mu_indices(spec.rank, spec.level))
-    first = _next_label_level(spec.points)
-    specs = [[spec]]
-    for d in range(levels):
-        labels = (f"x1@{first + d}", f"x2@{first + d}")
-        row = [mu_to_boundary(mu, spec.rank, spec.level, labels) for mu in mus]
-        # each point is checked once, against spec: every node that takes
-        # the row has spec's rank and level, so ModuliSpec._child checks nothing
-        for data in row:
-            spec._check_point(data.point1)
-            spec._check_point(data.point2)
-        specs.append([node._child(data.point1, data.point2) for node in specs[-1] for data in row])
-    n = len(mus)
-    trees = [DecompositionTree(node, ()) for node in specs.pop()]
-    while specs:
-        trees = [
-            DecompositionTree(node, tuple(zip(mus, trees[i * n : (i + 1) * n])))
-            for i, node in enumerate(specs.pop())
-        ]
-    return trees[0]
+    return DecompositionTree(spec, depth)
 
 
 class LeafOracleError(RuntimeError):
@@ -294,24 +273,26 @@ def aggregate_dimension(tree: DecompositionTree, leaf_oracle) -> int:
     The oracle maps a leaf's ModuliSpec to an integer; no built-in
     default exists on purpose, since the recursion provides structure but
     not base-case values.  Any oracle failure aborts the whole
-    aggregation with the offending leaf spec attached.  The loop skips
-    walk's mu paths: reading leaves() made tree-aggregate slower.
+    aggregation with the offending leaf spec attached.  The loop walks
+    tree's rows with a stack of specs, in the preorder of leaves(), and
+    makes no tree nodes; a spec's genus says its row.
     """
     total = 0
-    stack = [tree]
+    top, rows = tree.spec.genus, tree.rows
+    stack = [tree.spec]
     while stack:
-        node = stack.pop()
-        if node.children:
-            # the preorder of leaves(), without mu paths
-            stack.extend([child for _, child in reversed(node.children)])
+        spec = stack.pop()
+        level = top - spec.genus
+        if level < len(rows):
+            stack.extend([spec._child(data.point1, data.point2) for data in reversed(rows[level])])
             continue
         try:
-            value = leaf_oracle(node.spec)
+            value = leaf_oracle(spec)
         except LeafOracleError:
             raise
         except Exception as exc:
-            raise LeafOracleError(node.spec, exc) from exc
+            raise LeafOracleError(spec, exc) from exc
         if not isinstance(value, int) or isinstance(value, bool):
-            raise LeafOracleError(node.spec, f"oracle returned a non-integer: {_shown(value)}")
+            raise LeafOracleError(spec, f"oracle returned a non-integer: {_shown(value)}")
         total += value
     return total

@@ -169,8 +169,8 @@ class ModuliSpec:
 
         Nothing is checked.  The caller ensures self has positive genus and
         has checked both points against a spec of self's rank and level
-        (factorization.build_tree checks each boundary point once per tree
-        level; its x1@L, x2@L labels are new by construction).
+        (a factorization.DecompositionTree checks each boundary point once
+        per tree level; its x1@L, x2@L labels are new by construction).
         """
         # the slots' own descriptors, past the frozen __setattr__
         child = object.__new__(ModuliSpec)

@@ -216,27 +216,25 @@ def box_count(r: int, m: int) -> int:
     return math.comb(r + m, r)
 
 
-def partitions_of(total: int, max_parts: int | None = None, max_part: int | None = None):
+def partitions_of(total: int, max_parts: int | None = None):
     """Yield all partitions of the given total, largest-first order.
 
-    Optional caps on the number of parts and the largest part; a negative
-    cap counts as 0.  Each partition is the previous one with its last
-    part that can drop by one lowered, and the rest after it refilled by
-    the largest parts allowed, which takes the fewest slots.
+    An optional cap on the number of parts; a negative cap counts as 0.
+    Each partition is the previous one with its last part that can drop
+    by one lowered, and the rest after it refilled by the largest parts
+    allowed, which takes the fewest slots.
     """
     _check_int("total", total, 0)
-    for name, cap in (("max_parts", max_parts), ("max_part", max_part)):
-        if cap is not None:
-            _check_int(name, cap)
-    return _partitions_of(total, max_parts, max_part)
+    if max_parts is not None:
+        _check_int("max_parts", max_parts)
+    return _partitions_of(total, max_parts)
 
 
-def _partitions_of(total: int, max_parts: int | None, max_part: int | None):
-    top = total if max_part is None else min(max_part, total)
+def _partitions_of(total: int, max_parts: int | None):
     slots = total if max_parts is None else max_parts
-    if total and (top < 1 or -(-total // top) > slots):
+    if total and slots < 1:
         return
-    parts, rest = [], total
+    parts, rest, top = [], total, total
     while True:
         # rest goes after parts as parts of top and one smaller remainder
         count, tail = divmod(rest, top) if rest else (0, 0)

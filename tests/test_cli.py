@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from theta_factor import DecompositionTree, MarkedPoint, ModuliSpec, cli, factorization, parabolic
+from theta_factor.partitions import _shown
 from test_cli_golden import CASES as GOLDEN_CASES, EXPECTED as GOLDEN_EXPECTED
 from test_factorization import small_balanced_specs
 
@@ -310,18 +311,47 @@ class TestDecompose:
         assert json.loads(err) == {"error": {"type": "validation", "message": message}}
 
     @pytest.mark.parametrize("nested", ["spec", "oracle"])
-    def test_deeply_nested_input_is_a_validation_error(self, capsys, tmp_path, spec_file, nested):
-        # the stdlib decoder recurses once per array and would raise RecursionError
-        path = tmp_path / "nested.json"
-        path.write_text("[" * 100_000 + "]" * 100_000)
+    def test_deeply_nested_input_is_a_validation_error(self, capsys, monkeypatch, tmp_path, spec_file, nested):
+        # the stdlib decoder recurses once per array and would raise RecursionError;
+        # relative paths keep the message's path short, so it is shown whole
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
         if nested == "spec":
-            argv, what = ["decompose", str(path)], str(path)
+            argv, what = ["decompose", "nested.json"], "nested.json"
         else:
-            argv, what = ["decompose", str(spec_file), "--oracle", str(path)], f"oracle table {path}"
+            argv, what = ["decompose", spec_file.name, "--oracle", "nested.json"], "oracle table nested.json"
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and out == ""
         message = f"{what} nests JSON arrays or objects too deeply"
         assert json.loads(err) == {"error": {"type": "validation", "message": message}}
+
+
+class TestLongPaths:
+    """A spec or table path longer than 40 characters shows as _shown shows it, in every message."""
+
+    @pytest.mark.parametrize(
+        "name,content,oracle,message",
+        [
+            ("missing.json", None, False, "cannot read {shown}: "),
+            ("bad.json", "{", False, "{shown} is not valid JSON: "),
+            ("missing.json", None, True, "cannot read {shown}: "),
+            ("bad.json", "{", True, "oracle table {shown} is not valid JSON: "),
+            ("list.json", "[]", True, "oracle table {shown} must map leaf sha256 to integer"),
+            # a ValueError, not a CLIError, names this table
+            ("long.json", '{"a": 1%s}' % ("0" * 1000), True, "oracle table {shown} entry has more than 1000 digits"),
+        ],
+        ids=["spec-io", "spec-json", "table-io", "table-json", "table-shape", "table-entry"],
+    )
+    def test_error_line_stays_short(self, capsys, tmp_path, spec_file, name, content, oracle, message):
+        # 1,500 "./" steps: a path of over 3,000 characters that names a real file
+        path = str(tmp_path) + "/." * 1500 + "/" + name
+        if content is not None:
+            (tmp_path / name).write_text(content)
+        argv = ["decompose", str(spec_file), "--oracle", path] if oracle else ["verify-star", path]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert len(err.encode()) < 300
+        assert json.loads(err)["error"]["message"].startswith(message.format(shown=_shown(path)))
 
 
 class TestBranch:
