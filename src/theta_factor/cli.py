@@ -299,7 +299,6 @@ def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
         try:
             aggregate = aggregate_dimension(tree, leaf_value)
         except LeafOracleError as exc:
-            # the message names the leaf by its canonical JSON
             raise CLIError("validation", str(exc)) from exc
     return {
         "depth": depth,
@@ -451,8 +450,7 @@ def _text_rows(command: str, result: dict):
         yield f"leaves = {result['leaves']}"
         if result["aggregate"] is not None:
             yield f"aggregate = {result['aggregate']}"
-        for depth, path, node in result["tree"].walk():
-            spec = node.spec
+        for depth, path, spec in result["tree"].walk():
             label = ">".join(_mu_text(mu.padded(spec.rank)) for mu in path) or "(root)"
             yield (
                 "  " * depth
@@ -476,10 +474,10 @@ def _branch_csv(result: dict):
 
 def _decompose_csv(result: dict):
     yield "level,mu_path,leaf_sha256"
-    for path, leaf in result["tree"].leaves():
-        mu_path = ">".join(_mu_text(mu.padded(leaf.spec.rank)) for mu in path)
+    for path, spec in result["tree"].leaves():
+        mu_path = ">".join(_mu_text(mu.padded(spec.rank)) for mu in path)
         # the digest an --oracle table keys the leaf on
-        yield f"{len(path)},\"{mu_path}\",{leaf.spec.sha256()}"
+        yield f"{len(path)},\"{mu_path}\",{spec.sha256()}"
 
 
 # The commands that offer --format csv, with their row writers.

@@ -32,12 +32,10 @@ __all__ = [
 class BoundaryData:
     """Parabolic data a mu index induces at the two branch points.
 
-    l is the number of jumps (nonzero consecutive differences) of mu.
     point2 carries the reversed jump data, which is the convention the
     balance check needs.
     """
 
-    l: int
     point1: MarkedPoint
     point2: MarkedPoint
 
@@ -103,7 +101,7 @@ def boundary_levels(mu, r: int, levels, labels=("x1", "x2")):
     flag2 = FlagType(flag[::-1])
     weights2 = WeightVector(accumulate(reversed(jumps), initial=base))
     for k in levels:
-        yield BoundaryData(len(jumps), point1, MarkedPoint(label2, flag2, weights2, k - padded[0]))
+        yield BoundaryData(point1, MarkedPoint(label2, flag2, weights2, k - padded[0]))
 
 
 def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
@@ -136,11 +134,11 @@ def degenerate(spec: ModuliSpec):
     and gains the boundary points x1@L, x2@L, L one above the parent's
     highest @L label suffix.  The parent must have positive genus and
     satisfy the balance condition; every child then satisfies it too.
-    The children are the first level of build_tree(spec, 1).
+    The pairs are the leaves of build_tree(spec, 1), each path one mu long.
     """
     if spec.genus < 1:
         raise ValueError("cannot degenerate a genus-0 spec")
-    return [(mu, child.spec) for mu, child in build_tree(spec, 1).children]
+    return [(mu, child) for (mu,), child in build_tree(spec, 1).leaves()]
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,10 +153,9 @@ class DecompositionTree:
     boundary-balance identity (verify_boundary_balance) keeps every node
     balanced.  A leaf never enumerates the mu box.
 
-    Nodes below the root are made, unchecked, as children is read; each is
-    the tree DecompositionTree(node.spec, remaining depth) makes.  ==, hash
-    and repr are the dataclass methods, flat at any depth; walk is the one
-    traversal that carries mu paths, on an explicit stack.
+    A node is its ModuliSpec: walk and leaves make each spec below the
+    root from the rows as they reach it, and make no tree object.  ==,
+    hash and repr are the dataclass methods, flat at any depth.
     """
 
     spec: ModuliSpec
@@ -183,33 +180,24 @@ class DecompositionTree:
             for data in chain.from_iterable(rows):
                 spec._check_point(data.point1)
                 spec._check_point(data.point2)
-        _set_fields(self, spec, depth, mus, rows)
-
-    @property
-    def children(self) -> tuple:
-        """(mu, subtree) pairs in mus order, () at a leaf."""
-        if not self.depth:
-            return ()
-        spec, depth = self.spec, self.depth - 1
-        below = (depth, self.mus if depth else (), self.rows[1:])
-        return tuple(
-            (mu, _set_fields(object.__new__(DecompositionTree), spec._child(data.point1, data.point2), *below))
-            for mu, data in zip(self.mus, self.rows[0])
-        )
-
-    def is_leaf(self) -> bool:
-        return not self.depth
+        # past the frozen __setattr__
+        for name, value in zip(("depth", "mus", "rows"), (depth, mus, rows)):
+            object.__setattr__(self, name, value)
 
     def walk(self):
-        """Yield (depth, mu path, node) for every node, preorder."""
-        stack = [(0, (), self)]
+        """Yield (depth, mu path, spec) for every node, preorder; each spec below the root is made once."""
+        # per level, the (mu, BoundaryData) pairs reversed, so the stack pops them in mus order
+        rows = [tuple(zip(self.mus, row))[::-1] for row in self.rows]
+        stack = [(0, (), self.spec)]
         while stack:
-            depth, path, node = stack.pop()
-            yield depth, path, node
-            stack.extend([(depth + 1, path + (mu,), child) for mu, child in reversed(node.children)])
+            depth, path, spec = stack.pop()
+            yield depth, path, spec
+            if depth < len(rows):
+                stack.extend([(depth + 1, path + (mu,), spec._child(d.point1, d.point2)) for mu, d in rows[depth]])
 
     def leaves(self):
-        return ((path, node) for _, path, node in self.walk() if node.is_leaf())
+        """Yield (mu path, spec) for every leaf, in walk order: the nodes at the tree's depth."""
+        return ((path, spec) for depth, path, spec in self.walk() if depth == self.depth)
 
     def node_count(self) -> int:
         return sum(len(self.mus) ** i for i in range(self.depth + 1))
@@ -229,8 +217,8 @@ class DecompositionTree:
         point_dicts, r = {}, self.spec.rank
         # the children list of the latest node per depth; a parent is one level up
         parents = []
-        for depth, path, node in self.walk():
-            out = {"spec": node.spec.to_json_dict(point_dicts), "children": []}
+        for depth, path, spec in self.walk():
+            out = {"spec": spec.to_json_dict(point_dicts), "children": []}
             del parents[depth:]
             if path:
                 parents[-1].append({"mu": list(path[-1].padded(r)), "node": out})
@@ -238,13 +226,6 @@ class DecompositionTree:
                 root = out
             parents.append(out["children"])
         return root
-
-
-def _set_fields(tree: DecompositionTree, *values) -> DecompositionTree:
-    """tree with spec, depth, mus and rows set to values, past the frozen __setattr__; nothing is checked."""
-    for name, value in zip(("spec", "depth", "mus", "rows"), values):
-        object.__setattr__(tree, name, value)
-    return tree
 
 
 def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:
@@ -273,9 +254,9 @@ def aggregate_dimension(tree: DecompositionTree, leaf_oracle) -> int:
     The oracle maps a leaf's ModuliSpec to an integer; no built-in
     default exists on purpose, since the recursion provides structure but
     not base-case values.  Any oracle failure aborts the whole
-    aggregation with the offending leaf spec attached.  The loop walks
-    tree's rows with a stack of specs, in the preorder of leaves(), and
-    makes no tree nodes; a spec's genus says its row.
+    aggregation with the offending leaf spec attached.  The loop is
+    walk's without the mu paths: a stack of specs over tree's rows, leaves
+    in the order of leaves(); a spec's genus says its row.
     """
     total = 0
     top, rows = tree.spec.genus, tree.rows

@@ -113,8 +113,8 @@ def test_criterion_04_boundary_balance_and_tree_star():
     assert check_star(root)[2]
     tree = build_tree(root, 3)
     nodes = 0
-    for _, _, node in tree.walk():
-        assert check_star(node.spec)[2], node.spec
+    for _, _, spec in tree.walk():
+        assert check_star(spec)[2], spec
         nodes += 1
     expected_nodes = 1 + 6 + 36 + 216
     ok = nodes == expected_nodes

@@ -752,6 +752,22 @@ class TestWorkBounds:
         assert code == 1 and out == ""
         assert json.loads(err) == cap_error("decompose node count", 55987, cli.MAX_TREE_NODES)
 
+    @pytest.mark.parametrize("level", [9_999, 10_000])
+    def test_node_count_cap_boundary(self, capsys, tmp_path, level):
+        # genus 1, rank 1: C(level, 1) = level children, so 1 + level nodes, at the cap and one above it
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"genus": 1, "rank": 1, "degree": 1, "level": level, "ell": level, "points": []}))
+        code, out, err = run_cli(capsys, ["decompose", str(path), "--format", "csv"])
+        if level == 9_999:
+            assert code == 0 and err == ""
+            rows = out.splitlines()[3:]
+            assert rows[0] == "level,mu_path,leaf_sha256" and len(rows) == 1 + 9_999
+            assert len({row.rsplit(",", 1)[1] for row in rows[1:]}) == 9_999
+        else:
+            assert code == 1 and out == ""
+            message = "decompose node count would be 10001, above the cap of 10000"
+            assert json.loads(err) == {"error": {"type": "validation", "message": message}}
+
     def test_huge_box_rejected_without_the_binomial(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         # C(rank + level - 1, rank) children per node: far above the cap
@@ -1218,7 +1234,7 @@ def command_argv(draw, command, flags, formats=("json", "text")):
 
 def _leaf_digests():
     tree = factorization.build_tree(ModuliSpec.from_json_dict(SPEC), SPEC["genus"])
-    return sorted({node.spec.sha256() for _, _, node in tree.walk()})
+    return sorted({spec.sha256() for _, _, spec in tree.walk()})
 
 
 LEAF_DIGESTS = _leaf_digests()

@@ -89,14 +89,14 @@ def reference_tree(spec, depth):
 
 
 def reference_walk(tree, depth=0, path=()):
-    """Preorder by recursion over .children, of a tree or a ReferenceNode."""
+    """(depth, mu path, ReferenceNode) for every node, preorder by recursion over .children."""
     yield depth, path, tree
     for mu, child in tree.children:
         yield from reference_walk(child, depth + 1, path + (mu,))
 
 
 def walk_specs(rows):
-    """(depth, mu path, spec) for each (depth, mu path, node) of a walk."""
+    """(depth, mu path, spec) for each (depth, mu path, node) of a reference walk: what walk() yields."""
     return [(depth, path, node.spec) for depth, path, node in rows]
 
 
@@ -159,7 +159,8 @@ class TestMuIndices:
 class TestMuToBoundary:
     def test_worked_example(self):
         data = mu_to_boundary(Partition((3, 3, 1)), 4, 4)
-        assert data.l == 2
+        # two jumps: a flag of three steps
+        assert len(data.point1.flag) - 1 == 2
         p1, p2 = data.point1, data.point2
         assert p1.label == "x1" and p2.label == "x2"
         assert tuple(p1.flag) == (2, 1, 1)
@@ -172,7 +173,7 @@ class TestMuToBoundary:
 
     def test_single_jump(self):
         data = mu_to_boundary(Partition((1,)), 2, 2)
-        assert data.l == 1
+        assert len(data.point1.flag) - 1 == 1
         assert tuple(data.point1.flag) == (1, 1)
         assert tuple(data.point1.weights) == (0, 1)
         assert data.point1.alpha == 0
@@ -181,7 +182,7 @@ class TestMuToBoundary:
 
     def test_constant_mu(self):
         data = mu_to_boundary(Partition((2, 2, 2)), 3, 5)
-        assert data.l == 0
+        assert len(data.point1.flag) - 1 == 0
         assert tuple(data.point1.flag) == (3,)
         assert tuple(data.point2.flag) == (3,)
         assert data.point1.alpha == 2
@@ -242,7 +243,7 @@ class TestMuToBoundary:
             weights = tuple(padded[-1] + sum(jumps[:i]) for i in range(len(jumps) + 1))
             return label, flag, weights, alpha
 
-        assert bdry.l == len(positions)
+        assert len(bdry.point1.flag) - 1 == len(positions)
         want = [
             reference(labels[0], positions, jumps, padded[-1]),
             reference(labels[1], reversed_positions, reversed_jumps, k - padded[0]),
@@ -389,7 +390,8 @@ class TestBuildTree:
     def test_depth_zero(self):
         spec = balanced_spec()
         tree = build_tree(spec, 0)
-        assert tree.is_leaf()
+        assert tree.depth == 0 and tree.mus == () and tree.rows == ()
+        assert list(tree.walk()) == [(0, (), spec)] and list(tree.leaves()) == [((), spec)]
         assert tree.node_count() == 1 and tree.leaf_count() == 1
 
     def test_rank_one_level_two(self):
@@ -407,14 +409,14 @@ class TestBuildTree:
     def test_recursion_stops_at_genus_zero(self):
         spec = balanced_spec(genus=1, rank=1, level=2, ell=2)
         tree = build_tree(spec, 10)
-        assert all(node.spec.genus == 0 for _, node in tree.leaves())
+        assert all(leaf.genus == 0 for _, leaf in tree.leaves())
         assert tree.node_count() == 3
 
     def test_every_node_satisfies_star(self):
         spec = balanced_spec()
         tree = build_tree(spec, 2)
         for _, _, node in tree.walk():
-            assert check_star(node.spec)[2]
+            assert check_star(node)[2]
 
     def test_determinism(self):
         spec = balanced_spec()
@@ -452,7 +454,7 @@ class TestBuildTree:
 
         monkeypatch.setattr(factorization, "check_star", counting_check_star)
         tree = build_tree(balanced_spec(genus=3), 3)
-        internal = sum(1 for _, _, node in tree.walk() if not node.is_leaf())
+        internal = sum(1 for level, _, _ in tree.walk() if level < tree.depth)
         assert internal == 1 + 6 + 36
         assert 0 < len(calls) <= internal + 1
         # no leaf is checked: children stay balanced by construction
@@ -474,7 +476,7 @@ class TestTreeEngine:
         tree = build_tree(spec, depth)
         expected = reference_tree(spec, depth)
         # the specs, mu labels and child order of every node
-        assert walk_specs(tree.walk()) == walk_specs(reference_walk(expected))
+        assert list(tree.walk()) == walk_specs(reference_walk(expected))
         if spec.genus:
             assert degenerate(spec) == [(mu, child.spec) for mu, child in reference_tree(spec, 1).children]
         assert tree.node_count() == sum(1 for _ in reference_walk(expected))
@@ -482,7 +484,7 @@ class TestTreeEngine:
         data = tree.to_json_dict()
         assert data == reference_json(expected, spec.rank)
         # one dict per distinct point, shared by every node that carries it
-        distinct = {pt for _, _, node in tree.walk() for pt in node.spec.points}
+        distinct = {pt for _, _, node in tree.walk() for pt in node.points}
         assert len({id(point) for point in json_point_dicts(data)}) == len(distinct)
         value = lambda leaf: len(leaf.points) + leaf.degree
         expected_sum = sum(value(node.spec) for _, _, node in reference_walk(expected) if not node.children)
@@ -493,11 +495,14 @@ class TestTreeEngine:
     def test_every_subtree_is_a_built_tree(self, spec, depth):
         n = math.comb(spec.rank + spec.level - 1, spec.rank)
         assume(sum(n**i for i in range(min(depth, spec.genus) + 1)) <= 500)
-        tree = build_tree(spec, depth)
-        for level, _, node in tree.walk():
-            built = build_tree(node.spec, depth - level)
-            assert node == built and hash(node) == hash(built) and repr(node) == repr(built)
-        assert walk_specs(tree.walk()) == walk_specs(reference_walk(reference_tree(spec, depth)))
+        rows = list(build_tree(spec, depth).walk())
+        for i, (level, path, node) in enumerate(rows):
+            # the node and those below it: the walk up to the next node at its level or above
+            end = next((j for j in range(i + 1, len(rows)) if rows[j][0] <= level), len(rows))
+            below = [(d - level, p[level:], other) for d, p, other in rows[i:end]]
+            assert list(build_tree(node, depth - level).walk()) == below
+            assert all(p[:level] == path for _, p, _ in rows[i:end])
+        assert rows == walk_specs(reference_walk(reference_tree(spec, depth)))
 
     @given(small_trees())
     @settings(max_examples=100, deadline=None)
@@ -509,7 +514,7 @@ class TestTreeEngine:
         assert repr(tree) == f"DecompositionTree(spec={tree.spec!r}, depth={tree.depth!r})"
         assert tree.depth == min(tree.depth, tree.spec.genus)
         assert len(tree.rows) == tree.depth and all(len(row) == len(tree.mus) for row in tree.rows)
-        assert (tree.mus == ()) == tree.is_leaf()
+        assert (tree.mus == ()) == (tree.depth == 0) == (list(tree.leaves()) == [((), tree.spec)])
         other = DecompositionTree(tree.spec, tree.depth + 1)
         assert (other == tree) == (tree.depth == tree.spec.genus) == (other.rows == tree.rows)
 
@@ -519,8 +524,7 @@ class TestTreeEngine:
         # every slot of a node build_tree makes, against the public constructor
         n = math.comb(spec.rank + spec.level - 1, spec.rank)
         assume(sum(n**i for i in range(min(depth, spec.genus) + 1)) <= 500)
-        for _, _, node in build_tree(spec, depth).walk():
-            child = node.spec
+        for _, _, child in build_tree(spec, depth).walk():
             public = ModuliSpec(
                 child.genus, child.rank, child.degree, child.level, child.ell, child.points
             )
@@ -570,10 +574,10 @@ class TestTreeEngine:
         tree = build_tree(spec, 3)
         # two new points per mu and tree level, each checked once
         assert len(checked) == len(set(checked)) == 2 * n * 3
-        added = {pt for _, _, node in tree.walk() for pt in node.spec.points}
+        added = {pt for _, _, node in tree.walk() for pt in node.points}
         assert added == set(checked)
         checked.clear()
-        assert [child for _, child in degenerate(spec)] == [child.spec for _, child in tree.children]
+        assert [child for _, child in degenerate(spec)] == [child for level, _, child in tree.walk() if level == 1]
         assert len(checked) == 2 * n
 
     def test_children_skip_the_full_check(self, monkeypatch):
@@ -614,10 +618,11 @@ class TestTreeEngine:
 
     def test_siblings_share_boundary_points(self):
         tree = build_tree(balanced_spec(genus=2), 2)
-        (_, first), (_, second) = tree.children[:2]
-        assert first.children[0][1].spec.points[-1] is second.children[0][1].spec.points[-1]
+        # the first grandchild under each of the first two children
+        grandchildren = [node for level, _, node in tree.walk() if level == 2]
+        assert grandchildren[0].points[-1] is grandchildren[len(tree.mus)].points[-1]
         data = tree.to_json_dict()
-        assert data == reference_json(tree, 2)
+        assert data == reference_json(reference_tree(tree.spec, 2), 2)
         first, second = (edge["node"]["children"][0]["node"] for edge in data["children"][:2])
         assert first["spec"]["points"][-1] is second["spec"]["points"][-1]
         # the x1@1 dict is shared by the child and its own children
@@ -651,8 +656,8 @@ class TestTreeEngine:
         assert tree.leaf_count() == 1
         assert aggregate_dimension(tree, lambda s: 1) == 1
         (path, leaf), = tree.leaves()
-        assert len(path) == 1100 and leaf.spec.genus == 0
-        assert leaf.spec.points[-1].label == "x2@1100"
+        assert len(path) == 1100 and leaf.genus == 0
+        assert leaf.points[-1].label == "x2@1100"
         rows = list(tree.walk())
         assert [depth for depth, _, _ in rows] == list(range(1101))
         assert rows[-1][1] == path and rows[-1][2] == leaf
@@ -673,7 +678,7 @@ class TestTreeEngine:
             node = edge["node"]
         assert len(nodes) == 1101
         (_, leaf), = tree.leaves()
-        assert nodes[-1]["spec"] == leaf.spec.to_json_dict()
+        assert nodes[-1]["spec"] == leaf.to_json_dict()
         # each boundary point is one dict, listed by every node below its level
         points = [id(point) for node in nodes for point in node["spec"]["points"]]
         assert len(points) == 1100 * 1101 and len(set(points)) == 2200
@@ -687,20 +692,23 @@ class TestTreeEngine:
         assert hash(other) == hash(tree)
         assert tree != build_tree(chain, 1099)
         assert repr(tree) == f"DecompositionTree(spec={chain!r}, depth=1100)"
-        ((_, child),) = tree.children
-        assert child == build_tree(child.spec, 1099) and hash(child) == hash(build_tree(child.spec, 1099))
-        assert repr(child) == f"DecompositionTree(spec={child.spec!r}, depth=1099)"
+        ((_, child),) = degenerate(chain)
+        below = build_tree(child, 1099)
+        assert below == build_tree(child, 1099) and hash(below) == hash(build_tree(child, 1099))
+        assert repr(below) == f"DecompositionTree(spec={child!r}, depth=1099)"
+        # the tree below the root is the root's mus and rows less the first level
+        assert below.mus == tree.mus and below.rows == tree.rows[1:]
 
     def test_inequality(self):
         spec = balanced_spec()
         tree = build_tree(spec, 2)
-        (_, first), (_, second), *_ = tree.children
-        assert first != second
+        (_, first), (_, second), *_ = degenerate(spec)
+        assert build_tree(first, 1) != build_tree(second, 1)
         variants = [
             build_tree(spec, 1),
             build_tree(spec, 0),
             build_tree(balanced_spec(genus=3), 2),
-            first,
+            build_tree(first, 1),
         ]
         for variant in variants:
             assert variant != tree and tree != variant
@@ -708,7 +716,7 @@ class TestTreeEngine:
         assert tree.__eq__(spec) is NotImplemented
 
     def test_build_makes_no_node_below_the_root(self, monkeypatch):
-        # child specs are made as the tree is read, once per read
+        # child specs are made as the tree is read, once per read; a node is its spec
         calls = []
         make_child = ModuliSpec._child
 
@@ -720,7 +728,10 @@ class TestTreeEngine:
         tree = build_tree(balanced_spec(genus=3), 3)
         assert tree.node_count() == 1 + 6 + 6**2 + 6**3 and tree.leaf_count() == 6**3
         assert calls == []
-        assert sum(1 for _ in tree.walk()) == tree.node_count()
+        assert [type(node) for _, _, node in tree.walk()] == [ModuliSpec] * tree.node_count()
+        assert len(calls) == tree.node_count() - 1
+        calls.clear()
+        assert [type(leaf) for _, leaf in tree.leaves()] == [ModuliSpec] * tree.leaf_count()
         assert len(calls) == tree.node_count() - 1
         calls.clear()
         assert aggregate_dimension(tree, lambda leaf: 1) == tree.leaf_count()
@@ -747,7 +758,8 @@ class TestTreeEngine:
         # a tuple of (mu, subtree) children is no depth: it raises, and builds no leaf
         spec = balanced_spec()
         tree = build_tree(spec, 2)
-        children = {"children": tree.children, "nested": ((Partition(()), tree),)}.get(children, children)
+        subtrees = tuple((mu, build_tree(child, 1)) for mu, child in degenerate(spec))
+        children = {"children": subtrees, "nested": ((Partition(()), tree),)}.get(children, children)
         with pytest.raises(ValueError, match="^depth must be a nonnegative integer, got "):
             DecompositionTree(spec, children)
         with pytest.raises(TypeError):
@@ -755,17 +767,18 @@ class TestTreeEngine:
 
 
 class TestWalkReaders:
-    """walk, leaves, to_json_dict and the counts each match a recursion over children."""
+    """walk, leaves, to_json_dict and the counts each match a recursion over reference_tree's children."""
 
     @given(small_trees())
     @settings(max_examples=150, deadline=None)
     def test_match_the_recursive_references(self, tree):
-        assert tree.to_json_dict() == reference_json(tree, tree.spec.rank)
-        rows = list(reference_walk(tree))
-        assert list(tree.walk()) == rows
-        assert list(tree.leaves()) == [(path, node) for _, path, node in rows if node.is_leaf()]
+        expected = reference_tree(tree.spec, tree.depth)
+        assert tree.to_json_dict() == reference_json(expected, tree.spec.rank)
+        rows = list(reference_walk(expected))
+        assert list(tree.walk()) == walk_specs(rows)
+        assert list(tree.leaves()) == [(path, node.spec) for _, path, node in rows if not node.children]
         assert tree.node_count() == len(rows)
-        assert tree.leaf_count() == sum(1 for _, _, node in rows if node.is_leaf())
+        assert tree.leaf_count() == sum(1 for _, _, node in rows if not node.children)
 
 
 class TestAggregate:
@@ -779,7 +792,7 @@ class TestAggregate:
         spec = balanced_spec(genus=1, rank=2, level=2, ell=2)
         tree = build_tree(spec, 1)
         values = iter([5, 7, 11])
-        table = {node.spec.sha256(): next(values) for _, node in tree.leaves()}
+        table = {leaf.sha256(): next(values) for _, leaf in tree.leaves()}
         assert aggregate_dimension(tree, lambda s: table[s.sha256()]) == 23
 
     def test_doubling_linearity(self):
@@ -824,7 +837,7 @@ class TestAggregate:
     @given(small_trees(), st.integers(0, 60))
     @settings(max_examples=150, deadline=None)
     def test_oracle_called_in_leaves_order(self, tree, fail_at):
-        leaves = [node.spec for _, node in tree.leaves()]
+        leaves = [leaf for _, leaf in tree.leaves()]
         calls = []
 
         def oracle(spec):

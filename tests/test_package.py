@@ -1,6 +1,7 @@
 """The package's public names are the modules' __all__ lists, joined."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -25,8 +26,16 @@ EXPORTED = [
 
 # The files whose reads keep a public name: the package, the demos, the
 # benchmark and the acceptance test.  A name only its unit tests read has no
-# caller, and goes.
+# caller, and goes; so does a public attribute of an exported class.
 READERS = ("src/theta_factor/*.py", "demos/*.py", "bench/*.py", "tests/test_acceptance.py")
+
+
+def reader_sources():
+    root = Path(__file__).resolve().parent.parent
+    for pattern in READERS:
+        paths = sorted(root.glob(pattern))
+        assert paths, pattern
+        yield from (path.read_text() for path in paths)
 
 
 def test_all_is_the_module_lists_joined():
@@ -81,14 +90,73 @@ def test_loaded_names_are_found():
 
 
 def test_every_public_name_is_read():
-    root = Path(__file__).resolve().parent.parent
-    read = set()
-    for pattern in READERS:
-        paths = sorted(root.glob(pattern))
-        assert paths, pattern
-        for path in paths:
-            read |= loaded_names(path.read_text())
+    read = set().union(*map(loaded_names, reader_sources()))
     assert [name for name in theta_factor.__all__ if name != "__version__" and name not in read] == []
+
+
+def read_attributes(source: str) -> set[str]:
+    """The attribute names that source reads: name in x.name as a Load."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def public_attributes(cls) -> set[str]:
+    """The public methods, properties and dataclass fields that cls itself defines."""
+    names = {field.name for field in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    for name, value in vars(cls).items():
+        if not name.startswith("_") and (
+            inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod))
+        ):
+            names.add(name)
+    return names
+
+
+def test_attribute_reads_are_found():
+    source = (
+        "from .a import imported\n"
+        "value = module.attribute(name).method()\n"
+        "module.assigned = value\n"
+        "del module.deleted\n"
+    )
+    assert read_attributes(source) == {"attribute", "method"}
+
+
+def test_public_attributes_are_found():
+    @dataclasses.dataclass
+    class Example:
+        field: int
+        derived: int = dataclasses.field(init=False)
+
+        def method(self):
+            pass
+
+        @property
+        def prop(self):
+            pass
+
+        @classmethod
+        def maker(cls):
+            pass
+
+        def _private(self):
+            pass
+
+    assert public_attributes(Example) == {"field", "derived", "method", "prop", "maker"}
+
+
+def test_every_public_attribute_is_read():
+    read = set().union(*map(read_attributes, reader_sources()))
+    classes = [getattr(theta_factor, name) for name in theta_factor.__all__]
+    unread = [
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        if isinstance(cls, type)
+        for name in sorted(public_attributes(cls) - read)
+    ]
+    assert unread == []
 
 
 def unused_imports(source: str) -> list[str]:
