@@ -4,7 +4,7 @@ The package computes with partitions in a box, Schur module dimensions,
 Littlewood-Richardson coefficients, rectangular branching tables, parabolic
 moduli specifications, boundary degeneration trees, and the codimension
 estimates that control how spaces of sections behave under degeneration.
-All arithmetic is exact: integers and fractions.Fraction throughout.
+All arithmetic is exact: integers, and Fraction in codimension.stability_gap.
 
 Each module's __all__ is its public API, and the package exports them all.
 """

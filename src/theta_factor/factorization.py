@@ -9,7 +9,7 @@ attaches those two points; iterating yields a decomposition tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 
 from .parabolic import MAX_INT_DIGITS, FlagType, MarkedPoint, ModuliSpec, WeightVector, check_star
 from .partitions import BoxViolationError, Partition, _check_int, _shown, enumerate_in_box
@@ -208,24 +208,29 @@ class DecompositionTree:
     def to_json_dict(self) -> dict:
         """Nodes carry specs, edges carry mu arrays padded to the rank.
 
-        One dict is made per distinct MarkedPoint in the whole tree, and
-        every node carrying that point lists the same dict object: the
-        root's points and each row's points are each one dict.  The result
-        is == to fresh dicts per node; a caller that mutates a point dict
-        changes it at every node.
+        A node's spec dict is its parent's with the genus one less and its
+        row entry's two point dicts added.  So each point's dict is made
+        once, and no MarkedPoint is hashed: the root's by spec.to_json_dict(),
+        a row entry's from its BoundaryData.  Every node carrying a point
+        lists that same dict object.  The result is == to fresh dicts per
+        node; a caller that mutates a point dict changes it at every node.
         """
-        point_dicts, r = {}, self.spec.rank
-        # the children list of the latest node per depth; a parent is one level up
-        parents = []
-        for depth, path, spec in self.walk():
-            out = {"spec": spec.to_json_dict(point_dicts), "children": []}
-            del parents[depth:]
-            if path:
-                parents[-1].append({"mu": list(path[-1].padded(r)), "node": out})
-            else:
-                root = out
-            parents.append(out["children"])
-        return root
+        r = self.spec.rank
+        # per level, mu -> the dicts of the two points its row entry adds
+        added = [
+            {mu: [data.point1.to_json_dict(), data.point2.to_json_dict()] for mu, data in zip(self.mus, row)}
+            for row in self.rows
+        ]
+        # the latest node per depth, the root first; a parent is one level up
+        nodes = [{"spec": self.spec.to_json_dict(), "children": []}]
+        for depth, path, spec in islice(self.walk(), 1, None):
+            del nodes[depth:]
+            mu, parent = path[-1], nodes[-1]
+            points = parent["spec"]["points"] + added[depth - 1][mu]
+            out = {"spec": {**parent["spec"], "genus": spec.genus, "points": points}, "children": []}
+            parent["children"].append({"mu": list(mu.padded(r)), "node": out})
+            nodes.append(out)
+        return nodes[0]
 
 
 def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:

@@ -185,29 +185,14 @@ class ModuliSpec:
     def derived_n(self) -> int:
         return self.degree + self.rank * (1 - self.genus)
 
-    def to_json_dict(self, point_dicts: dict | None = None) -> dict:
-        """The spec as JSON values.
-
-        point_dicts, when given, maps each MarkedPoint already written to
-        its dict and gains the points written now; the result lists those
-        shared dicts, so a caller writing many specs with common points
-        passes one mapping and makes one dict per distinct point.
-        """
-        if point_dicts is None:
-            point_dicts = {}
-        points = []
-        for pt in self.points:
-            shared = point_dicts.get(pt)
-            if shared is None:
-                shared = point_dicts[pt] = pt.to_json_dict()
-            points.append(shared)
+    def to_json_dict(self) -> dict:
         return {
             "genus": self.genus,
             "rank": self.rank,
             "degree": self.degree,
             "level": self.level,
             "ell": self.ell,
-            "points": points,
+            "points": [pt.to_json_dict() for pt in self.points],
         }
 
     @classmethod
@@ -231,14 +216,12 @@ class ModuliSpec:
         return _canonical_sha256(self.to_json_dict())
 
 
-def _canonical_json(value) -> str:
-    """The sorted, compact JSON of value: a spec's JSON dict, or a command's parameters."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 def _canonical_sha256(value) -> str:
-    """sha256 of _canonical_json(value); a spec's is the key of a leaf-oracle table."""
-    return hashlib.sha256(_canonical_json(value).encode()).hexdigest()
+    """sha256 of the sorted, compact JSON of value: a spec's JSON dict, or a command's parameters.
+
+    A spec's is the key of a leaf-oracle table.
+    """
+    return hashlib.sha256(json.dumps(value, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def _reject_unknown_keys(data: dict, known, where: str) -> None:

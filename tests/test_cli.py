@@ -932,6 +932,11 @@ class TestIndentedJson:
         assert len(parts) > 1 and all(parts)
         assert "".join(parts) == json.dumps(value, indent=2)
 
+    def test_batch_ends_when_full(self, monkeypatch):
+        # '[\n  {\n    "a": 1\n  }' is 5 chunks: a full batch goes out before the next dict
+        monkeypatch.setattr(cli, "BATCH", 5)
+        assert batches([{"a": 1}, {"b": 2}]) == ['[\n  {\n    "a": 1\n  }', ',\n  {\n    "b": 2\n  }\n]']
+
     @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "a"}, {None: 1}, [object()], {"a": {1, 2}}])
     def test_rejects_what_no_report_holds(self, value):
         with pytest.raises(TypeError):

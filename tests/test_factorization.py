@@ -629,6 +629,18 @@ class TestTreeEngine:
         child = data["children"][0]["node"]
         assert child["spec"]["points"][0] is child["children"][0]["node"]["spec"]["points"][0]
 
+    def test_json_hashes_no_point(self, monkeypatch):
+        # a root with points of its own, one of them with two flag steps (mu = (2, 1))
+        _, spec = degenerate(balanced_spec(genus=3))[4]
+        tree = build_tree(spec, 2)
+        expected = tree.to_json_dict()
+
+        def refuse(point):
+            raise AssertionError("a MarkedPoint was hashed")
+
+        monkeypatch.setattr(MarkedPoint, "__hash__", refuse)
+        assert tree.to_json_dict() == expected
+
     @pytest.mark.parametrize(
         "spec,depth",
         [
