@@ -55,7 +55,8 @@ def decompose_rectangular(r: int, m: int) -> BranchingTable:
     """Branching table of the rectangle (m^r): one row per mu in the box.
 
     The dual factor has the same dimension as the plain one, so both
-    columns come from the same hook content evaluation at rank r.
+    columns come from one dim_schur evaluation at rank r (Weyl's product
+    or hook content, whichever has fewer factors).
     """
     _check_int("rank", r, 1)
     _check_int("power", m, 0)

@@ -417,27 +417,27 @@ def _identities(max_rank: int, max_level: int) -> dict:
     return {"sweeps": sweeps, "all_pass": all(not sweep["failures"] for sweep in sweeps)}
 
 
-def _mu_text(values) -> str:
-    return "[" + ",".join(str(v) for v in values) + "]"
+# a text or CSV value is shown as its compact JSON
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
+def _mu_path(path, rank: int) -> str:
+    """A node's mu path as text and CSV show it: each mu padded to rank, joined by >."""
+    return ">".join(_compact(mu.padded(rank)) for mu in path)
 
 
 def _text_rows(command: str, result: dict):
     if command == "branch":
         rows = result["rows"]
-        mu_width = max(2, *(len(_mu_text(row["mu"])) for row in rows))
+        mu_width = max(2, *(len(_compact(row["mu"])) for row in rows))
         yield f"{'mu'.ljust(mu_width)}  dim_left  dim_right"
         for row in rows:
             yield (
-                f"{_mu_text(row['mu']).ljust(mu_width)}  "
+                f"{_compact(row['mu']).ljust(mu_width)}  "
                 f"{str(row['dim_left']).ljust(8)}  {row['dim_right']}"
             )
-        yield f"lhs = {result['lhs']}"
-        yield f"rhs = {result['rhs']}"
-        yield f"equal = {_bool_text(result['equal'])}"
+        for key in ("lhs", "rhs", "equal"):
+            yield f"{key} = {_compact(result[key])}"
     elif command == "identities":
         for sweep in result["sweeps"]:
             yield f"{sweep['name']}: {sweep['cases']} cases, {len(sweep['failures'])} failures"
@@ -445,39 +445,31 @@ def _text_rows(command: str, result: dict):
                 yield f"  FAIL {json.dumps(failure, sort_keys=True)}"
         yield "all identities hold" if result["all_pass"] else "IDENTITY FAILURES FOUND"
     elif command == "decompose":
-        yield f"depth = {result['depth']}"
-        yield f"nodes = {result['nodes']}"
-        yield f"leaves = {result['leaves']}"
-        if result["aggregate"] is not None:
-            yield f"aggregate = {result['aggregate']}"
+        for key in ("depth", "nodes", "leaves", "aggregate"):
+            if result[key] is not None:
+                yield f"{key} = {_compact(result[key])}"
         for depth, path, spec in result["tree"].walk():
-            label = ">".join(_mu_text(mu.padded(spec.rank)) for mu in path) or "(root)"
+            label = _mu_path(path, spec.rank) or "(root)"
             yield (
                 "  " * depth
                 + f"{label}: genus={spec.genus} degree={spec.degree} points={len(spec.points)}"
             )
     else:
         for key, value in result.items():
-            if isinstance(value, bool):
-                yield f"{key} = {_bool_text(value)}"
-            elif isinstance(value, (int, str)):
-                yield f"{key} = {value}"
-            elif isinstance(value, list):
-                yield f"{key} = {_mu_text(value)}"
+            yield f"{key} = {_compact(value)}"
 
 
 def _branch_csv(result: dict):
     yield "mu,dim_left,dim_right"
     for row in result["rows"]:
-        yield f"\"{_mu_text(row['mu'])}\",{row['dim_left']},{row['dim_right']}"
+        yield f"\"{_compact(row['mu'])}\",{row['dim_left']},{row['dim_right']}"
 
 
 def _decompose_csv(result: dict):
     yield "level,mu_path,leaf_sha256"
     for path, spec in result["tree"].leaves():
-        mu_path = ">".join(_mu_text(mu.padded(spec.rank)) for mu in path)
         # the digest an --oracle table keys the leaf on
-        yield f"{len(path)},\"{mu_path}\",{spec.sha256()}"
+        yield f"{len(path)},\"{_mu_path(path, spec.rank)}\",{spec.sha256()}"
 
 
 # The commands that offer --format csv, with their row writers.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .parabolic import FlagType
 from .partitions import _check_int, _shown, partial_sums
@@ -77,6 +76,8 @@ def stability_gap(n, m, a) -> Fraction:
     and there are at least two blocks.  With a single block the two
     sides coincide for every m, so the gap is identically zero there.
     """
+    # imported here, its only use, so no CLI command loads fractions
+    from fractions import Fraction
     n = FlagType(n)
     m = _check_split(m, n)
     a = tuple(a)

@@ -9,7 +9,7 @@ attaches those two points; iterating yields a decomposition tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 
 from .parabolic import MAX_INT_DIGITS, FlagType, MarkedPoint, ModuliSpec, WeightVector, check_star
 from .partitions import BoxViolationError, Partition, _check_int, _shown, enumerate_in_box
@@ -208,29 +208,28 @@ class DecompositionTree:
     def to_json_dict(self) -> dict:
         """Nodes carry specs, edges carry mu arrays padded to the rank.
 
-        A node's spec dict is its parent's with the genus one less and its
-        row entry's two point dicts added.  So each point's dict is made
-        once, and no MarkedPoint is hashed: the root's by spec.to_json_dict(),
-        a row entry's from its BoundaryData.  Every node carrying a point
-        lists that same dict object.  The result is == to fresh dicts per
-        node; a caller that mutates a point dict changes it at every node.
+        Built level by level from the rows: each row entry's padded mu and
+        two point dicts are made once, and every node of the level gets a
+        child per entry, its spec dict the node's with the genus one less
+        and the entry's point dicts added.  No spec is made below the root
+        and no MarkedPoint is hashed; every node carrying a point lists the
+        same dict object, and each edge has its own mu list.  The result is
+        == to fresh dicts per node; mutating a point dict changes it at every node.
         """
-        r = self.spec.rank
-        # per level, mu -> the dicts of the two points its row entry adds
-        added = [
-            {mu: [data.point1.to_json_dict(), data.point2.to_json_dict()] for mu, data in zip(self.mus, row)}
-            for row in self.rows
-        ]
-        # the latest node per depth, the root first; a parent is one level up
-        nodes = [{"spec": self.spec.to_json_dict(), "children": []}]
-        for depth, path, spec in islice(self.walk(), 1, None):
-            del nodes[depth:]
-            mu, parent = path[-1], nodes[-1]
-            points = parent["spec"]["points"] + added[depth - 1][mu]
-            out = {"spec": {**parent["spec"], "genus": spec.genus, "points": points}, "children": []}
-            parent["children"].append({"mu": list(mu.padded(r)), "node": out})
-            nodes.append(out)
-        return nodes[0]
+        root = {"spec": self.spec.to_json_dict(), "children": []}
+        level = [root]
+        for row in self.rows:
+            entries = [(mu.padded(self.spec.rank), [d.point1.to_json_dict(), d.point2.to_json_dict()])
+                       for mu, d in zip(self.mus, row)]
+            parents, level = level, []
+            for parent in parents:
+                spec = parent["spec"]
+                genus = spec["genus"] - 1
+                for mu, points in entries:
+                    node = {"spec": {**spec, "genus": genus, "points": spec["points"] + points}, "children": []}
+                    parent["children"].append({"mu": list(mu), "node": node})
+                    level.append(node)
+        return root
 
 
 def build_tree(spec: ModuliSpec, depth: int) -> DecompositionTree:

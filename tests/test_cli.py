@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from theta_factor import DecompositionTree, MarkedPoint, ModuliSpec, cli, factorization, parabolic
 from theta_factor.partitions import _shown
@@ -1103,6 +1103,62 @@ class TestTreeRows:
         for fmt in ("text", "csv"):
             code, out, _ = run_contract(["decompose", str(spec_path), "--format", fmt])
             assert code == 0 and out == expected[fmt]
+
+
+@st.composite
+def flat_report_argv(draw):
+    """Valid argv of dims or a codim kind, the commands whose text report is one line per result key."""
+    small = st.integers(0, 5)
+    kind = draw(st.sampled_from(["dims", "schubert", "quot", "gps", "doubledet"]))
+    if kind == "dims":
+        partition = sorted(draw(st.lists(small, max_size=4)), reverse=True)
+        return ["dims", "--partition", json.dumps(partition), "--vars", str(draw(small))]
+    if kind == "schubert":
+        n = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        m = [draw(st.integers(0, n_j)) for n_j in n]
+        assume(sum(m) >= 1)
+        flags = {"--r1": sum(m), "--n": json.dumps(n), "--m": json.dumps(m)}
+    elif kind in ("quot", "gps"):
+        flags = {"--rank": draw(st.integers(1, 5)), "--genus-tilde": draw(small), "--points": draw(small)}
+    else:
+        rank, p, q = draw(small), draw(small), draw(small)
+        a = draw(st.integers(0, min(p, rank)))
+        b = draw(st.integers(0, min(q, rank - a)))
+        flags = {"--a": a, "--b": b, "--p": p, "--q": q, "--rank": rank}
+    return ["codim", kind, *(str(arg) for flag, value in flags.items() for arg in (flag, value))]
+
+
+class TestFlatTextRows:
+    """dims, codim and verify-star text reports say what the JSON report says, one line per result key."""
+
+    @pytest.fixture(scope="class")
+    def spec_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("flat") / "spec.json"
+
+    def check(self, argv):
+        code, out, _ = run_contract([*argv, "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        lines = [
+            f"# {cli.TOOL_NAME} {report['tool']['version']}",
+            f"# command: {report['command']}",
+            f"# input sha256: {report['input_sha256']}",
+        ]
+        lines += [f"{key} = {json.dumps(value, separators=(',', ':'))}" for key, value in report["result"].items()]
+        code, out, _ = run_contract([*argv, "--format", "text"])
+        assert code == 0 and out == "\n".join(lines) + "\n"
+
+    @given(flat_report_argv())
+    @settings(max_examples=80, deadline=None)
+    def test_dims_and_codim(self, argv):
+        self.check(argv)
+
+    @given(spec=small_balanced_specs(), shift=st.integers(0, 1))
+    @settings(max_examples=30, deadline=None)
+    def test_verify_star(self, spec_path, spec, shift):
+        # a degree one higher fails the balance, so holds is false as well as true
+        spec_path.write_text(json.dumps({**spec.to_json_dict(), "degree": spec.degree + shift}))
+        self.check(["verify-star", str(spec_path)])
 
 
 def spec_documents():

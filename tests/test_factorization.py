@@ -629,16 +629,21 @@ class TestTreeEngine:
         child = data["children"][0]["node"]
         assert child["spec"]["points"][0] is child["children"][0]["node"]["spec"]["points"][0]
 
-    def test_json_hashes_no_point(self, monkeypatch):
-        # a root with points of its own, one of them with two flag steps (mu = (2, 1))
+    @pytest.mark.parametrize(
+        "owner,name",
+        [(MarkedPoint, "__hash__"), (DecompositionTree, "walk"), (ModuliSpec, "_child")],
+    )
+    def test_json_reads_only_rows_and_points(self, monkeypatch, owner, name):
+        # a root with points of its own, one of them with two flag steps (mu = (2, 1)):
+        # the JSON hashes no point, walks no tree and makes no spec below the root
         _, spec = degenerate(balanced_spec(genus=3))[4]
         tree = build_tree(spec, 2)
         expected = tree.to_json_dict()
 
-        def refuse(point):
-            raise AssertionError("a MarkedPoint was hashed")
+        def refuse(*args):
+            raise AssertionError(f"{owner.__name__}.{name} was called")
 
-        monkeypatch.setattr(MarkedPoint, "__hash__", refuse)
+        monkeypatch.setattr(owner, name, refuse)
         assert tree.to_json_dict() == expected
 
     @pytest.mark.parametrize(

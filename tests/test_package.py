@@ -3,6 +3,9 @@
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import theta_factor
@@ -208,3 +211,11 @@ def test_no_module_asserts():
     for path in sorted(Path(theta_factor.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == [], path.name
+
+
+def test_the_cli_loads_no_fractions():
+    # only codimension.stability_gap uses Fraction, and it imports fractions when called
+    env = dict(os.environ, PYTHONPATH=str(Path(theta_factor.__file__).parents[1]))
+    code = "import sys, theta_factor.cli; print('fractions' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
