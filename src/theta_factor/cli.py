@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, islice, product
+from itertools import chain, product
 
 from . import __version__
 from .branching import decompose_rectangular, verify_branching_identity
@@ -49,12 +49,12 @@ MAX_RANK = 1_000
 # node has N^0 + ... + N^d nodes; the cap admits the genus-5, rank-2,
 # level-3 tree (9,331 nodes).  The depth cap matters only at level 1,
 # where N = 1 and the tree is a chain: every node repeats all inherited
-# points, indented two spaces per nesting level, so the JSON report grows
+# points, indented six spaces deeper per tree level, so the JSON report grows
 # with the cube of the depth (12 MB at 64, 43 MB at 100, 332 MB at 200,
 # 1.1 GB at 300).  That size sets the cap; memory does not grow with it, as
-# the report goes out in batches.  _indented_json recurses once per container,
-# three per tree level, and at the default recursion limit renders chains up
-# to 330 levels.
+# the report goes out BATCH characters at a time and _tree_json holds one
+# level's points text at a time on a chain.  _tree_json nests one generator
+# per tree level, so Python's default recursion limit (1,000) is far above the cap.
 MAX_TREE_NODES = 10_000
 MAX_TREE_DEPTH = 64
 # branch writes one row per mu in the rank x power box, C(rank+power, rank).
@@ -66,8 +66,8 @@ MAX_BALANCE_CASES = 50_000
 # lam_1 + vars; their digits bound the numerator.  A numerator of that size
 # takes about half a second.
 MAX_DIMS_DIGITS = 100_000
-# reports reach standard output this many JSON chunks or text lines at a time
-BATCH = 4096
+# reports reach standard output in writes of this many characters, the last one at most that
+BATCH = 1 << 16
 
 class CLIError(Exception):
     """A reportable failure: carries the machine-readable error type."""
@@ -476,27 +476,61 @@ def _decompose_csv(result: dict):
 _CSV_ROWS = {"branch": _branch_csv, "decompose": _decompose_csv}
 
 
+def _tree_json(tree: DecompositionTree, depth: int):
+    """Yield json.dumps(tree.to_json_dict(), indent=2) as the value at depth, in pieces, from tree's rows.
+
+    json.dumps lays out each level's node once, null standing for its points and each
+    child, and each row entry's two points once.  A node's points list is its parent's,
+    six spaces deeper, plus its entry's two points.  It recurses once per tree level.
+    """
+    root = tree.spec.to_json_dict()
+
+    def dumps(value, at):
+        return json.dumps(value, indent=2).replace("\n", "\n" + "  " * at)
+
+    # per level: the node's text cut at each null (the rest is keys and integers), and per
+    # row entry the points list it adds
+    levels = []
+    for level, row in enumerate((*tree.rows, ())):
+        at = depth + 3 * level
+        spec = {**root, "genus": root["genus"] - level, "points": None}
+        children = [{"mu": list(mu.padded(root["rank"])), "node": None} for mu in (tree.mus if row else ())]
+        added = [dumps([data.point1.to_json_dict(), data.point2.to_json_dict()], at + 5) for data in row]
+        levels.append((dumps({"spec": spec, "children": children}, at).split("null"), added))
+
+    def write(level, points):
+        (head, *cuts), added = levels[level]
+        yield head + points + cuts[0]
+        if added:
+            # each child's points list starts as this one, six spaces deeper and left open
+            points = points.replace("\n", "\n      ")
+            points = "[" if points == "[]" else points.rpartition("\n")[0] + ","
+        for i, pair in enumerate(added, 1):
+            child = write(level + 1, points + pair[1:])
+            if i == len(added):
+                points = None  # before the last child runs, so a chain holds one level's points at a time
+            yield from child
+            yield cuts[i]
+
+    return write(0, dumps(root["points"], depth + 2))
+
+
 def _indented_json(value, out) -> None:
-    """Write json.dumps(value, indent=2) to out, byte for byte, in batches of BATCH chunks.
+    """Pass json.dumps(value, indent=2) to out, byte for byte, in pieces.
 
     value holds str, int, None, True or False, in lists and str-keyed dicts, and
-    DecompositionTree values, written as their to_json_dict(); anything else raises
-    TypeError.  json.dumps with indent neither streams nor uses its C encoder.  A batch
-    ends only before an item of a list of dicts.  A dict with no dict inside (the points
-    to_json_dict shares) met again at a depth is joined once and its text reused there.
-    It recurses once per container.
+    DecompositionTree values, written by _tree_json; anything else raises TypeError.
+    json.dumps with indent neither streams nor uses its C encoder.  The chunks go on
+    to out before a tree and, once there are BATCH of them, between list items.  It
+    recurses once per container.
     """
     chunks = []
     append = chunks.append
     encode = json.encoder.encode_basestring_ascii
-    # (id, depth) of a dict with no dict inside -> its text there (None: met once)
-    texts = {}
     # encoded key text with ": ", per key
     keys = {}
     # layouts[d]: the strings around the items of a container at depth d
     layouts = []
-    # each tree's dict stays alive until the end, so no id in texts is reused
-    trees = []
 
     def layout(depth):
         while len(layouts) <= depth:
@@ -506,7 +540,7 @@ def _indented_json(value, out) -> None:
         return layouts[depth]
 
     def write(value, depth):
-        # returns whether value is or holds a dict; type tests in json.dumps' order (bool is an int)
+        # type tests in json.dumps' order (bool is an int)
         if isinstance(value, str):
             append(encode(value))
         elif value is None:
@@ -519,28 +553,21 @@ def _indented_json(value, out) -> None:
             append(int.__repr__(value))
         elif isinstance(value, (list, tuple)):
             if not value:
-                append("[]")
-                return False
+                return append("[]")
             open_list, _, separator, close_list, _ = layout(depth)
             append(open_list)
             items = iter(value)
-            nested = write(next(items), depth + 1)
+            write(next(items), depth + 1)
             for item in items:
-                if len(chunks) >= BATCH and isinstance(item, dict):
+                if len(chunks) >= BATCH:
                     out("".join(chunks))
                     chunks.clear()
                 append(separator)
-                nested = write(item, depth + 1) or nested
+                write(item, depth + 1)
             append(close_list)
-            return nested
         elif isinstance(value, dict):
-            memo = (id(value), depth)
-            text = texts.get(memo) if value else "{}"
-            if text is not None:
-                append(text)
-                return True
-            start = len(chunks)
-            nested = False
+            if not value:
+                return append("{}")
             _, prefix, separator, _, close_dict = layout(depth)
             for key, item in value.items():
                 text = keys.get(key)
@@ -551,14 +578,13 @@ def _indented_json(value, out) -> None:
                 append(prefix)
                 append(text)
                 prefix = separator
-                nested = write(item, depth + 1) or nested
+                write(item, depth + 1)
             append(close_dict)
-            if not nested:
-                texts[memo] = "".join(chunks[start:]) if memo in texts else None
-            return True
         elif isinstance(value, DecompositionTree):
-            trees.append(value.to_json_dict())
-            return write(trees[-1], depth)
+            out("".join(chunks))
+            chunks.clear()
+            for piece in _tree_json(value, depth):
+                out(piece)
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not a report value")
 
@@ -567,18 +593,34 @@ def _indented_json(value, out) -> None:
 
 
 def _render(report: dict, fmt: str, out) -> None:
+    """Write report in fmt to out, BATCH characters a write but the last (every report is ASCII)."""
+    held, size = [], 0
+
+    def add(piece):
+        nonlocal held, size
+        held.append(piece)
+        size += len(piece)
+        if size > BATCH:
+            # the text past the last full write is held back, so the last write is never empty
+            text = "".join(held)
+            cut = (size - 1) // BATCH * BATCH
+            for start in range(0, cut, BATCH):
+                out(text[start:start + BATCH])
+            held, size = [text[cut:]], size - cut
+
     if fmt == "json":
-        _indented_json(report, out)
-        return out("\n")
-    command, result = report["command"], report["result"]
-    rows = _text_rows(command, result) if fmt == "text" else _CSV_ROWS[command](result)
-    lines = chain([
-        f"# {TOOL_NAME} {report['tool']['version']}",
-        f"# command: {command}",
-        f"# input sha256: {report['input_sha256']}",
-    ], rows)
-    while batch := list(islice(lines, BATCH)):
-        out("\n".join(batch) + "\n")
+        _indented_json(report, add)
+        add("\n")
+    else:
+        command, result = report["command"], report["result"]
+        rows = _text_rows(command, result) if fmt == "text" else _CSV_ROWS[command](result)
+        for line in chain([
+            f"# {TOOL_NAME} {report['tool']['version']}",
+            f"# command: {command}",
+            f"# input sha256: {report['input_sha256']}",
+        ], rows):
+            add(line + "\n")
+    out("".join(held))
 
 
 _HANDLERS = {

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -914,6 +915,18 @@ def batches(value):
     return parts
 
 
+def writes(value):
+    """The writes of value's JSON report text, as _render makes them."""
+    parts = []
+    cli._render(value, "json", parts.append)
+    return parts
+
+
+def slices(text, size):
+    """text cut into writes of size characters, the last one shorter."""
+    return [text[start:start + size] for start in range(0, len(text), size)]
+
+
 class TestIndentedJson:
     @given(SHAPES, SHARED_DICTS)
     @settings(max_examples=80, deadline=None)
@@ -924,23 +937,42 @@ class TestIndentedJson:
     @given(SHAPES, SHARED_DICTS, st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
     def test_small_batches(self, shape, shared, size):
-        # batches of 1 to 3 chunks end next to, and between, repeats of a shared dict
+        # writes of 1 to 3 characters, cut anywhere, while the writer hands on its chunks every 1 to 3 of them
         value = shared_value(shape, shared)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "BATCH", size)
-            parts = batches(value)
-        assert len(parts) > 1 and all(parts)
-        assert "".join(parts) == json.dumps(value, indent=2)
+            parts = writes(value)
+        assert parts == slices(json.dumps(value, indent=2) + "\n", size)
 
     def test_batch_ends_when_full(self, monkeypatch):
-        # '[\n  {\n    "a": 1\n  }' is 5 chunks: a full batch goes out before the next dict
+        # every write is 5 characters but the last, wherever that cuts a key, a value or a layout
         monkeypatch.setattr(cli, "BATCH", 5)
-        assert batches([{"a": 1}, {"b": 2}]) == ['[\n  {\n    "a": 1\n  }', ',\n  {\n    "b": 2\n  }\n]']
+        assert writes([{"a": 1}, {"b": 2}]) == [
+            "[\n  {", "\n    ", '"a": ', "1\n  }", ",\n  {", "\n    ", '"b": ', "2\n  }", "\n]\n",
+        ]
 
     @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "a"}, {None: 1}, [object()], {"a": {1, 2}}])
     def test_rejects_what_no_report_holds(self, value):
         with pytest.raises(TypeError):
             batches(value)
+
+
+class TestTreeJson:
+    @given(
+        spec=small_balanced_specs().filter(
+            lambda spec: math.comb(spec.rank + spec.level - 1, spec.rank) ** spec.genus <= 64
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_json_dict_at_a_depth(self, spec, data):
+        # labels that JSON escapes, or not, on roots with and without points, at depths 0 to the genus
+        prefix = data.draw(st.sampled_from(["", 'é"\\']))
+        points = tuple(MarkedPoint(prefix + pt.label, pt.flag, pt.weights, pt.alpha) for pt in spec.points)
+        tree = DecompositionTree(dataclasses.replace(spec, points=points), data.draw(st.integers(0, spec.genus)))
+        expected = json.dumps(tree.to_json_dict(), indent=2)
+        for depth in (0, 2):
+            assert "".join(cli._tree_json(tree, depth)) == expected.replace("\n", "\n" + "  " * depth)
 
 
 # 259 nodes: its JSON report (about 0.9 MB) takes several batches
@@ -956,6 +988,22 @@ class Writes:
     def __init__(self):
         self.parts = []
         self.write = self.parts.append
+
+    def flush(self):
+        pass
+
+
+class HashedWrites:
+    """Standard output that keeps the byte size of each write and a sha256 of them all."""
+
+    def __init__(self):
+        self.sizes = []
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        blob = text.encode()
+        self.sizes.append(len(blob))
+        self.digest.update(blob)
 
     def flush(self):
         pass
@@ -987,6 +1035,7 @@ class TestBatchedReport:
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_text_and_csv_lines(self, monkeypatch, genus_3, fmt):
+        # writes of 50 characters, cut within lines as the JSON report is
         monkeypatch.setattr(cli, "BATCH", 50)
         parts = self.written(monkeypatch, ["decompose", str(genus_3), "--format", fmt])
         result = cli._decompose(ModuliSpec.from_json_dict(GENUS_3), None, None)
@@ -997,8 +1046,34 @@ class TestBatchedReport:
             f"# input sha256: {hashlib.sha256(genus_3.read_bytes()).hexdigest()}",
         ]
         lines = [*header, *rows]
-        assert len(parts) == -(-len(lines) // 50)
-        assert "".join(parts) == "\n".join(lines) + "\n"
+        assert len(lines) > 50
+        assert parts == slices("\n".join(lines) + "\n", 50)
+
+    @pytest.mark.parametrize("spec", [
+        # the largest tree the caps allow: 9,331 nodes and a 54 MB report
+        {"genus": 5, "rank": 2, "degree": 10, "level": 3, "ell": 3, "points": []},
+        # the deepest: one node's points text alone is far more than a write
+        chain_spec(cli.MAX_TREE_DEPTH),
+    ])
+    def test_large_reports_stream_in_bounded_writes(self, monkeypatch, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = HashedWrites()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.run(["decompose", str(path)]) == 0
+        assert len(out.sizes) > 1 and max(out.sizes) <= 2 * cli.BATCH
+        report = {
+            "tool": {"name": cli.TOOL_NAME, "version": cli.__version__},
+            "command": "decompose",
+            "input_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "result": cli._decompose(ModuliSpec.from_json_dict(spec), None, None),
+        }
+        # json.dumps(report, indent=2, default=DecompositionTree.to_json_dict) + "\n", hashed as it is made
+        expected = hashlib.sha256()
+        for chunk in json.JSONEncoder(indent=2, default=DecompositionTree.to_json_dict).iterencode(report):
+            expected.update(chunk.encode())
+        expected.update(b"\n")
+        assert out.digest.hexdigest() == expected.hexdigest()
 
     def test_closed_stdout_ends_quietly(self, genus_3):
         # the reader takes 10 bytes and closes the pipe while the report is written
@@ -1093,14 +1168,14 @@ class TestTreeRows:
             len(rows), sum(1 for _, _, node in rows if not node["children"])
         )
 
-    def test_text_and_csv_build_no_json_tree(self, monkeypatch, spec_path):
+    def test_no_format_builds_a_json_tree(self, monkeypatch, spec_path):
         expected = self.reports(spec_path, RANK_3)
 
         def refuse(tree):
             raise AssertionError("the JSON tree was built")
 
         monkeypatch.setattr(DecompositionTree, "to_json_dict", refuse)
-        for fmt in ("text", "csv"):
+        for fmt in ("json", "text", "csv"):
             code, out, _ = run_contract(["decompose", str(spec_path), "--format", fmt])
             assert code == 0 and out == expected[fmt]
 

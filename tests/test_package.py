@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
@@ -219,3 +220,58 @@ def test_the_cli_loads_no_fractions():
     code = "import sys, theta_factor.cli; print('fractions' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def assigned_value(path: Path, name: str):
+    """The literal a module assigns to name at its top level, read with ast, not imported."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == name for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def wrapped_by_name(path: Path) -> set[str]:
+    """The span names a module passes as a string literal to a .wrap(...) call."""
+    return {
+        node.args[0].value
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "wrap"
+        and node.args and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def defined_function(dotted: str) -> bool:
+    """Whether layer.function or layer.Class.method names a function or method theta_factor defines there."""
+    layer, *names = dotted.split(".")
+    try:
+        owner = importlib.import_module(f"theta_factor.{layer}")
+    except ModuleNotFoundError:
+        return False
+    for name in names[:-1]:
+        owner = vars(owner).get(name) if owner is not None else None
+    value = vars(owner).get(names[-1]) if owner is not None else None
+    value = value.__func__ if isinstance(value, classmethod) else value
+    return inspect.isfunction(value) and value.__module__ == f"theta_factor.{layer}"
+
+
+def test_defined_functions_are_found():
+    assert all(map(defined_function, ["cli.run", "factorization.build_tree", "parabolic.ModuliSpec.from_json_dict"]))
+    assert not any(map(defined_function, [
+        "cli.nothing", "nothing.run", "factorization.check_star", "factorization.DecompositionTree.nothing",
+        "parabolic.ModuliSpec.genus", "factorization.leaf_oracle",
+    ]))
+
+
+def test_the_benchmark_names_only_functions_that_exist():
+    # bench/tracer.py wraps each METHODS entry by name, and bench/run.py reports a
+    # span per SPANNED name; a rename under src/ would break a traced run or read 0
+    wrapped = assigned_value(BENCH / "tracer.py", "METHODS")
+    methods = [f"{layer}.{dotted}" for layer, names in wrapped.items() for dotted in names]
+    spanned = assigned_value(BENCH / "run.py", "SPANNED")
+    # spans the benchmark records around its own callables, such as the leaf oracle
+    own = set().union(*map(wrapped_by_name, sorted(BENCH.glob("*.py"))))
+    assert methods and spanned and own == {"factorization.leaf_oracle"}
+    assert [name for name in [*methods, *spanned] if name not in own and not defined_function(name)] == []

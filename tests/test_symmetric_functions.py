@@ -581,3 +581,59 @@ class TestRectangularDelta:
     def test_box_violation(self):
         with pytest.raises(ValueError):
             rectangular_lr_is_delta(Partition((3,)), 2, 2)
+
+
+def transpose(shape):
+    """The column lengths of a weakly decreasing tuple, computed here rather than by Partition."""
+    return tuple(sum(1 for part in shape if part > column) for column in range(shape[0] if shape else 0))
+
+
+@st.composite
+def skew_in_11x11_box(draw):
+    """(lam, mu, rows, columns): lam/mu in a rows x columns box, up to 11 x 11, with at most 2 cells a row.
+
+    mu's parts are drawn from a range in the box, often a narrow one, so that
+    lam/mu can have long columns; each lam_i is mu_i plus 0 to 2 cells, sorted,
+    so lam still contains mu.  The shapes reach 11 rows or 11 columns and stay small.
+    """
+    rows, columns = draw(st.integers(1, 11)), draw(st.integers(1, 11))
+    low = draw(st.integers(0, columns))
+    high = draw(st.integers(low, min(columns, low + draw(st.sampled_from([0, 1, 2, columns])))))
+    mu = sorted(draw(st.lists(st.integers(low, high), min_size=rows, max_size=rows)), reverse=True)
+    extra = draw(st.lists(st.integers(0, 2), min_size=rows, max_size=rows))
+    lam = sorted((min(columns, part + more) for part, more in zip(mu, extra)), reverse=True)
+    return tuple(lam), tuple(mu), rows, columns
+
+
+def terms(route, lam, mu):
+    return {tuple(nu): coefficient for nu, coefficient in route(lam, mu).items()}
+
+
+ROUTES = pytest.mark.parametrize("route", [lr_expand, skew_schur_expand], ids=["tableaux", "determinant"])
+
+
+class TestMetamorphic:
+    """Each route against itself on shapes too large for the polynomial oracle (Macdonald, I.5).
+
+    A fault shared by both routes, such as one in _skew_shape, Partition or
+    SchurExpansion._of_shapes, passes their cross-check; these identities still see it.
+    """
+
+    @ROUTES
+    @given(skew_in_11x11_box())
+    @settings(max_examples=60, deadline=None)
+    def test_conjugation(self, route, shape):
+        # omega sends s_{lam/mu} to s_{lam'/mu'}: every nu is conjugated
+        lam, mu, _, _ = shape
+        expected = {transpose(nu): coefficient for nu, coefficient in terms(route, lam, mu).items()}
+        assert terms(route, transpose(lam), transpose(mu)) == expected
+
+    @ROUTES
+    @given(skew_in_11x11_box())
+    @settings(max_examples=60, deadline=None)
+    def test_box_rotation(self, route, shape):
+        # lam/mu turned by 180 degrees in its rows x columns box has the same expansion
+        lam, mu, _, columns = shape
+        outer = tuple(columns - part for part in reversed(mu))
+        inner = tuple(columns - part for part in reversed(lam))
+        assert terms(route, outer, inner) == terms(route, lam, mu)
