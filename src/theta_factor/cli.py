@@ -521,8 +521,8 @@ def _indented_json(value, out) -> None:
     value holds str, int, None, True or False, in lists and str-keyed dicts, and
     DecompositionTree values, written by _tree_json; anything else raises TypeError.
     json.dumps with indent neither streams nor uses its C encoder.  The chunks go on
-    to out before a tree and, once there are BATCH of them, between list items.  It
-    recurses once per container.
+    to out before a tree and, once there are BATCH // 16 of them, between list items.
+    It recurses once per container.
     """
     chunks = []
     append = chunks.append
@@ -559,7 +559,7 @@ def _indented_json(value, out) -> None:
             items = iter(value)
             write(next(items), depth + 1)
             for item in items:
-                if len(chunks) >= BATCH:
+                if len(chunks) >= BATCH // 16:
                     out("".join(chunks))
                     chunks.clear()
                 append(separator)

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryData:
     """Parabolic data a mu index induces at the two branch points.
 
@@ -70,9 +70,10 @@ def boundary_levels(mu, r: int, levels, labels=("x1", "x2")):
     (so the reversed flag) and jumps d_{l-i+1}, with the same base weight
     mu_r.  Alphas are mu_r and k - mu_1.  A constant mu has no jumps: both
     points carry the trivial flag (r) and the single weight mu_r.  Only
-    that alpha depends on k: every level is checked, mu once, in the
-    smallest level's box, and only the second MarkedPoint is made once per
-    level.
+    that alpha depends on k.  Checked once per call: mu, the rank, every
+    level, mu in the smallest level's box, then both labels.  The points
+    are valid by construction, so MarkedPoint._unchecked makes them, the
+    second one once per level.
     """
     levels = tuple(levels)
     if not levels:
@@ -88,20 +89,27 @@ def boundary_levels(mu, r: int, levels, labels=("x1", "x2")):
     _check_int("level", k, 1)
     if not mu.fits_in_box(r, k - 1):
         raise BoxViolationError(f"{_shown(tuple(mu))} is not in the {r}x{k - 1} box")
+    label1, label2 = labels
+    if not all(isinstance(label, str) and label for label in (label1, label2)):
+        raise ValueError("point label must be a nonempty string")
     padded = mu.padded(r)
     base = padded[-1]
     positions = [i for i in range(1, r) if padded[i - 1] > padded[i]]
     jumps = [padded[i - 1] - padded[i] for i in positions]
     edges = [0, *positions, r]
     flag = [b - a for a, b in zip(edges, edges[1:])]
-    label1, label2 = labels
-    # MarkedPoint makes the FlagType and WeightVector and checks them
-    point1 = MarkedPoint(label1, flag, accumulate(jumps, initial=base), base)
-    # checked once: MarkedPoint passes values of these exact types through
-    flag2 = FlagType(flag[::-1])
-    weights2 = WeightVector(accumulate(reversed(jumps), initial=base))
+    # Each value passes MarkedPoint's checks by construction, so none is checked again: the
+    # flag parts are positive, because the jump positions strictly increase; the weights,
+    # one more than the jumps as the flag parts are, strictly increase from base = mu_r >= 0
+    # (the first alpha), because every jump is above 0; and alpha = k - mu_1 >= 1 at every
+    # level, because mu fits the r x (min level - 1) box.
+    point1 = MarkedPoint._unchecked(
+        label1, tuple.__new__(FlagType, flag), tuple.__new__(WeightVector, accumulate(jumps, initial=base)), base
+    )
+    flag2 = tuple.__new__(FlagType, flag[::-1])
+    weights2 = tuple.__new__(WeightVector, accumulate(reversed(jumps), initial=base))
     for k in levels:
-        yield BoundaryData(point1, MarkedPoint(label2, flag2, weights2, k - padded[0]))
+        yield BoundaryData(point1, MarkedPoint._unchecked(label2, flag2, weights2, k - padded[0]))
 
 
 def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:

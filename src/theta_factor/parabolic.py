@@ -1,11 +1,15 @@
 """Parabolic bookkeeping: flags, weights, marked points, and the level balance.
 
 All validation of values happens when they are constructed, so the
-arithmetic operations below never see malformed data.  A child spec made
-by degeneration (ModuliSpec._child) checks nothing: its two new points
-were checked once, with their boundary row.  The from_json_dict readers
-also reject what only a JSON spec can get wrong: unknown keys and integers
-longer than MAX_INT_DIGITS digits.
+arithmetic operations below never see malformed data.  Two private
+constructors check nothing, as their callers derive the values from
+checked ones.  A child spec made by degeneration (ModuliSpec._child) has
+two new points checked once, with their boundary row.  The boundary
+points of factorization.boundary_levels (MarkedPoint._unchecked, with a
+FlagType and a WeightVector made by tuple.__new__) come from a mu it
+checked fits the r x (min level - 1) box; its comment says why each is
+valid.  The from_json_dict readers also reject what only a JSON spec can
+get wrong: unknown keys and integers longer than MAX_INT_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ class WeightVector(tuple):
         return super().__new__(cls, weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkedPoint:
     """A marked point: label, flag type, weights, and polarization weight."""
 
@@ -91,6 +95,17 @@ class MarkedPoint:
             )
         if not isinstance(self.alpha, int) or isinstance(self.alpha, bool) or self.alpha < 0:
             raise ValueError(f"point {_shown(self.label)}: alpha must be a nonnegative integer")
+
+    @staticmethod
+    def _unchecked(label, flag, weights, alpha) -> "MarkedPoint":
+        """The point of values that pass __post_init__ as they are (a FlagType, a WeightVector); none is checked."""
+        # the slots' own descriptors, past the frozen __setattr__
+        point = object.__new__(MarkedPoint)
+        MarkedPoint.label.__set__(point, label)
+        MarkedPoint.flag.__set__(point, flag)
+        MarkedPoint.weights.__set__(point, weights)
+        MarkedPoint.alpha.__set__(point, alpha)
+        return point
 
     def star_term(self) -> int:
         """Sum of d_i * r_i over the flag steps, in one pass."""

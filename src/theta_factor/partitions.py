@@ -197,7 +197,8 @@ def enumerate_in_box(r: int, m: int):
 def _box_partitions(r: int, m: int):
     parts = [0] * r
     while True:
-        yield Partition(parts)
+        # weakly decreasing and nonnegative by construction: not checked again
+        yield tuple.__new__(Partition, parts[: r - parts.count(0)])
         # raise the last part that stays below its left neighbour (or m)
         # and reset every part after it: the next tuple lexicographically
         i = r - 1

@@ -951,6 +951,13 @@ class TestIndentedJson:
             "[\n  {", "\n    ", '"a": ', "1\n  }", ",\n  {", "\n    ", '"b": ', "2\n  }", "\n]\n",
         ]
 
+    def test_long_list_handed_on_in_pieces(self):
+        # 50,000 chunks, fewer than BATCH: the list goes on in pieces before the writer returns
+        value = [{"a": 1}] * 10_000
+        parts = batches(value)
+        assert len(parts) > 1
+        assert "".join(parts) == json.dumps(value, indent=2)
+
     @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "a"}, {None: 1}, [object()], {"a": {1, 2}}])
     def test_rejects_what_no_report_holds(self, value):
         with pytest.raises(TypeError):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 from collections import namedtuple
+from itertools import groupby
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from theta_factor import factorization
 from theta_factor.partitions import _shown
 from theta_factor import (
+    BoundaryData,
     BoxViolationError,
     DecompositionTree,
     FlagType,
@@ -24,6 +26,7 @@ from theta_factor import (
     build_tree,
     check_star,
     degenerate,
+    enumerate_in_box,
     mu_indices,
     mu_to_boundary,
     partial_sums,
@@ -315,6 +318,54 @@ class TestBoundaryLevels:
             list(factorization.boundary_levels((1,), 2, [2, bad]))
         with pytest.raises(ValueError, match=message):
             list(factorization.boundary_levels((1,), 2, [bad, 2]))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_items_equal_checked_constructions(self, data):
+        """Each item equals, with the same hash, the checking constructors' BoundaryData, r <= 6.
+
+        The reference reads mu's runs of equal entries: the first point's flag is
+        their lengths top down, with weights from mu_r up by the drops top down; the
+        second point's is their lengths bottom up, with the run values bottom up.
+        """
+        r = data.draw(st.integers(min_value=1, max_value=6))
+        kmin = data.draw(st.integers(min_value=1, max_value=5))
+        mu = data.draw(st.sampled_from(list(enumerate_in_box(r, kmin - 1))))
+        levels = data.draw(st.lists(st.integers(min_value=kmin, max_value=kmin + 6), min_size=1, max_size=5))
+        labels = data.draw(st.tuples(st.text(min_size=1), st.text(min_size=1)))
+        padded = mu.padded(r)
+        runs = [(value, len(list(run))) for value, run in groupby(padded)]
+        values = [value for value, _ in runs]
+        sizes = [size for _, size in runs]
+        drops = [a - b for a, b in zip(values, values[1:])]
+        weights1 = [padded[-1] + sum(drops[:i]) for i in range(len(runs))]
+        point1 = MarkedPoint(labels[0], sizes, weights1, padded[-1])
+        items = list(factorization.boundary_levels(mu, r, tuple(levels), labels))
+        assert len(items) == len(levels)
+        for k, item in zip(levels, items):
+            expected = BoundaryData(point1, MarkedPoint(labels[1], sizes[::-1], values[::-1], k - padded[0]))
+            assert type(item) is BoundaryData
+            assert item == expected
+            assert hash(item) == hash(expected)
+            for pt in (item.point1, item.point2):
+                assert type(pt) is MarkedPoint
+                assert type(pt.flag) is FlagType
+                assert type(pt.weights) is WeightVector
+
+    @pytest.mark.parametrize("labels", [("", "x2"), ("x1", 5), ("x1", None)])
+    def test_labels_checked(self, labels):
+        message = "^point label must be a nonempty string$"
+        items = factorization.boundary_levels(Partition((1,)), 2, [3, 2], labels)
+        with pytest.raises(ValueError, match=message):
+            next(items)
+        with pytest.raises(ValueError, match=message):
+            mu_to_boundary(Partition((1,)), 2, 2, labels)
+        assert list(factorization.boundary_levels(Partition((1,)), 2, [], labels)) == []
+        # a bad level, or mu outside the box, is reported before a bad label
+        with pytest.raises(ValueError, match="^level must be a positive integer, got 0$"):
+            next(factorization.boundary_levels(Partition((1,)), 2, [2, 0], labels))
+        with pytest.raises(BoxViolationError, match=r"^\(2,\) is not in the 2x1 box$"):
+            next(factorization.boundary_levels(Partition((2,)), 2, [3, 2], labels))
 
 
 class TestDegenerate:

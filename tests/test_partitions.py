@@ -297,6 +297,17 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="integer, got "):
             call()
 
+    @given(st.integers(1, 6), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_items_are_checked_partitions(self, r, m):
+        # made unchecked, each item is what the checking constructor makes of its parts
+        items = list(enumerate_in_box(r, m))
+        assert len(items) == math.comb(r + m, r)
+        for p in items:
+            assert type(p) is Partition
+            assert p == Partition(tuple(p))
+            assert 0 not in p
+
     def test_order_is_lexicographic_on_padded_tuples(self):
         for r, m in [(2, 3), (3, 2), (4, 2)]:
             padded = [mu.padded(r) for mu in enumerate_in_box(r, m)]
