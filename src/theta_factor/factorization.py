@@ -9,7 +9,7 @@ attaches those two points; iterating yields a decomposition tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 
 from .parabolic import MAX_INT_DIGITS, FlagType, MarkedPoint, ModuliSpec, WeightVector, check_star
 from .partitions import BoxViolationError, Partition, _check_int, _shown, enumerate_in_box
@@ -161,9 +161,10 @@ class DecompositionTree:
     boundary-balance identity (verify_boundary_balance) keeps every node
     balanced.  A leaf never enumerates the mu box.
 
-    A node is its ModuliSpec: walk and leaves make each spec below the
-    root from the rows as they reach it, and make no tree object.  ==,
-    hash and repr are the dataclass methods, flat at any depth.
+    A node is its ModuliSpec: walk makes each spec below the root from
+    the rows as it reaches it, leaves makes only the leaf specs, and
+    neither makes a tree object.  ==, hash and repr are the dataclass
+    methods, flat at any depth.
     """
 
     spec: ModuliSpec
@@ -204,8 +205,31 @@ class DecompositionTree:
                 stack.extend([(depth + 1, path + (mu,), spec._child(d.point1, d.point2)) for mu, d in rows[depth]])
 
     def leaves(self):
-        """Yield (mu path, spec) for every leaf, in walk order: the nodes at the tree's depth."""
-        return ((path, spec) for depth, path, spec in self.walk() if depth == self.depth)
+        """Yield (mu path, spec) for every leaf, in walk order; the paths are the depth-fold product of mus."""
+        return zip(product(self.mus, repeat=self.depth), self._leaf_specs())
+
+    def _leaf_specs(self):
+        """Yield each leaf spec in walk order, the root at depth 0: the one leaf descent.
+
+        A node above the leaves is only its (depth, points), so each spec
+        made is a leaf's, once, by ModuliSpec._unchecked.
+        """
+        root, depth = self.spec, self.depth
+        if not depth:
+            yield root
+            return
+        make, genus = ModuliSpec._unchecked, root.genus - depth
+        # per level, each mu's point pair; the stack pops the upper levels' reversed, in mus order
+        *upper, last = [[(d.point1, d.point2) for d in row] for row in self.rows]
+        upper = [row[::-1] for row in upper]
+        stack = [(0, root.points)]
+        while stack:
+            level, points = stack.pop()
+            if level < len(upper):
+                stack.extend([(level + 1, points + pair) for pair in upper[level]])
+            else:
+                for pair in last:
+                    yield make(root, genus, points + pair)
 
     def node_count(self) -> int:
         return sum(len(self.mus) ** i for i in range(self.depth + 1))
@@ -261,24 +285,17 @@ class LeafOracleError(RuntimeError):
 
 
 def aggregate_dimension(tree: DecompositionTree, leaf_oracle) -> int:
-    """Sum the oracle's values over the leaves.
+    """Sum the oracle's values over the leaf specs, in the order of tree.leaves().
 
     The oracle maps a leaf's ModuliSpec to an integer; no built-in
     default exists on purpose, since the recursion provides structure but
     not base-case values.  Any oracle failure aborts the whole
-    aggregation with the offending leaf spec attached.  The loop is
-    walk's without the mu paths: a stack of specs over tree's rows, leaves
-    in the order of leaves(); a spec's genus says its row.
+    aggregation with the offending leaf spec attached: the oracle's own
+    LeafOracleError as it is, any other exception or a non-int result (a
+    bool too) wrapped in one.  The specs are read with no mu path made.
     """
     total = 0
-    top, rows = tree.spec.genus, tree.rows
-    stack = [tree.spec]
-    while stack:
-        spec = stack.pop()
-        level = top - spec.genus
-        if level < len(rows):
-            stack.extend([spec._child(data.point1, data.point2) for data in reversed(rows[level])])
-            continue
+    for spec in tree._leaf_specs():
         try:
             value = leaf_oracle(spec)
         except LeafOracleError:

@@ -3,8 +3,9 @@
 All validation of values happens when they are constructed, so the
 arithmetic operations below never see malformed data.  Two private
 constructors check nothing, as their callers derive the values from
-checked ones.  A child spec made by degeneration (ModuliSpec._child) has
-two new points checked once, with their boundary row.  The boundary
+checked ones, and fill the slots through setters bound once at import.
+ModuliSpec._unchecked makes each spec below a degeneration tree's root,
+whose new points were checked once, with their boundary row.  The boundary
 points of factorization.boundary_levels (MarkedPoint._unchecked, with a
 FlagType and a WeightVector made by tuple.__new__) come from a mu it
 checked fits the r x (min level - 1) box; its comment says why each is
@@ -99,12 +100,12 @@ class MarkedPoint:
     @staticmethod
     def _unchecked(label, flag, weights, alpha) -> "MarkedPoint":
         """The point of values that pass __post_init__ as they are (a FlagType, a WeightVector); none is checked."""
-        # the slots' own descriptors, past the frozen __setattr__
+        # the slot setters bound at import, past the frozen __setattr__
         point = object.__new__(MarkedPoint)
-        MarkedPoint.label.__set__(point, label)
-        MarkedPoint.flag.__set__(point, flag)
-        MarkedPoint.weights.__set__(point, weights)
-        MarkedPoint.alpha.__set__(point, alpha)
+        _set_label(point, label)
+        _set_flag(point, flag)
+        _set_weights(point, weights)
+        _set_alpha(point, alpha)
         return point
 
     def star_term(self) -> int:
@@ -179,23 +180,27 @@ class ModuliSpec:
                 f"point {_shown(pt.label)}: weight {_shown(pt.weights[-1])} exceeds level {_shown(self.level)}"
             )
 
-    def _child(self, point1, point2) -> "ModuliSpec":
-        """The spec of genus one less with point1 and point2 added.
+    @staticmethod
+    def _unchecked(spec, genus, points) -> "ModuliSpec":
+        """spec's rank, degree, level and ell with genus and points (a tuple); nothing is checked.
 
-        Nothing is checked.  The caller ensures self has positive genus and
-        has checked both points against a spec of self's rank and level
-        (a factorization.DecompositionTree checks each boundary point once
-        per tree level; its x1@L, x2@L labels are new by construction).
+        The caller ensures 0 <= genus and checked each point not in spec.points
+        against a spec of spec's rank and level, with a new label (as a
+        factorization.DecompositionTree does once per row, labels x1@L, x2@L).
         """
-        # the slots' own descriptors, past the frozen __setattr__
-        child = object.__new__(ModuliSpec)
-        ModuliSpec.genus.__set__(child, self.genus - 1)
-        ModuliSpec.rank.__set__(child, self.rank)
-        ModuliSpec.degree.__set__(child, self.degree)
-        ModuliSpec.level.__set__(child, self.level)
-        ModuliSpec.ell.__set__(child, self.ell)
-        ModuliSpec.points.__set__(child, self.points + (point1, point2))
-        return child
+        # the slot setters bound at import, past the frozen __setattr__
+        new = object.__new__(ModuliSpec)
+        _set_genus(new, genus)
+        _set_rank(new, spec.rank)
+        _set_degree(new, spec.degree)
+        _set_level(new, spec.level)
+        _set_ell(new, spec.ell)
+        _set_points(new, points)
+        return new
+
+    def _child(self, point1, point2) -> "ModuliSpec":
+        """The spec of genus one less with point1 and point2 added (_unchecked); self has positive genus."""
+        return ModuliSpec._unchecked(self, self.genus - 1, self.points + (point1, point2))
 
     def derived_n(self) -> int:
         return self.degree + self.rank * (1 - self.genus)
@@ -229,6 +234,15 @@ class ModuliSpec:
 
     def sha256(self) -> str:
         return _canonical_sha256(self.to_json_dict())
+
+
+# Each slot's setter, bound once: the private constructors call these, with no class lookup per call.
+_set_label, _set_flag, _set_weights, _set_alpha = (
+    getattr(MarkedPoint, name).__set__ for name in ("label", "flag", "weights", "alpha")
+)
+_set_genus, _set_rank, _set_degree, _set_level, _set_ell, _set_points = (
+    getattr(ModuliSpec, name).__set__ for name in ("genus", "rank", "degree", "level", "ell", "points")
+)
 
 
 def _canonical_sha256(value) -> str:

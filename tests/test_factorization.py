@@ -429,11 +429,11 @@ class TestDegenerate:
 
 
 @st.composite
-def small_trees(draw):
-    """build_tree trees of at most 200 nodes."""
-    spec, depth = draw(small_balanced_specs()), draw(st.integers(0, 2))
+def small_trees(draw, max_depth=2, max_nodes=200):
+    """build_tree trees of depth bound 0 to max_depth and at most max_nodes nodes."""
+    spec, depth = draw(small_balanced_specs()), draw(st.integers(0, max_depth))
     n = math.comb(spec.rank + spec.level - 1, spec.rank)
-    assume(sum(n**i for i in range(min(depth, spec.genus) + 1)) <= 200)
+    assume(sum(n**i for i in range(min(depth, spec.genus) + 1)) <= max_nodes)
     return build_tree(spec, depth)
 
 
@@ -784,26 +784,33 @@ class TestTreeEngine:
         assert tree.__eq__(spec) is NotImplemented
 
     def test_build_makes_no_node_below_the_root(self, monkeypatch):
-        # child specs are made as the tree is read, once per read; a node is its spec
-        calls = []
-        make_child = ModuliSpec._child
+        # specs are made as the tree is read, once per read; a node is its spec, and
+        # leaves() and aggregate_dimension make a spec only at each leaf
+        calls, made = [], []
+        make_child, make = ModuliSpec._child, ModuliSpec._unchecked
 
         def counting_child(self, point1, point2):
             calls.append(self)
             return make_child(self, point1, point2)
 
+        def counting_unchecked(spec, genus, points):
+            made.append(genus)
+            return make(spec, genus, points)
+
         monkeypatch.setattr(ModuliSpec, "_child", counting_child)
+        monkeypatch.setattr(ModuliSpec, "_unchecked", staticmethod(counting_unchecked))
         tree = build_tree(balanced_spec(genus=3), 3)
         assert tree.node_count() == 1 + 6 + 6**2 + 6**3 and tree.leaf_count() == 6**3
-        assert calls == []
+        assert calls == [] and made == []
         assert [type(node) for _, _, node in tree.walk()] == [ModuliSpec] * tree.node_count()
         assert len(calls) == tree.node_count() - 1
         calls.clear()
+        made.clear()
         assert [type(leaf) for _, leaf in tree.leaves()] == [ModuliSpec] * tree.leaf_count()
-        assert len(calls) == tree.node_count() - 1
-        calls.clear()
+        assert calls == [] and made == [0] * tree.leaf_count()
+        made.clear()
         assert aggregate_dimension(tree, lambda leaf: 1) == tree.leaf_count()
-        assert len(calls) == tree.node_count() - 1
+        assert calls == [] and made == [0] * tree.leaf_count()
 
     def test_constructor_runs_the_checks(self):
         spec = balanced_spec()
@@ -922,3 +929,59 @@ class TestAggregate:
         else:
             assert aggregate_dimension(tree, oracle) == sum(spec.degree for spec in leaves)
             assert calls == leaves
+
+
+def raise_value_error(spec):
+    raise ValueError("no value")
+
+
+def raise_own_error(spec):
+    raise LeafOracleError(spec, "raised by the oracle itself")
+
+
+class TestLeafDescent:
+    # depth bounds up to 3, the largest genus small_balanced_specs draws, so every depth from 0 to the genus
+    @given(small_trees(max_depth=3, max_nodes=400))
+    @settings(max_examples=150, deadline=None)
+    def test_leaves_are_the_deepest_walk_nodes(self, tree):
+        leaves = list(tree.leaves())
+        assert leaves == [(path, spec) for depth, path, spec in tree.walk() if depth == tree.depth]
+        for _, leaf in leaves:
+            # the unchecked leaf equals the one the checking constructor makes of its fields
+            checked = ModuliSpec(leaf.genus, leaf.rank, leaf.degree, leaf.level, leaf.ell, leaf.points)
+            assert leaf == checked and hash(leaf) == hash(checked)
+        seen = []
+        assert aggregate_dimension(tree, lambda spec: seen.append(spec) or 1) == len(leaves)
+        assert seen == [leaf for _, leaf in leaves]
+
+    @pytest.mark.parametrize("k", [0, 1, 17, 35])
+    @pytest.mark.parametrize(
+        "fail",
+        [
+            pytest.param(raise_value_error, id="raises"),
+            pytest.param(raise_own_error, id="raises-its-own"),
+            pytest.param(lambda spec: True, id="true"),
+            pytest.param(lambda spec: None, id="none"),
+        ],
+    )
+    def test_oracle_fails_at_the_kth_leaf(self, k, fail):
+        tree = build_tree(balanced_spec(genus=2), 2)
+        leaves = [spec for depth, _, spec in tree.walk() if depth == tree.depth]
+        assert len(leaves) == 36
+        calls = []
+
+        def oracle(spec):
+            calls.append(spec)
+            return fail(spec) if len(calls) == k + 1 else 1
+
+        with pytest.raises(LeafOracleError) as info:
+            aggregate_dimension(tree, oracle)
+        assert info.value.spec is calls[-1] and info.value.spec == leaves[k]
+        assert calls == leaves[: k + 1]
+        assert f"leaf oracle failed on leaf {leaves[k].sha256()}: " in str(info.value)
+
+    def test_depth_zero_tree_calls_the_oracle_on_the_root(self):
+        spec = balanced_spec(genus=2)
+        calls = []
+        assert aggregate_dimension(build_tree(spec, 0), lambda leaf: calls.append(leaf) or 5) == 5
+        assert len(calls) == 1 and calls[0] is spec
