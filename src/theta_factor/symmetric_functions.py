@@ -165,7 +165,9 @@ def _lr_table(lam, mu) -> SchurExpansion:
                     continue
                 t = content[u]
                 room = content[u - 1] - t if u else length
-                for c in range(max(last, length - t), min(length, gap + prev[u], last + room) + 1):
+                lo, hi, top = length - t, gap + prev[u], last + room
+                hi = length if length < hi else hi
+                for c in range(last if last > lo else lo, (top if top < hi else hi) + 1):
                     stack.append((run + (c,), made + (t + c - last,)))
         states = grown
     table = {}
@@ -179,34 +181,34 @@ def _strip_extensions(cur, outer, size):
 
     All shapes are tuples padded to len(outer), in lexicographic order; no
     two added cells may share a column, which caps row i at the previous
-    row's old length.  One pass from the top finds each row's free cells
-    (caps) and their total; walking down, below is what rows i + 1.. can
-    still take, so row i takes at least the rest.
+    row's old length.  One pass from the bottom finds each row's free
+    cells (caps[i]) and, alongside, below[i], what rows i + 1.. can take
+    in all.  A depth-first walk over one stack then picks the cells of
+    each row in turn: with left cells still to place, row i takes at least
+    left - below[i] and at most min(caps[i], left), and once none are left
+    the remaining rows keep cur's parts.  The stack hands the shapes out
+    in reverse order, so they are sorted once at the end.
     """
-    if size == 0:
-        return [cur]
-    caps = []
-    below = 0
-    prev = outer[0]
-    for o, c in zip(outer, cur):
-        cap = (o if o < prev else prev) - c
-        caps.append(cap)
-        below += cap
-        prev = c
-    if size > below:
+    n = len(cur)
+    caps, below, total = [0] * n, [0] * n, 0
+    for i in range(n - 1, -1, -1):
+        cap = (outer[i] if i == 0 or outer[i] < cur[i - 1] else cur[i - 1]) - cur[i]
+        caps[i], below[i] = cap, total
+        total += cap
+    if size > total:
         return []
-    partial = [((), size)]
-    last = len(cur) - 1
-    for i in range(last):
-        c, cap = cur[i], caps[i]
-        below -= cap
-        partial = [
-            (acc + (c + a,), left - a)
-            for acc, left in partial
-            for a in range(max(0, left - below), min(cap, left) + 1)
-        ]
-    c = cur[last]
-    return [acc + (c + left,) for acc, left in partial]
+    found = []
+    stack = [(0, (), size)]
+    while stack:
+        i, acc, left = stack.pop()
+        if not left:
+            found.append(acc + cur[i:])
+            continue
+        c, rest, cap = cur[i], below[i], caps[i]
+        for a in range(left - rest if left > rest else 0, (cap if cap < left else left) + 1):
+            stack.append((i + 1, acc + (c + a,), left - a))
+    found.sort()
+    return found
 
 
 def skew_schur_expand(lam, mu) -> SchurExpansion:
@@ -222,9 +224,11 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
     A state is the set of rows used so far (a bitmask); it carries the
     Schur expansion of the signed sum of its partial products.  Taking
     entry (i, j) multiplies by h_t, t = lam_i - mu_j - i + j, which is one
-    horizontal strip of size t (Pieri's rule); the sign is the parity of
-    the used rows above i.  Equal row sets merge, so the work grows like
-    2^n rather than n!.
+    horizontal strip of size t (Pieri's rule; h_0 = 1 keeps each shape);
+    the sign is the parity of the used rows above i.  Equal row sets
+    merge, so the work grows like 2^n rather than n!.  Terms that cancel
+    to zero stay in their state: they are skipped when it is extended and
+    dropped once, at the end.
 
     Entry (i, j) is nonzero exactly for i < reach[j], and reach grows with
     j: the last column has the most nonzero rows, the first the fewest.
@@ -250,14 +254,21 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
         end -= 1
     lamp, mup = lam[top:end], mup[top:end]
     n = end - top
-    reach = [sum(lamp[i] - i >= mup[j] - j for i in range(n)) for j in range(n)]
+    # lam_i - i falls as i grows, so reach[j] counts a run of rows from the top
+    reach, i = [], 0
+    for j in range(n):
+        while i < n and lamp[i] - i >= mup[j] - j:
+            i += 1
+        reach.append(i)
 
-    masks = [(1 << r) - 1 for r in reach]
+    # column c's rows below reach[c], and how many used ones leave columns 0..c too few
+    hall_checks = [((1 << r) - 1, r - c) for c, r in enumerate(reach)]
     # row set -> whether columns 0..c find c + 1 free rows below reach[c]
     hall = {}
     states = {0: {(0,) * n: 1}}
     for j in reversed(range(n)):
         entries = [(1 << i, lamp[i] - mup[j] - i + j) for i in range(reach[j])]
+        checks = hall_checks[:j]
         grown = {}
         for used, expansion in states.items():
             for bit, t in entries:
@@ -266,19 +277,23 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
                 rows = used | bit
                 fits = hall.get(rows)
                 if fits is None:
-                    fits = hall[rows] = all(
-                        (rows & masks[c]).bit_count() < reach[c] - c for c in range(j)
-                    )
+                    fits = True
+                    for mask, need in checks:
+                        if (rows & mask).bit_count() >= need:
+                            fits = False
+                            break
+                    hall[rows] = fits
                 if not fits:
                     continue
-                sign = -1 if (used & (bit - 1)).bit_count() % 2 else 1
+                sign = -1 if (used & (bit - 1)).bit_count() & 1 else 1
                 target = grown.setdefault(rows, {})
                 for shape, coeff in expansion.items():
-                    coeff *= sign
-                    for ext in _strip_extensions(shape, lamp, t):
-                        target[ext] = target.get(ext, 0) + coeff
-        states = {rows: {s: c for s, c in e.items() if c} for rows, e in grown.items()}
-    return SchurExpansion._of_shapes(states.get((1 << n) - 1, {}))
+                    if coeff:
+                        coeff *= sign
+                        for ext in _strip_extensions(shape, lamp, t) if t else (shape,):
+                            target[ext] = target.get(ext, 0) + coeff
+        states = grown
+    return SchurExpansion._of_shapes({s: c for s, c in states.get((1 << n) - 1, {}).items() if c})
 
 
 def rectangular_lr_is_delta(mu, r: int, m: int):

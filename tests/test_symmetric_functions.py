@@ -293,6 +293,29 @@ class TestSkewSchurExpand:
         with pytest.raises(ContainmentError, match=r"^\(1, 1\) is not contained in \(2,\)$"):
             route([2], (1, 1, 0))
 
+    @pytest.mark.parametrize(
+        "lam,mu,walked",
+        [
+            # det [[h2, h4], [0, h1]]: taking h4 for the last column leaves the
+            # first column only its zero entry, so Hall's condition drops that
+            # row set before its strip of 4 is walked
+            ((3, 1), (1,), [((0, 0), 1), ((1, 0), 2)]),
+            # rows {1, 2} hold -h2 h0 + h1 h1 = -s2 + (s2 + s11): (2, 0, 0)
+            # cancels to 0, and the first column extends only (1, 1, 0)
+            ((2, 1, 1), (1,), [((0, 0, 0), 2), ((0, 0, 0), 1), ((1, 0, 0), 1), ((1, 1, 0), 1)]),
+        ],
+    )
+    def test_walks_no_strip_for_a_dead_row_set_or_a_cancelled_term(self, monkeypatch, lam, mu, walked):
+        seen = []
+
+        def spy(cur, outer, size):
+            seen.append((cur, size))
+            return _strip_extensions(cur, outer, size)
+
+        monkeypatch.setattr(symmetric_functions, "_strip_extensions", spy)
+        assert skew_schur_expand(lam, mu) == lr_expand(lam, mu)
+        assert seen == walked
+
     def test_agrees_with_direct_lr_in_3x3_box(self):
         for lam in enumerate_in_box(3, 3):
             for mu in enumerate_in_box(3, 3):
@@ -407,6 +430,27 @@ class TestStripExtensions:
         outer = sorted(rows, reverse=True)
         # any bound-respecting choice, sorted, stays inside outer row by row
         cur = sorted((data.draw(st.integers(0, row)) for row in outer), reverse=True)
+        size = data.draw(st.integers(0, sum(outer) - sum(cur) + 2))
+        got = _strip_extensions(tuple(cur), tuple(outer), size)
+        assert got == horizontal_strip_shapes(cur, outer, size)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_on_tall_rows(self, data):
+        """Up to nine rows with parts up to 12, as tall as TestTallShapes.
+
+        The brute force tries every tuple between cur and outer, so outer
+        is drawn row by row from the top with a ceiling that keeps the
+        product of the row ranges at most 2,000.
+        """
+        length = data.draw(st.integers(1, 9))
+        rows = data.draw(st.lists(st.integers(0, 12), min_size=length, max_size=length))
+        cur = sorted(rows, reverse=True)
+        outer, tries = [], 1
+        for c in cur:
+            ceiling = min(outer[-1] if outer else 12, c + 2000 // tries - 1)
+            outer.append(data.draw(st.integers(c, ceiling)))
+            tries *= outer[-1] - c + 1
         size = data.draw(st.integers(0, sum(outer) - sum(cur) + 2))
         got = _strip_extensions(tuple(cur), tuple(outer), size)
         assert got == horizontal_strip_shapes(cur, outer, size)
