@@ -8,8 +8,9 @@ attaches those two points; iterating yields a decomposition tree.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, product
+from itertools import chain, product
 
 from .parabolic import MAX_INT_DIGITS, FlagType, MarkedPoint, ModuliSpec, WeightVector, check_star
 from .partitions import BoxViolationError, Partition, _check_int, _shown, enumerate_in_box
@@ -70,10 +71,10 @@ def boundary_levels(mu, r: int, levels, labels=("x1", "x2")):
     (so the reversed flag) and jumps d_{l-i+1}, with the same base weight
     mu_r.  Alphas are mu_r and k - mu_1.  A constant mu has no jumps: both
     points carry the trivial flag (r) and the single weight mu_r.  Only
-    that alpha depends on k.  Checked once per call: mu, the rank, every
-    level, mu in the smallest level's box, then both labels.  The points
-    are valid by construction, so MarkedPoint._unchecked makes them, the
-    second one once per level.
+    that alpha depends on k.  Checked once per call, at the first next():
+    mu, the rank, every level, mu in the smallest level's box, then the
+    labels, a pair of nonempty strings.  _boundary_levels then derives the
+    points unchecked.
     """
     levels = tuple(levels)
     if not levels:
@@ -89,27 +90,46 @@ def boundary_levels(mu, r: int, levels, labels=("x1", "x2")):
     _check_int("level", k, 1)
     if not mu.fits_in_box(r, k - 1):
         raise BoxViolationError(f"{_shown(tuple(mu))} is not in the {r}x{k - 1} box")
-    label1, label2 = labels
+    try:
+        label1, label2 = labels
+    except (TypeError, ValueError):
+        raise ValueError(f"labels must be a pair of point labels, got {_shown(labels)}") from None
     if not all(isinstance(label, str) and label for label in (label1, label2)):
         raise ValueError("point label must be a nonempty string")
-    padded = mu.padded(r)
-    base = padded[-1]
-    positions = [i for i in range(1, r) if padded[i - 1] > padded[i]]
-    jumps = [padded[i - 1] - padded[i] for i in positions]
-    edges = [0, *positions, r]
-    flag = [b - a for a, b in zip(edges, edges[1:])]
+    yield from _boundary_levels(mu, r, levels, label1, label2)
+
+
+def _boundary_levels(mu, r: int, levels, label1: str, label2: str) -> list:
+    """boundary_levels' items as a list, from values it would accept; nothing is checked.
+
+    The r-padded mu is read as its runs of equal entries, bottom up: their
+    values mu_r = v_1 < ... < v_{l+1} = mu_1 and lengths are the second
+    point's weights and flag, and the first point's flag and weights are
+    the lengths and mu_r + mu_1 - v_j top down.  The zeros, if mu has fewer
+    than r parts, are the first run; each run of mu's parts ends where
+    bisect_right puts its value in mu reversed, which ascends.
+    """
+    ascending = mu[::-1]
+    values, sizes = ([0], [r - len(mu)]) if len(mu) < r else ([], [])
+    start = 0
+    while start < len(ascending):
+        value = ascending[start]
+        end = bisect_right(ascending, value, start)
+        values.append(value)
+        sizes.append(end - start)
+        start = end
+    base, top = values[0], values[-1]
     # Each value passes MarkedPoint's checks by construction, so none is checked again: the
-    # flag parts are positive, because the jump positions strictly increase; the weights,
-    # one more than the jumps as the flag parts are, strictly increase from base = mu_r >= 0
-    # (the first alpha), because every jump is above 0; and alpha = k - mu_1 >= 1 at every
-    # level, because mu fits the r x (min level - 1) box.
-    point1 = MarkedPoint._unchecked(
-        label1, tuple.__new__(FlagType, flag), tuple.__new__(WeightVector, accumulate(jumps, initial=base)), base
-    )
-    flag2 = tuple.__new__(FlagType, flag[::-1])
-    weights2 = tuple.__new__(WeightVector, accumulate(reversed(jumps), initial=base))
-    for k in levels:
-        yield BoundaryData(point1, MarkedPoint._unchecked(label2, flag2, weights2, k - padded[0]))
+    # flag parts are run lengths, so positive; the weights, one per run as the flag parts are,
+    # strictly increase from base = mu_r >= 0 (the first alpha), because the run values
+    # strictly increase bottom up; and alpha = k - mu_1 >= 1 at every level, because mu fits
+    # the r x (min level - 1) box.
+    weights1 = tuple.__new__(WeightVector, map((top + base).__sub__, reversed(values)))
+    point1 = MarkedPoint._unchecked(label1, tuple.__new__(FlagType, sizes[::-1]), weights1, base)
+    flag2 = tuple.__new__(FlagType, sizes)
+    weights2 = tuple.__new__(WeightVector, values)
+    make = MarkedPoint._unchecked
+    return [BoundaryData(point1, make(label2, flag2, weights2, k - top)) for k in levels]
 
 
 def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:

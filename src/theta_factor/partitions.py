@@ -196,18 +196,22 @@ def enumerate_in_box(r: int, m: int):
 
 def _box_partitions(r: int, m: int):
     parts = [0] * r
+    # parts[:length] are the nonzero parts, the rest are zeros
+    length = 0
     while True:
         # weakly decreasing and nonnegative by construction: not checked again
-        yield tuple.__new__(Partition, parts[: r - parts.count(0)])
+        yield tuple.__new__(Partition, parts[:length])
         # raise the last part that stays below its left neighbour (or m)
-        # and reset every part after it: the next tuple lexicographically
-        i = r - 1
+        # and zero every part after it: the next tuple lexicographically.
+        # Of the zeros only the first can rise, so the scan starts there.
+        i = min(length, r - 1)
         while i >= 0 and parts[i] == (parts[i - 1] if i else m):
             i -= 1
         if i < 0:
             return
         parts[i] += 1
-        parts[i + 1:] = [0] * (r - 1 - i)
+        parts[i + 1:length] = [0] * (length - 1 - i)
+        length = i + 1
 
 
 def box_count(r: int, m: int) -> int:

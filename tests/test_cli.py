@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from theta_factor import DecompositionTree, MarkedPoint, ModuliSpec, cli, factorization, parabolic
+from theta_factor import DecompositionTree, MarkedPoint, ModuliSpec, cli, factorization, parabolic, partitions
 from theta_factor.partitions import _shown
 from test_cli_golden import CASES as GOLDEN_CASES, EXPECTED as GOLDEN_EXPECTED
 from test_factorization import small_balanced_specs
@@ -668,6 +668,51 @@ class TestBalanceSweep:
         for k in range(1, 5):
             mus = [order[tuple(mu)] for level, mu in cases if level == k]
             assert mus == sorted(mus)
+
+
+def jump_reference(mu, r, k):
+    """The BoundaryData of mu at rank r and level k from the r-padded jumps, by the checking constructors."""
+    padded = mu.padded(r)
+    positions = [i for i in range(1, r) if padded[i - 1] > padded[i]]
+    jumps = [padded[i - 1] - padded[i] for i in positions]
+    edges = [0, *positions, r]
+    flag = [b - a for a, b in zip(edges, edges[1:])]
+    weights1 = [padded[-1] + sum(jumps[:i]) for i in range(len(jumps) + 1)]
+    weights2 = [padded[-1] + sum(jumps[len(jumps) - i:]) for i in range(len(jumps) + 1)]
+    return factorization.BoundaryData(
+        MarkedPoint("x1", flag, weights1, padded[-1]), MarkedPoint("x2", flag[::-1], weights2, k - padded[0])
+    )
+
+
+class TestSweepDerivation:
+    """The sweep skips boundary_levels' checks, not its items."""
+
+    @pytest.mark.parametrize("r,max_level", [*((r, 8) for r in range(1, 8)), (300, 2)])
+    def test_items_equal_boundary_levels(self, r, max_level):
+        for mu in factorization.mu_indices(r, max_level):
+            levels = range((mu[0] if mu else 0) + 1, max_level + 1)
+            items = factorization._boundary_levels(mu, r, levels, "x1", "x2")
+            assert items == list(factorization.boundary_levels(mu, r, levels))
+            assert items == [jump_reference(mu, r, k) for k in levels]
+            for item in items:
+                assert type(item) is factorization.BoundaryData
+                for pt in (item.point1, item.point2):
+                    assert type(pt) is MarkedPoint
+                    assert type(pt.flag) is parabolic.FlagType
+                    assert type(pt.weights) is parabolic.WeightVector
+
+    def test_checks_once_per_rank(self, monkeypatch):
+        # 15 mus at max level 3, 330 at 8: a check per mu would tell them apart
+        calls = []
+        for module in (factorization, partitions):
+            check = module._check_int
+            monkeypatch.setattr(module, "_check_int", lambda *args, check=check: calls.append(args) or check(*args))
+        counts = []
+        for max_level in (3, 8):
+            calls.clear()
+            cli._balance_worker(4, max_level)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 def chain_spec(genus):

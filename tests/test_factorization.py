@@ -367,6 +367,19 @@ class TestBoundaryLevels:
         with pytest.raises(BoxViolationError, match=r"^\(2,\) is not in the 2x1 box$"):
             next(factorization.boundary_levels(Partition((2,)), 2, [3, 2], labels))
 
+    @pytest.mark.parametrize("labels", [("a",), ("a", "b", "c"), None])
+    def test_labels_not_a_pair(self, labels):
+        # named, not Python's bare unpacking error
+        message = f"^labels must be a pair of point labels, got {re.escape(_shown(labels))}$"
+        items = factorization.boundary_levels(Partition((1,)), 2, [3, 2], labels)
+        with pytest.raises(ValueError, match=message):
+            next(items)
+        with pytest.raises(ValueError, match=message):
+            mu_to_boundary(Partition((1,)), 2, 2, labels)
+        assert list(factorization.boundary_levels(Partition((1,)), 2, [], labels)) == []
+        with pytest.raises(BoxViolationError, match=r"^\(2,\) is not in the 2x1 box$"):
+            next(factorization.boundary_levels(Partition((2,)), 2, [3, 2], labels))
+
 
 class TestDegenerate:
     def test_child_count_rank_one(self):

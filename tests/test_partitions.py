@@ -6,9 +6,10 @@ in oracles.py; the sweeps at the bottom re-run the oracle live.
 
 import math
 import sys
+from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from theta_factor import (
     BoxViolationError,
@@ -312,6 +313,16 @@ class TestEnumeration:
         for r, m in [(2, 3), (3, 2), (4, 2)]:
             padded = [mu.padded(r) for mu in enumerate_in_box(r, m)]
             assert padded == sorted(padded)
+
+    @given(st.one_of(st.tuples(st.integers(0, 7), st.integers(0, 4)), st.tuples(st.integers(0, 300), st.just(1))))
+    @settings(max_examples=60, deadline=None)
+    @example((300, 1))
+    @example((5, 0))
+    def test_items_equal_plain_reference(self, box):
+        # every weakly decreasing r-tuple of parts at most m, sorted; long runs of zeros at m = 1
+        r, m = box
+        reference = sorted(tuple(sorted(parts, reverse=True)) for parts in combinations_with_replacement(range(m + 1), r))
+        assert [mu.padded(r) for mu in enumerate_in_box(r, m)] == reference
 
 
 class TestHelpers:
