@@ -365,14 +365,11 @@ def _balance_worker(r: int, max_level: int):
     The r x (k-1) box is the r x (max_level-1) box's mus with mu_1 < k, in
     order, so one walk serves every level: mu at levels mu_1+1..max_level.
     r and max_level are checked once, by mu_indices; each mu's points come
-    unchecked from boundary_levels' derivation, _boundary_levels.
+    unchecked from _boundary_levels, whose precondition holds (see below).
     """
     count = 0
     failures = [[] for _ in range(max_level + 1)]
-    # Every check boundary_levels makes would pass here, so none is made per mu: mu_indices
-    # yields Partitions in the r x (max_level - 1) box, with r a checked positive int; every
-    # level k in mu_1+1..max_level is a positive int with mu_1 <= k - 1, so mu fits the
-    # r x (k - 1) box at each of its levels; and "x1", "x2" are a pair of nonempty strings.
+    # _boundary_levels' precondition holds: mu_indices checks r and yields Partitions; levels exceed mu_1
     for mu in mu_indices(r, max_level):
         levels = range((mu[0] if mu else 0) + 1, max_level + 1)
         for k, data in zip(levels, _boundary_levels(mu, r, levels, "x1", "x2")):

@@ -20,7 +20,6 @@ __all__ = [
     "DecompositionTree",
     "LeafOracleError",
     "aggregate_dimension",
-    "boundary_levels",
     "build_tree",
     "degenerate",
     "mu_indices",
@@ -61,53 +60,20 @@ def mu_indices(r: int, k: int):
     return enumerate_in_box(r, k - 1)
 
 
-def boundary_levels(mu, r: int, levels, labels=("x1", "x2")):
-    """Yield the BoundaryData mu induces at rank r for each level k in levels.
-
-    Jump positions r_1 < ... < r_l are where consecutive entries of the
-    r-padded mu strictly drop, with jump sizes d_i.  The first point gets
-    flag (r_1, r_2 - r_1, ..., r - r_l) and weights (mu_r, mu_r + d_1,
-    ...); the second point gets the reversed data, positions r - r_{l-i+1}
-    (so the reversed flag) and jumps d_{l-i+1}, with the same base weight
-    mu_r.  Alphas are mu_r and k - mu_1.  A constant mu has no jumps: both
-    points carry the trivial flag (r) and the single weight mu_r.  Only
-    that alpha depends on k.  Checked once per call, at the first next():
-    mu, the rank, every level, mu in the smallest level's box, then the
-    labels, a pair of nonempty strings.  _boundary_levels then derives the
-    points unchecked.
-    """
-    levels = tuple(levels)
-    if not levels:
-        return
-    # a Partition, as mu_indices makes, passes through unchecked
-    mu = Partition(mu)
-    _check_int("rank", r, 1)
-    # one pass over the types in C; _check_int names the first level that is not an int
-    if not set(map(type, levels)) <= {int}:
-        for k in levels:
-            _check_int("level", k, 1)
-    k = min(levels)
-    _check_int("level", k, 1)
-    if not mu.fits_in_box(r, k - 1):
-        raise BoxViolationError(f"{_shown(tuple(mu))} is not in the {r}x{k - 1} box")
-    try:
-        label1, label2 = labels
-    except (TypeError, ValueError):
-        raise ValueError(f"labels must be a pair of point labels, got {_shown(labels)}") from None
-    if not all(isinstance(label, str) and label for label in (label1, label2)):
-        raise ValueError("point label must be a nonempty string")
-    yield from _boundary_levels(mu, r, levels, label1, label2)
-
-
 def _boundary_levels(mu, r: int, levels, label1: str, label2: str) -> list:
-    """boundary_levels' items as a list, from values it would accept; nothing is checked.
+    """The BoundaryData mu induces at rank r for each level k in levels, as a list; nothing is checked.
 
+    Precondition: mu is a Partition in the r x (min(levels) - 1) box, r is
+    a positive int, every level is an int (so >= min(levels), and mu fits
+    its box), and label1, label2 are nonempty strings.  Then every point is
+    valid by construction; mu_to_boundary checks this for one level.
     The r-padded mu is read as its runs of equal entries, bottom up: their
     values mu_r = v_1 < ... < v_{l+1} = mu_1 and lengths are the second
     point's weights and flag, and the first point's flag and weights are
     the lengths and mu_r + mu_1 - v_j top down.  The zeros, if mu has fewer
     than r parts, are the first run; each run of mu's parts ends where
-    bisect_right puts its value in mu reversed, which ascends.
+    bisect_right puts its value in mu reversed, which ascends.  Only the
+    second point's alpha depends on k, so the rest is made once.
     """
     ascending = mu[::-1]
     values, sizes = ([0], [r - len(mu)]) if len(mu) < r else ([], [])
@@ -133,8 +99,32 @@ def _boundary_levels(mu, r: int, levels, label1: str, label2: str) -> list:
 
 
 def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
-    """Boundary marked points induced by mu at rank r and level k (boundary_levels)."""
-    return next(boundary_levels(mu, r, (k,), labels))
+    """Boundary marked points induced by mu at rank r and level k.
+
+    Jump positions r_1 < ... < r_l are where consecutive entries of the
+    r-padded mu strictly drop, with jump sizes d_i.  The first point gets
+    flag (r_1, r_2 - r_1, ..., r - r_l) and weights (mu_r, mu_r + d_1,
+    ...); the second point gets the reversed data, positions r - r_{l-i+1}
+    (so the reversed flag) and jumps d_{l-i+1}, with the same base weight
+    mu_r.  Alphas are mu_r and k - mu_1.  A constant mu has no jumps: both
+    points carry the trivial flag (r) and the single weight mu_r.  Checked
+    in order: mu, the rank, the level, mu in the r x (k-1) box, then the
+    labels, a pair of nonempty strings; the points then come from
+    _boundary_levels, whose docstring states what these checks secure.
+    """
+    # a Partition, as mu_indices makes, passes through unchecked
+    mu = Partition(mu)
+    _check_int("rank", r, 1)
+    _check_int("level", k, 1)
+    if not mu.fits_in_box(r, k - 1):
+        raise BoxViolationError(f"{_shown(tuple(mu))} is not in the {_shown(r)}x{_shown(k - 1)} box")
+    try:
+        label1, label2 = labels
+    except (TypeError, ValueError):
+        raise ValueError(f"labels must be a pair of point labels, got {_shown(labels)}") from None
+    if not all(isinstance(label, str) and label for label in (label1, label2)):
+        raise ValueError("point label must be a nonempty string")
+    return _boundary_levels(mu, r, (k,), label1, label2)[0]
 
 
 def verify_boundary_balance(mu, r: int, k: int):

@@ -7,10 +7,9 @@ checked ones, and fill the slots through setters bound once at import.
 ModuliSpec._unchecked makes each spec below a degeneration tree's root,
 whose new points were checked once, with their boundary row.  The boundary
 points of factorization._boundary_levels (MarkedPoint._unchecked, with a
-FlagType and a WeightVector made by tuple.__new__) come from a mu that
-fits the r x (min level - 1) box: boundary_levels checks that first, and
-the identities sweep (cli._balance_worker) pairs each mu only with levels
-whose box holds it.  A comment at each says why the values are valid.
+FlagType and a WeightVector made by tuple.__new__) are valid under the
+precondition its docstring states.  A comment at each says why the values
+are valid.
 The from_json_dict readers also reject what only a JSON spec can get
 wrong: unknown keys and integers longer than MAX_INT_DIGITS digits.
 """

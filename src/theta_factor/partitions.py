@@ -86,7 +86,7 @@ class Partition(tuple):
     def padded(self, length: int) -> tuple[int, ...]:
         """The parts extended by zeros to the given length."""
         if length < len(self):
-            raise ValueError(f"cannot pad {_shown(tuple(self))} down to length {length}")
+            raise ValueError(f"cannot pad {_shown(tuple(self))} down to length {_shown(length)}")
         return tuple(self) + (0,) * (length - len(self))
 
     def contains(self, other) -> bool:
@@ -178,7 +178,7 @@ def complement_in_box(mu, r: int, m: int) -> Partition:
     _check_int("r", r, 0)
     _check_int("m", m, 0)
     if not mu.fits_in_box(r, m):
-        raise BoxViolationError(f"{_shown(tuple(mu))} does not fit in a {r}x{m} box")
+        raise BoxViolationError(f"{_shown(tuple(mu))} does not fit in a {_shown(r)}x{_shown(m)} box")
     return Partition(m - p for p in reversed(mu.padded(r)))
 
 

@@ -685,14 +685,14 @@ def jump_reference(mu, r, k):
 
 
 class TestSweepDerivation:
-    """The sweep skips boundary_levels' checks, not its items."""
+    """The sweep skips mu_to_boundary's checks, not its items."""
 
     @pytest.mark.parametrize("r,max_level", [*((r, 8) for r in range(1, 8)), (300, 2)])
     def test_items_equal_boundary_levels(self, r, max_level):
         for mu in factorization.mu_indices(r, max_level):
             levels = range((mu[0] if mu else 0) + 1, max_level + 1)
             items = factorization._boundary_levels(mu, r, levels, "x1", "x2")
-            assert items == list(factorization.boundary_levels(mu, r, levels))
+            assert items == [factorization.mu_to_boundary(mu, r, k) for k in levels]
             assert items == [jump_reference(mu, r, k) for k in levels]
             for item in items:
                 assert type(item) is factorization.BoundaryData

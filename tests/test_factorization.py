@@ -280,13 +280,13 @@ class TestBoundaryLevels:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_items_equal_one_level_calls(self, data):
-        """Each item is mu_to_boundary at its level, r <= 4, levels up to 6, in any order."""
+        """Each _boundary_levels item is mu_to_boundary at its level, r <= 4, levels up to 6, in any order."""
         r = data.draw(st.integers(min_value=1, max_value=4))
         k = data.draw(st.integers(min_value=1, max_value=5))
         mu = data.draw(st.sampled_from(list(mu_indices(r, k))))
         levels = data.draw(st.lists(st.integers(min_value=k, max_value=6), min_size=1, max_size=4))
         labels = data.draw(st.sampled_from([("x1", "x2"), ("x1@3", "x2@3"), ("a", "b")]))
-        items = list(factorization.boundary_levels(mu, r, levels, labels))
+        items = factorization._boundary_levels(mu, r, levels, *labels)
         assert len(items) == len(levels)
         for level, item in zip(levels, items):
             assert item == mu_to_boundary(mu, r, level, labels=labels)
@@ -299,34 +299,39 @@ class TestBoundaryLevels:
         assert all(item.point2.flag is items[0].point2.flag for item in items)
         assert all(item.point2.weights is items[0].point2.weights for item in items)
 
-    def test_mu_checked_at_the_smallest_level(self):
+    def test_mu_and_rank_checked(self):
         mu = Partition((2,))
-        assert len(list(factorization.boundary_levels(mu, 2, [5, 3, 4]))) == 3
-        with pytest.raises(BoxViolationError):
-            list(factorization.boundary_levels(mu, 2, [5, 2, 4]))
-        with pytest.raises(ValueError):
-            list(factorization.boundary_levels(mu, 0, [3]))
-        with pytest.raises(ValueError):
-            list(factorization.boundary_levels((1, 2), 2, [3]))
-        assert list(factorization.boundary_levels(mu, 2, [])) == []
+        assert mu_to_boundary(mu, 2, 3) == factorization._boundary_levels(mu, 2, (3,), "x1", "x2")[0]
+        with pytest.raises(BoxViolationError, match=r"^\(2,\) is not in the 2x1 box$"):
+            mu_to_boundary(mu, 2, 2)
+        with pytest.raises(ValueError, match="^rank must be a positive integer, got 0$"):
+            mu_to_boundary(mu, 0, 3)
+        with pytest.raises(ValueError, match="^parts must be weakly decreasing"):
+            mu_to_boundary((1, 2), 2, 3)
+        # mu is checked before the rank, and the rank before the level
+        with pytest.raises(ValueError, match="^parts must be weakly decreasing"):
+            mu_to_boundary((1, 2), 0, 0)
+        with pytest.raises(ValueError, match="^rank must be a positive integer, got 0$"):
+            mu_to_boundary(mu, 0, 0)
 
     @pytest.mark.parametrize("bad", [3.0, True, "3", 0, -1])
     def test_every_level_checked(self, bad):
-        # a bad level after the first is named, not blamed on the second point
+        # a bad level is named, not blamed on the box or the second point
         message = f"^level must be a positive integer, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=message):
-            list(factorization.boundary_levels((1,), 2, [2, bad]))
+            mu_to_boundary((1,), 2, bad)
         with pytest.raises(ValueError, match=message):
-            list(factorization.boundary_levels((1,), 2, [bad, 2]))
+            mu_to_boundary((2,), 2, bad, ("", None))
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_items_equal_checked_constructions(self, data):
         """Each item equals, with the same hash, the checking constructors' BoundaryData, r <= 6.
 
-        The reference reads mu's runs of equal entries: the first point's flag is
-        their lengths top down, with weights from mu_r up by the drops top down; the
-        second point's is their lengths bottom up, with the run values bottom up.
+        So does mu_to_boundary at each level.  The reference reads mu's runs of
+        equal entries: the first point's flag is their lengths top down, with
+        weights from mu_r up by the drops top down; the second point's is their
+        lengths bottom up, with the run values bottom up.
         """
         r = data.draw(st.integers(min_value=1, max_value=6))
         kmin = data.draw(st.integers(min_value=1, max_value=5))
@@ -340,45 +345,38 @@ class TestBoundaryLevels:
         drops = [a - b for a, b in zip(values, values[1:])]
         weights1 = [padded[-1] + sum(drops[:i]) for i in range(len(runs))]
         point1 = MarkedPoint(labels[0], sizes, weights1, padded[-1])
-        items = list(factorization.boundary_levels(mu, r, tuple(levels), labels))
+        items = factorization._boundary_levels(mu, r, tuple(levels), *labels)
         assert len(items) == len(levels)
         for k, item in zip(levels, items):
             expected = BoundaryData(point1, MarkedPoint(labels[1], sizes[::-1], values[::-1], k - padded[0]))
-            assert type(item) is BoundaryData
-            assert item == expected
-            assert hash(item) == hash(expected)
-            for pt in (item.point1, item.point2):
-                assert type(pt) is MarkedPoint
-                assert type(pt.flag) is FlagType
-                assert type(pt.weights) is WeightVector
+            for got in (item, mu_to_boundary(mu, r, k, labels)):
+                assert type(got) is BoundaryData
+                assert got == expected
+                assert hash(got) == hash(expected)
+                for pt in (got.point1, got.point2):
+                    assert type(pt) is MarkedPoint
+                    assert type(pt.flag) is FlagType
+                    assert type(pt.weights) is WeightVector
 
     @pytest.mark.parametrize("labels", [("", "x2"), ("x1", 5), ("x1", None)])
     def test_labels_checked(self, labels):
         message = "^point label must be a nonempty string$"
-        items = factorization.boundary_levels(Partition((1,)), 2, [3, 2], labels)
-        with pytest.raises(ValueError, match=message):
-            next(items)
         with pytest.raises(ValueError, match=message):
             mu_to_boundary(Partition((1,)), 2, 2, labels)
-        assert list(factorization.boundary_levels(Partition((1,)), 2, [], labels)) == []
         # a bad level, or mu outside the box, is reported before a bad label
         with pytest.raises(ValueError, match="^level must be a positive integer, got 0$"):
-            next(factorization.boundary_levels(Partition((1,)), 2, [2, 0], labels))
+            mu_to_boundary(Partition((1,)), 2, 0, labels)
         with pytest.raises(BoxViolationError, match=r"^\(2,\) is not in the 2x1 box$"):
-            next(factorization.boundary_levels(Partition((2,)), 2, [3, 2], labels))
+            mu_to_boundary(Partition((2,)), 2, 2, labels)
 
     @pytest.mark.parametrize("labels", [("a",), ("a", "b", "c"), None])
     def test_labels_not_a_pair(self, labels):
         # named, not Python's bare unpacking error
         message = f"^labels must be a pair of point labels, got {re.escape(_shown(labels))}$"
-        items = factorization.boundary_levels(Partition((1,)), 2, [3, 2], labels)
-        with pytest.raises(ValueError, match=message):
-            next(items)
         with pytest.raises(ValueError, match=message):
             mu_to_boundary(Partition((1,)), 2, 2, labels)
-        assert list(factorization.boundary_levels(Partition((1,)), 2, [], labels)) == []
         with pytest.raises(BoxViolationError, match=r"^\(2,\) is not in the 2x1 box$"):
-            next(factorization.boundary_levels(Partition((2,)), 2, [3, 2], labels))
+            mu_to_boundary(Partition((2,)), 2, 2, labels)
 
 
 class TestDegenerate:

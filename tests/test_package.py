@@ -20,7 +20,7 @@ EXPORTED = [
     "BoundaryData", "BoxViolationError", "BranchingTable", "ContainmentError",
     "DecompositionTree", "FlagType", "LeafOracleError", "MarkedPoint", "ModuliSpec",
     "Partition", "SchurExpansion", "StratumDatum", "WeightVector", "__version__",
-    "aggregate_dimension", "boundary_levels", "box_count", "build_tree", "check_star",
+    "aggregate_dimension", "box_count", "build_tree", "check_star",
     "complement_in_box", "complete_intersection_height", "decompose_rectangular", "degenerate",
     "dim_schur", "double_det_dim", "enumerate_in_box", "gps_codim_bounds", "lr_coefficient",
     "lr_expand", "mu_indices", "mu_to_boundary", "partial_sums", "partitions_of",

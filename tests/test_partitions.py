@@ -417,6 +417,25 @@ class TestShown:
             call(huge)
         assert str(info.value) == f"{name} must be a nonnegative integer, got an integer of more than {digits} digits"
 
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int to str conversion")
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda v: mu_to_boundary((5,), v, 3), lambda v: f"(5,) is not in the {_shown(v)}x2 box"),
+            (lambda v: mu_to_boundary((1, 1, 1), 2, v + 1), lambda v: f"(1, 1, 1) is not in the 2x{_shown(v)} box"),
+            (lambda v: complement_in_box((5,), v, 3), lambda v: f"(5,) does not fit in a {_shown(v)}x3 box"),
+            (lambda v: Partition((1, 1)).padded(-v), lambda v: f"cannot pad (1, 1) down to length {_shown(-v)}"),
+        ],
+        ids=["boundary rank", "boundary level", "complement", "pad"],
+    )
+    def test_huge_int_in_a_message_is_shown_short(self, call, message):
+        # past the conversion limit a raw int raises Python's own error; below it, it echoes in full
+        for huge, shown in ((10**5000, "an integer of more than"), (10**1000, "... (100")):
+            with pytest.raises(ValueError) as info:
+                call(huge)
+            assert str(info.value) == message(huge)
+            assert shown in str(info.value) and len(str(info.value)) < 100
+
     @pytest.mark.parametrize("call", LONG_INPUTS.values(), ids=list(LONG_INPUTS))
     def test_messages_show_long_inputs_short(self, call):
         with pytest.raises(ValueError) as info:
