@@ -31,7 +31,7 @@ from .codimension import (
 from .factorization import (
     DecompositionTree,
     LeafOracleError,
-    _boundary_levels,
+    _boundary_data,
     aggregate_dimension,
     build_tree,
     mu_indices,
@@ -363,22 +363,22 @@ def _balance_worker(r: int, max_level: int):
     """Balance cases of rank r at levels 1..max_level, failures in (level, mu) order.
 
     The r x (k-1) box is the r x (max_level-1) box's mus with mu_1 < k, in
-    order, so one walk serves every level: mu at levels mu_1+1..max_level.
-    r and max_level are checked once, by mu_indices; each mu's points come
-    unchecked from _boundary_levels, whose precondition holds (see below).
+    order, so one walk serves every level: mu at levels k0 = mu_1+1..max_level.
+    A star term reads only a point's flag and weights, and only the second
+    point's alpha, k - mu_1, moves with k, so each mu's points and balance are
+    made once, at k0, and the contribution grows by r per level.
     """
     count = 0
     failures = [[] for _ in range(max_level + 1)]
-    # _boundary_levels' precondition holds: mu_indices checks r and yields Partitions; levels exceed mu_1
+    # mu_indices checks r and max_level once and yields Partitions, each in the r x (k0-1) box, as _boundary_data needs
     for mu in mu_indices(r, max_level):
-        levels = range((mu[0] if mu else 0) + 1, max_level + 1)
-        for k, data in zip(levels, _boundary_levels(mu, r, levels, "x1", "x2")):
-            contribution, holds = data.balance(r, k)
-            count += 1
-            if not holds:
-                failures[k].append(
-                    {"mu": list(mu.padded(r)), "rank": r, "level": k, "contribution": contribution}
-                )
+        k0 = (mu[0] if mu else 0) + 1
+        contribution, _ = _boundary_data(mu, r, k0, "x1", "x2").balance(r, k0)
+        count += max_level + 1 - k0
+        for k in range(k0, max_level + 1):
+            if contribution != k * r:
+                failures[k].append({"mu": list(mu.padded(r)), "rank": r, "level": k, "contribution": contribution})
+            contribution += r
     return count, [failure for level in failures for failure in level]
 
 

@@ -60,20 +60,18 @@ def mu_indices(r: int, k: int):
     return enumerate_in_box(r, k - 1)
 
 
-def _boundary_levels(mu, r: int, levels, label1: str, label2: str) -> list:
-    """The BoundaryData mu induces at rank r for each level k in levels, as a list; nothing is checked.
+def _boundary_data(mu, r: int, k: int, label1: str, label2: str) -> BoundaryData:
+    """The BoundaryData mu induces at rank r and level k; nothing is checked.
 
-    Precondition: mu is a Partition in the r x (min(levels) - 1) box, r is
-    a positive int, every level is an int (so >= min(levels), and mu fits
-    its box), and label1, label2 are nonempty strings.  Then every point is
-    valid by construction; mu_to_boundary checks this for one level.
+    Precondition: mu is a Partition in the r x (k - 1) box, r is a positive
+    int, k is an int, and label1, label2 are nonempty strings.  Then both
+    points are valid by construction; mu_to_boundary checks this.
     The r-padded mu is read as its runs of equal entries, bottom up: their
     values mu_r = v_1 < ... < v_{l+1} = mu_1 and lengths are the second
     point's weights and flag, and the first point's flag and weights are
     the lengths and mu_r + mu_1 - v_j top down.  The zeros, if mu has fewer
     than r parts, are the first run; each run of mu's parts ends where
-    bisect_right puts its value in mu reversed, which ascends.  Only the
-    second point's alpha depends on k, so the rest is made once.
+    bisect_right puts its value in mu reversed, which ascends.
     """
     ascending = mu[::-1]
     values, sizes = ([0], [r - len(mu)]) if len(mu) < r else ([], [])
@@ -88,14 +86,13 @@ def _boundary_levels(mu, r: int, levels, label1: str, label2: str) -> list:
     # Each value passes MarkedPoint's checks by construction, so none is checked again: the
     # flag parts are run lengths, so positive; the weights, one per run as the flag parts are,
     # strictly increase from base = mu_r >= 0 (the first alpha), because the run values
-    # strictly increase bottom up; and alpha = k - mu_1 >= 1 at every level, because mu fits
-    # the r x (min level - 1) box.
+    # strictly increase bottom up; and alpha = k - mu_1 >= 1, because mu fits the r x (k - 1) box.
     weights1 = tuple.__new__(WeightVector, map((top + base).__sub__, reversed(values)))
-    point1 = MarkedPoint._unchecked(label1, tuple.__new__(FlagType, sizes[::-1]), weights1, base)
-    flag2 = tuple.__new__(FlagType, sizes)
-    weights2 = tuple.__new__(WeightVector, values)
     make = MarkedPoint._unchecked
-    return [BoundaryData(point1, make(label2, flag2, weights2, k - top)) for k in levels]
+    return BoundaryData(
+        make(label1, tuple.__new__(FlagType, sizes[::-1]), weights1, base),
+        make(label2, tuple.__new__(FlagType, sizes), tuple.__new__(WeightVector, values), k - top),
+    )
 
 
 def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
@@ -110,7 +107,7 @@ def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
     points carry the trivial flag (r) and the single weight mu_r.  Checked
     in order: mu, the rank, the level, mu in the r x (k-1) box, then the
     labels, a pair of nonempty strings; the points then come from
-    _boundary_levels, whose docstring states what these checks secure.
+    _boundary_data, whose docstring states what these checks secure.
     """
     # a Partition, as mu_indices makes, passes through unchecked
     mu = Partition(mu)
@@ -124,7 +121,7 @@ def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
         raise ValueError(f"labels must be a pair of point labels, got {_shown(labels)}") from None
     if not all(isinstance(label, str) and label for label in (label1, label2)):
         raise ValueError("point label must be a nonempty string")
-    return _boundary_levels(mu, r, (k,), label1, label2)[0]
+    return _boundary_data(mu, r, k, label1, label2)
 
 
 def verify_boundary_balance(mu, r: int, k: int):

@@ -5,9 +5,9 @@ arithmetic operations below never see malformed data.  Two private
 constructors check nothing, as their callers derive the values from
 checked ones, and fill the slots through setters bound once at import.
 ModuliSpec._unchecked makes each spec below a degeneration tree's root,
-whose new points were checked once, with their boundary row.  The boundary
-points of factorization._boundary_levels (MarkedPoint._unchecked, with a
-FlagType and a WeightVector made by tuple.__new__) are valid under the
+whose new points were checked once, with their boundary row.  The point
+pair of factorization._boundary_data (MarkedPoint._unchecked, with a
+FlagType and a WeightVector made by tuple.__new__) is valid under the
 precondition its docstring states.  A comment at each says why the values
 are valid.
 The from_json_dict readers also reject what only a JSON spec can get

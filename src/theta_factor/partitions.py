@@ -85,6 +85,7 @@ class Partition(tuple):
 
     def padded(self, length: int) -> tuple[int, ...]:
         """The parts extended by zeros to the given length."""
+        _check_int("length", length)
         if length < len(self):
             raise ValueError(f"cannot pad {_shown(tuple(self))} down to length {_shown(length)}")
         return tuple(self) + (0,) * (length - len(self))

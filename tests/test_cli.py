@@ -630,13 +630,14 @@ def reference_balance_sweep(r, max_level):
     return count, failures
 
 
-# star_term offsets that break the balance on some points: by flag, and by
-# alpha, which for the second point depends on the level
+# star_term offsets that break the balance on some points, keyed on what a star
+# term reads: by flag, by first weight (0 on both points of mu = () at every
+# level), and a negative one by flag length
 FAULTS = {
     "none": lambda pt: 0,
     "flag-starts-with-1": lambda pt: pt.flag[0] == 1,
-    "odd-alpha": lambda pt: pt.alpha % 2,
-    "two-pieces-at-alpha-1": lambda pt: -3 * (len(pt.flag) == 2 and pt.alpha == 1),
+    "even-first-weight": lambda pt: pt.weights[0] % 2 == 0,
+    "two-pieces": lambda pt: -3 * (len(pt.flag) == 2),
 }
 
 
@@ -659,7 +660,7 @@ class TestBalanceSweep:
 
     def test_failures_in_level_then_box_order(self, monkeypatch):
         star_term = MarkedPoint.star_term
-        monkeypatch.setattr(MarkedPoint, "star_term", lambda pt: star_term(pt) + FAULTS["odd-alpha"](pt))
+        monkeypatch.setattr(MarkedPoint, "star_term", lambda pt: star_term(pt) + FAULTS["even-first-weight"](pt))
         _, failures = cli._balance_worker(2, 4)
         cases = [(f["level"], f["mu"]) for f in failures]
         assert cases == sorted(cases, key=lambda case: case[0]) and len({k for k, _ in cases}) == 4
@@ -668,6 +669,15 @@ class TestBalanceSweep:
         for k in range(1, 5):
             mus = [order[tuple(mu)] for level, mu in cases if level == k]
             assert mus == sorted(mus)
+
+    def test_two_star_terms_per_mu(self, monkeypatch):
+        # 330 mus in the 4 x 7 box, at 792 (level, mu) cases
+        star_term = MarkedPoint.star_term
+        calls = []
+        monkeypatch.setattr(MarkedPoint, "star_term", lambda pt: calls.append(pt) or star_term(pt))
+        count, failures = cli._balance_worker(4, 8)
+        assert (count, failures) == (sum(math.comb(k + 3, 4) for k in range(1, 9)), [])
+        assert len(calls) == 2 * math.comb(11, 4) == 660
 
 
 def jump_reference(mu, r, k):
@@ -688,13 +698,12 @@ class TestSweepDerivation:
     """The sweep skips mu_to_boundary's checks, not its items."""
 
     @pytest.mark.parametrize("r,max_level", [*((r, 8) for r in range(1, 8)), (300, 2)])
-    def test_items_equal_boundary_levels(self, r, max_level):
+    def test_items_equal_boundary_data(self, r, max_level):
         for mu in factorization.mu_indices(r, max_level):
-            levels = range((mu[0] if mu else 0) + 1, max_level + 1)
-            items = factorization._boundary_levels(mu, r, levels, "x1", "x2")
-            assert items == [factorization.mu_to_boundary(mu, r, k) for k in levels]
-            assert items == [jump_reference(mu, r, k) for k in levels]
-            for item in items:
+            for k in range((mu[0] if mu else 0) + 1, max_level + 1):
+                item = factorization._boundary_data(mu, r, k, "x1", "x2")
+                assert item == factorization.mu_to_boundary(mu, r, k)
+                assert item == jump_reference(mu, r, k)
                 assert type(item) is factorization.BoundaryData
                 for pt in (item.point1, item.point2):
                     assert type(pt) is MarkedPoint

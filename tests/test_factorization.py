@@ -276,32 +276,27 @@ class TestBoundaryBalance:
                     assert holds and contribution == k * r, (mu, r, k)
 
 
-class TestBoundaryLevels:
+class TestBoundaryData:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_items_equal_one_level_calls(self, data):
-        """Each _boundary_levels item is mu_to_boundary at its level, r <= 4, levels up to 6, in any order."""
+    def test_equals_mu_to_boundary(self, data):
+        """_boundary_data is mu_to_boundary at each drawn level, r <= 4, levels up to 6, in any order."""
         r = data.draw(st.integers(min_value=1, max_value=4))
         k = data.draw(st.integers(min_value=1, max_value=5))
         mu = data.draw(st.sampled_from(list(mu_indices(r, k))))
         levels = data.draw(st.lists(st.integers(min_value=k, max_value=6), min_size=1, max_size=4))
         labels = data.draw(st.sampled_from([("x1", "x2"), ("x1@3", "x2@3"), ("a", "b")]))
-        items = factorization._boundary_levels(mu, r, levels, *labels)
-        assert len(items) == len(levels)
-        for level, item in zip(levels, items):
+        for level in levels:
+            item = factorization._boundary_data(mu, r, level, *labels)
             assert item == mu_to_boundary(mu, r, level, labels=labels)
             for pt in (item.point1, item.point2):
                 assert type(pt.flag) is FlagType
                 assert type(pt.weights) is WeightVector
             assert item.balance(r, level) == verify_boundary_balance(mu, r, level)
-        # the first point, and the second point's flag and weights, are made once
-        assert all(item.point1 is items[0].point1 for item in items)
-        assert all(item.point2.flag is items[0].point2.flag for item in items)
-        assert all(item.point2.weights is items[0].point2.weights for item in items)
 
     def test_mu_and_rank_checked(self):
         mu = Partition((2,))
-        assert mu_to_boundary(mu, 2, 3) == factorization._boundary_levels(mu, 2, (3,), "x1", "x2")[0]
+        assert mu_to_boundary(mu, 2, 3) == factorization._boundary_data(mu, 2, 3, "x1", "x2")
         with pytest.raises(BoxViolationError, match=r"^\(2,\) is not in the 2x1 box$"):
             mu_to_boundary(mu, 2, 2)
         with pytest.raises(ValueError, match="^rank must be a positive integer, got 0$"):
@@ -325,13 +320,13 @@ class TestBoundaryLevels:
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_items_equal_checked_constructions(self, data):
-        """Each item equals, with the same hash, the checking constructors' BoundaryData, r <= 6.
+    def test_equals_checked_constructions(self, data):
+        """At each drawn level, _boundary_data and mu_to_boundary equal, with the same hash, the checking constructors' BoundaryData, r <= 6.
 
-        So does mu_to_boundary at each level.  The reference reads mu's runs of
-        equal entries: the first point's flag is their lengths top down, with
-        weights from mu_r up by the drops top down; the second point's is their
-        lengths bottom up, with the run values bottom up.
+        The reference reads mu's runs of equal entries: the first point's flag
+        is their lengths top down, with weights from mu_r up by the drops top
+        down; the second point's is their lengths bottom up, with the run
+        values bottom up.
         """
         r = data.draw(st.integers(min_value=1, max_value=6))
         kmin = data.draw(st.integers(min_value=1, max_value=5))
@@ -345,11 +340,9 @@ class TestBoundaryLevels:
         drops = [a - b for a, b in zip(values, values[1:])]
         weights1 = [padded[-1] + sum(drops[:i]) for i in range(len(runs))]
         point1 = MarkedPoint(labels[0], sizes, weights1, padded[-1])
-        items = factorization._boundary_levels(mu, r, tuple(levels), *labels)
-        assert len(items) == len(levels)
-        for k, item in zip(levels, items):
+        for k in levels:
             expected = BoundaryData(point1, MarkedPoint(labels[1], sizes[::-1], values[::-1], k - padded[0]))
-            for got in (item, mu_to_boundary(mu, r, k, labels)):
+            for got in (factorization._boundary_data(mu, r, k, *labels), mu_to_boundary(mu, r, k, labels)):
                 assert type(got) is BoundaryData
                 assert got == expected
                 assert hash(got) == hash(expected)

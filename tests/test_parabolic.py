@@ -110,6 +110,17 @@ class TestMarkedPoint:
     def test_trivial_flag_contributes_nothing(self):
         assert point(flag=(3,), weights=(2,), alpha=5).star_term() == 0
 
+    @given(
+        st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=6),
+        st.lists(st.integers(min_value=1, max_value=9), min_size=5, max_size=5),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=9),
+    )
+    def test_star_term_ignores_alpha(self, flag, steps, base, alpha):
+        # the identities sweep asks for each mu's star terms once, at its lowest level
+        weights = [base + sum(steps[:i]) for i in range(len(flag))]
+        assert point(flag=flag, weights=weights, alpha=alpha).star_term() == point(flag=flag, weights=weights).star_term()
+
     def test_json_roundtrip(self):
         pt = point(label="x1@2", flag=(1, 2), weights=(1, 3), alpha=4)
         again = MarkedPoint.from_json_dict(pt.to_json_dict())

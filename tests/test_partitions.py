@@ -129,6 +129,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             lam.padded(1)
 
+    @pytest.mark.parametrize("bad,message", [("3", "'3'"), (2.5, "2.5")])
+    def test_padding_length_checked(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            Partition((1,)).padded(bad)
+        assert str(info.value) == f"length must be an integer, got {message}"
+
     def test_contains(self):
         assert Partition((3, 2)).contains(Partition((2, 2)))
         assert not Partition((3, 2)).contains(Partition((2, 2, 1)))
