@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, product
+from itertools import chain, islice, product
 
 from . import __version__
 from .branching import decompose_rectangular, verify_branching_identity
@@ -518,89 +518,32 @@ def _tree_json(tree: DecompositionTree, depth: int):
     return write(0, dumps(root["points"], depth + 2))
 
 
-def _indented_json(value, out) -> None:
-    """Pass json.dumps(value, indent=2) to out, byte for byte, in pieces.
-
-    value holds str, int, None, True or False, in lists and str-keyed dicts, and
-    DecompositionTree values, written by _tree_json; anything else raises TypeError.
-    json.dumps with indent neither streams nor uses its C encoder.  The chunks go on
-    to out before a tree and, once there are BATCH // 16 of them, between list items.
-    It recurses once per container.
-    """
-    chunks = []
-    append = chunks.append
-    encode = json.encoder.encode_basestring_ascii
-    # encoded key text with ": ", per key
-    keys = {}
-    # layouts[d]: the strings around the items of a container at depth d
-    layouts = []
-
-    def layout(depth):
-        while len(layouts) <= depth:
-            outer = "\n" + "  " * len(layouts)
-            inner = outer + "  "
-            layouts.append(("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"))
-        return layouts[depth]
-
-    def write(value, depth):
-        # type tests in json.dumps' order (bool is an int)
-        if isinstance(value, str):
-            append(encode(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(int.__repr__(value))
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                return append("[]")
-            open_list, _, separator, close_list, _ = layout(depth)
-            append(open_list)
-            items = iter(value)
-            write(next(items), depth + 1)
-            for item in items:
-                if len(chunks) >= BATCH // 16:
-                    out("".join(chunks))
-                    chunks.clear()
-                append(separator)
-                write(item, depth + 1)
-            append(close_list)
-        elif isinstance(value, dict):
-            if not value:
-                return append("{}")
-            _, prefix, separator, _, close_dict = layout(depth)
-            for key, item in value.items():
-                text = keys.get(key)
-                if text is None:
-                    if not isinstance(key, str):
-                        raise TypeError(f"keys must be str, not {type(key).__name__}")
-                    text = keys[key] = encode(key) + ": "
-                append(prefix)
-                append(text)
-                prefix = separator
-                write(item, depth + 1)
-            append(close_dict)
-        elif isinstance(value, DecompositionTree):
-            out("".join(chunks))
-            chunks.clear()
-            for piece in _tree_json(value, depth):
-                out(piece)
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not a report value")
-
-    write(value, 0)
-    out("".join(chunks))
-
-
 def _render(report: dict, fmt: str, out) -> None:
-    """Write report in fmt to out, BATCH characters a write but the last (every report is ASCII)."""
-    held, size = [], 0
+    """Write report in fmt to out, BATCH characters a write but the last (every report is ASCII).
 
-    def add(piece):
-        nonlocal held, size
+    The JSON report is json.dumps(report, indent=2), a decompose report's tree
+    written by _tree_json.  The stdlib's indent=2 encoder is pure Python and
+    streams: its chunks go on BATCH // 16 at a time.
+    """
+    command, result = report["command"], report["result"]
+    if fmt != "json":
+        rows = _text_rows(command, result) if fmt == "text" else _CSV_ROWS[command](result)
+        header = [
+            f"# {TOOL_NAME} {report['tool']['version']}",
+            f"# command: {command}",
+            f"# input sha256: {report['input_sha256']}",
+        ]
+        pieces = (line + "\n" for line in chain(header, rows))
+    elif command == "decompose":
+        # the tree is the last value of result, and result the last of report, so the last null is its place
+        head, _, tail = json.dumps({**report, "result": {**result, "tree": None}}, indent=2).rpartition("null")
+        pieces = chain([head], _tree_json(result["tree"], 2), [tail, "\n"])
+    else:
+        # the encoder's chunks are a few characters each; at least one goes on at a time
+        chunks, count = json.JSONEncoder(indent=2).iterencode(report), max(1, BATCH // 16)
+        pieces = chain(iter(lambda: "".join(islice(chunks, count)), ""), ["\n"])
+    held, size = [], 0
+    for piece in pieces:
         held.append(piece)
         size += len(piece)
         if size > BATCH:
@@ -610,19 +553,6 @@ def _render(report: dict, fmt: str, out) -> None:
             for start in range(0, cut, BATCH):
                 out(text[start:start + BATCH])
             held, size = [text[cut:]], size - cut
-
-    if fmt == "json":
-        _indented_json(report, add)
-        add("\n")
-    else:
-        command, result = report["command"], report["result"]
-        rows = _text_rows(command, result) if fmt == "text" else _CSV_ROWS[command](result)
-        for line in chain([
-            f"# {TOOL_NAME} {report['tool']['version']}",
-            f"# command: {command}",
-            f"# input sha256: {report['input_sha256']}",
-        ], rows):
-            add(line + "\n")
     out("".join(held))
 
 

@@ -114,7 +114,7 @@ def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
     _check_int("rank", r, 1)
     _check_int("level", k, 1)
     if not mu.fits_in_box(r, k - 1):
-        raise BoxViolationError(f"{_shown(tuple(mu))} is not in the {_shown(r)}x{_shown(k - 1)} box")
+        raise BoxViolationError(f"{_shown(tuple(mu))} exceeds rank {_shown(r)} or width {_shown(k - 1)}")
     try:
         label1, label2 = labels
     except (TypeError, ValueError):

@@ -179,7 +179,7 @@ def complement_in_box(mu, r: int, m: int) -> Partition:
     _check_int("r", r, 0)
     _check_int("m", m, 0)
     if not mu.fits_in_box(r, m):
-        raise BoxViolationError(f"{_shown(tuple(mu))} does not fit in a {_shown(r)}x{_shown(m)} box")
+        raise BoxViolationError(f"{_shown(tuple(mu))} exceeds rank {_shown(r)} or width {_shown(m)}")
     return Partition(m - p for p in reversed(mu.padded(r)))
 
 

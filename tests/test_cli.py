@@ -962,17 +962,15 @@ def shared_value(shape, shared):
     return [with_shared(shape, shared), shared[0], {"again": shared[0], "deeper": [shared[-1], [shared[-1]]]}, nodes]
 
 
-def batches(value):
-    """The texts _indented_json hands on for value."""
-    parts = []
-    cli._indented_json(value, parts.append)
-    return parts
+def report_of(result):
+    """A JSON report of a command that has no tree: _render reads its command and its result."""
+    return {"command": "branch", "result": result}
 
 
-def writes(value):
-    """The writes of value's JSON report text, as _render makes them."""
+def writes(result):
+    """The writes of the JSON report holding result, as _render makes them."""
     parts = []
-    cli._render(value, "json", parts.append)
+    cli._render(report_of(result), "json", parts.append)
     return parts
 
 
@@ -986,36 +984,47 @@ class TestIndentedJson:
     @settings(max_examples=80, deadline=None)
     def test_matches_stdlib_indent_2(self, shape, shared):
         value = shared_value(shape, shared)
-        assert "".join(batches(value)) == json.dumps(value, indent=2)
+        assert "".join(writes(value)) == json.dumps(report_of(value), indent=2) + "\n"
 
     @given(SHAPES, SHARED_DICTS, st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
     def test_small_batches(self, shape, shared, size):
-        # writes of 1 to 3 characters, cut anywhere, while the writer hands on its chunks every 1 to 3 of them
+        # writes of 1 to 3 characters, cut anywhere, while the encoder's chunks go on one at a time
         value = shared_value(shape, shared)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "BATCH", size)
             parts = writes(value)
-        assert parts == slices(json.dumps(value, indent=2) + "\n", size)
+        assert parts == slices(json.dumps(report_of(value), indent=2) + "\n", size)
 
     def test_batch_ends_when_full(self, monkeypatch):
         # every write is 5 characters but the last, wherever that cuts a key, a value or a layout
         monkeypatch.setattr(cli, "BATCH", 5)
         assert writes([{"a": 1}, {"b": 2}]) == [
-            "[\n  {", "\n    ", '"a": ', "1\n  }", ",\n  {", "\n    ", '"b": ', "2\n  }", "\n]\n",
+            '{\n  "', "comma", 'nd": ', '"bran', 'ch",\n', '  "re', 'sult"', ": [\n ", "   {\n", "     ",
+            ' "a":', " 1\n  ", "  },\n", "    {", "\n    ", '  "b"', ": 2\n ", "   }\n", "  ]\n}", "\n",
         ]
 
     def test_long_list_handed_on_in_pieces(self):
-        # 50,000 chunks, fewer than BATCH: the list goes on in pieces before the writer returns
-        value = [{"a": 1}] * 10_000
-        parts = batches(value)
-        assert len(parts) > 1
-        assert "".join(parts) == json.dumps(value, indent=2)
+        # the first write comes while the encoder is still reading the list, not once the text is whole
+        read = 0
 
-    @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "a"}, {None: 1}, [object()], {"a": {1, 2}}])
-    def test_rejects_what_no_report_holds(self, value):
-        with pytest.raises(TypeError):
-            batches(value)
+        class Counted(list):
+            def __iter__(self):
+                nonlocal read
+                for item in list.__iter__(self):
+                    read += 1
+                    yield item
+
+        value = Counted([{"a": 1}] * 10_000)
+        parts, read_at_write = [], []
+
+        def out(text):
+            parts.append(text)
+            read_at_write.append(read)
+
+        cli._render(report_of(value), "json", out)
+        assert read_at_write[0] < len(value)
+        assert "".join(parts) == json.dumps(report_of(value), indent=2) + "\n"
 
 
 class TestTreeJson:

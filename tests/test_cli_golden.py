@@ -728,7 +728,7 @@ def run_case(case_id, argv, capsys, monkeypatch):
         )
     code = cli.run(list(argv))
     captured = capsys.readouterr()
-    return hashlib.sha256(captured.out.encode()).hexdigest(), code, captured.err
+    return captured.out, code, captured.err
 
 
 def test_every_case_is_pinned():
@@ -739,7 +739,8 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("case_id,argv", CASES, ids=[case_id for case_id, _ in CASES])
 def test_report_is_byte_identical(case_id, argv, workdir, capsys, monkeypatch):
-    out_sha, code, err = run_case(case_id, argv, capsys, monkeypatch)
+    out, code, err = run_case(case_id, argv, capsys, monkeypatch)
+    out_sha = hashlib.sha256(out.encode()).hexdigest()
     want_sha, want_code, want_err = EXPECTED[case_id]
     assert (out_sha, code) == (want_sha, want_code)
     if case_id in ERROR_TYPE_ONLY:
@@ -752,3 +753,22 @@ def test_report_is_byte_identical(case_id, argv, workdir, capsys, monkeypatch):
         assert err == want_err
     if code == 1:
         assert out_sha == EMPTY
+
+
+def _no_number_but_int(text):
+    raise AssertionError(f"the report holds {text}, not an integer")
+
+
+# the cases that write a JSON report: no --format, or --format json, and not exit 1
+JSON_REPORTS = [
+    (case_id, argv)
+    for case_id, argv in CASES
+    if EXPECTED[case_id][1] != 1 and (argv[argv.index("--format") + 1] if "--format" in argv else "json") == "json"
+]
+
+
+@pytest.mark.parametrize("case_id,argv", JSON_REPORTS, ids=[case_id for case_id, _ in JSON_REPORTS])
+def test_json_report_holds_no_float(case_id, argv, workdir, capsys, monkeypatch):
+    # all arithmetic is exact, so a report holds no float, NaN or infinity
+    out, _, _ = run_case(case_id, argv, capsys, monkeypatch)
+    json.loads(out, parse_float=_no_number_but_int, parse_constant=_no_number_but_int)

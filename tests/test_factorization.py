@@ -203,7 +203,7 @@ class TestMuToBoundary:
     def test_box_violation_names_the_box(self):
         with pytest.raises(BoxViolationError) as info:
             mu_to_boundary(Partition((3,)), 2, 3)
-        assert str(info.value) == "(3,) is not in the 2x2 box"
+        assert str(info.value) == "(3,) exceeds rank 2 or width 2"
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -297,7 +297,7 @@ class TestBoundaryData:
     def test_mu_and_rank_checked(self):
         mu = Partition((2,))
         assert mu_to_boundary(mu, 2, 3) == factorization._boundary_data(mu, 2, 3, "x1", "x2")
-        with pytest.raises(BoxViolationError, match=r"^\(2,\) is not in the 2x1 box$"):
+        with pytest.raises(BoxViolationError, match=r"^\(2,\) exceeds rank 2 or width 1$"):
             mu_to_boundary(mu, 2, 2)
         with pytest.raises(ValueError, match="^rank must be a positive integer, got 0$"):
             mu_to_boundary(mu, 0, 3)
@@ -359,7 +359,7 @@ class TestBoundaryData:
         # a bad level, or mu outside the box, is reported before a bad label
         with pytest.raises(ValueError, match="^level must be a positive integer, got 0$"):
             mu_to_boundary(Partition((1,)), 2, 0, labels)
-        with pytest.raises(BoxViolationError, match=r"^\(2,\) is not in the 2x1 box$"):
+        with pytest.raises(BoxViolationError, match=r"^\(2,\) exceeds rank 2 or width 1$"):
             mu_to_boundary(Partition((2,)), 2, 2, labels)
 
     @pytest.mark.parametrize("labels", [("a",), ("a", "b", "c"), None])
@@ -368,7 +368,7 @@ class TestBoundaryData:
         message = f"^labels must be a pair of point labels, got {re.escape(_shown(labels))}$"
         with pytest.raises(ValueError, match=message):
             mu_to_boundary(Partition((1,)), 2, 2, labels)
-        with pytest.raises(BoxViolationError, match=r"^\(2,\) is not in the 2x1 box$"):
+        with pytest.raises(BoxViolationError, match=r"^\(2,\) exceeds rank 2 or width 1$"):
             mu_to_boundary(Partition((2,)), 2, 2, labels)
 
 

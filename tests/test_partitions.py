@@ -427,9 +427,9 @@ class TestShown:
     @pytest.mark.parametrize(
         "call,message",
         [
-            (lambda v: mu_to_boundary((5,), v, 3), lambda v: f"(5,) is not in the {_shown(v)}x2 box"),
-            (lambda v: mu_to_boundary((1, 1, 1), 2, v + 1), lambda v: f"(1, 1, 1) is not in the 2x{_shown(v)} box"),
-            (lambda v: complement_in_box((5,), v, 3), lambda v: f"(5,) does not fit in a {_shown(v)}x3 box"),
+            (lambda v: mu_to_boundary((5,), v, 3), lambda v: f"(5,) exceeds rank {_shown(v)} or width 2"),
+            (lambda v: mu_to_boundary((1, 1, 1), 2, v + 1), lambda v: f"(1, 1, 1) exceeds rank 2 or width {_shown(v)}"),
+            (lambda v: complement_in_box((5,), v, 3), lambda v: f"(5,) exceeds rank {_shown(v)} or width 3"),
             (lambda v: Partition((1, 1)).padded(-v), lambda v: f"cannot pad (1, 1) down to length {_shown(-v)}"),
         ],
         ids=["boundary rank", "boundary level", "complement", "pad"],
