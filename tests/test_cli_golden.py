@@ -69,6 +69,14 @@ FILES = {
         '{"label": "pwwscp", "flag": [2], "weights": [3], "alpha": 2}, '
         '{"label": "prpfps", "flag": [1, 1], "weights": [2, 3], "alpha": 0}]}'
     ),
+    # one past the rank cap
+    "rank-1001.json": '{"genus": 1, "rank": 1001, "degree": 1001, "level": 1, "ell": 1, "points": []}',
+    # a level-1 chain one level past the depth cap
+    "chain-65.json": '{"genus": 65, "rank": 1, "degree": 65, "level": 1, "ell": 1, "points": []}',
+    # 6 children per node: 1 + 6 + ... + 6^6 = 55,987 nodes
+    "genus-6.json": SPEC.replace('"genus": 2', '"genus": 6').replace('"degree": 4', '"degree": 10'),
+    # C(1000 + 10^9 - 1, 1000) children per node
+    "huge-box.json": '{"genus": 1, "rank": 1000, "degree": 1, "level": 1000000000, "ell": 1000000, "points": []}',
 }
 
 # the largest integer a flag or an oracle may hold, and the smallest past it
@@ -178,6 +186,19 @@ CASES = [
     ("branch-unconvertible-rank", ["branch", "--rank", UNCONVERTIBLE, "--power", "1"]),
     ("dims-unconvertible-partition-entry", ["dims", "--partition", f"[{UNCONVERTIBLE}]", "--vars", "3"]),
     ("decompose-unconvertible-const", ["decompose", "spec.json", "--oracle", "const:" + UNCONVERTIBLE]),
+    # work caps: the closed-form size when it is computed, "more than" the cap when a lower bound settles it
+    ("decompose-rank-cap", ["decompose", "rank-1001.json"]),
+    ("decompose-depth-cap", ["decompose", "chain-65.json"]),
+    ("decompose-node-cap", ["decompose", "genus-6.json"]),
+    ("decompose-node-cap-far", ["decompose", "huge-box.json"]),
+    ("branch-rank-cap", ["branch", "--rank", "1001", "--power", "0"]),
+    ("branch-row-cap", ["branch", "--rank", "6", "--power", "14"]),
+    ("branch-row-cap-far", ["branch", "--rank", "1", "--power", "10000"]),
+    ("identities-rank-cap", ["identities", "--max-rank", "1001", "--max-level", "1"]),
+    ("identities-case-cap", ["identities", "--max-rank", "30", "--max-level", "30"]),
+    ("identities-case-cap-far", ["identities", "--max-rank", "1000", "--max-level", "1000000000"]),
+    ("dims-digit-cap", ["dims", "--partition", "[30000]", "--vars", "30000"]),
+    ("dims-digit-cap-far", ["dims", "--partition", f"[{LONGEST}]", "--vars", LONGEST]),
 ]
 
 ARGPARSE_CHOICE_WORDING = {
@@ -704,6 +725,66 @@ EXPECTED = {
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         1,
         '{"error": {"type": "usage", "message": "ambiguous option: \'--max=aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\'... (5006 characters) could match --max-rank, --max-level"}}\n',
+    ),
+    'decompose-rank-cap': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "decompose rank would be 1001, above the cap of 1000"}}\n',
+    ),
+    'decompose-depth-cap': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "decompose tree depth would be 65, above the cap of 64"}}\n',
+    ),
+    'decompose-node-cap': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "decompose node count would be 55987, above the cap of 10000"}}\n',
+    ),
+    'decompose-node-cap-far': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "decompose node count would be more than 10000, above the cap of 10000"}}\n',
+    ),
+    'branch-rank-cap': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "branch rank would be 1001, above the cap of 1000"}}\n',
+    ),
+    'branch-row-cap': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "branch row count would be 38760, above the cap of 10000"}}\n',
+    ),
+    'branch-row-cap-far': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "branch row count would be more than 10000, above the cap of 10000"}}\n',
+    ),
+    'identities-rank-cap': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "identities rank would be 1001, above the cap of 1000"}}\n',
+    ),
+    'identities-case-cap': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "identities balance case count would be 232714176627630513, above the cap of 50000"}}\n',
+    ),
+    'identities-case-cap-far': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "identities balance case count would be more than 50000, above the cap of 50000"}}\n',
+    ),
+    'dims-digit-cap': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "dims numerator digit count would be 149995, above the cap of 100000"}}\n',
+    ),
+    'dims-digit-cap-far': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        1,
+        '{"error": {"type": "validation", "message": "dims numerator digit count would be more than 100000, above the cap of 100000"}}\n',
     ),
 }
 
