@@ -41,12 +41,13 @@ from .partitions import MAX_ECHO, Partition, _dimension_formula, _shown, dim_sch
 
 TOOL_NAME = "theta-factor"
 
-# Work bounds, checked against a closed-form size before anything is built.
-# Every mu is padded to rank entries, so the rank of branch, identities and
-# decompose is capped too.
+# Work bounds, checked by _check_work against a closed-form size before anything
+# is built; a floor, a cheap lower bound on a size, above its cap settles the
+# check.  Every mu is padded to rank entries, so the rank of branch, identities
+# and decompose is capped too.
 MAX_RANK = 1_000
 # A decompose tree of depth d with N = C(rank+level-1, rank) children per
-# node has N^0 + ... + N^d nodes; the cap admits the genus-5, rank-2,
+# node has N^0 + ... + N^d nodes, floor N; the cap admits the genus-5, rank-2,
 # level-3 tree (9,331 nodes).  The depth cap matters only at level 1,
 # where N = 1 and the tree is a chain: every node repeats all inherited
 # points, indented six spaces deeper per tree level, so the JSON report grows
@@ -57,14 +58,16 @@ MAX_RANK = 1_000
 # per tree level, so Python's default recursion limit (1,000) is far above the cap.
 MAX_TREE_NODES = 10_000
 MAX_TREE_DEPTH = 64
-# branch writes one row per mu in the rank x power box, C(rank+power, rank).
+# branch writes one row per mu in the rank x power box, C(rank+power, rank),
+# floor rank + power once power > 0, as C(n, k) >= n for 0 < k < n.
 MAX_BRANCH_ROWS = 10_000
-# The identities balance sweep checks C(r+k-1, r) cases for every rank r
-# and level k up to its bounds; the other two sweeps are fixed.
+# The identities balance sweep checks C(r+k-1, r) >= 1 cases for every rank r
+# and level k up to its bounds R and K, C(R+K+1, R+1) - K - 1 in all, floor
+# R*K; the other two sweeps are fixed.
 MAX_BALANCE_CASES = 50_000
-# dims multiplies the factors of partitions._dimension_formula, each at most
-# lam_1 + vars; their digits bound the numerator.  A numerator of that size
-# takes about half a second.
+# dims multiplies the F factors of partitions._dimension_formula, each at most
+# lam_1 + vars; their digits bound the numerator, floor F.  A numerator of that
+# size takes about half a second.
 MAX_DIMS_DIGITS = 100_000
 # reports reach standard output in writes of this many characters, the last one at most that
 BATCH = 1 << 16
@@ -262,37 +265,33 @@ def _parse_oracle(text: str | None):
     return lookup, f"table:{hashlib.sha256(blob).hexdigest()}"
 
 
-def _binomial(n: int, k: int, cap: int) -> int | None:
-    """C(n, k), or None when it plainly exceeds cap: C(n, k) >= n for 0 < k < n."""
-    if 0 < k < n and n > cap:
-        return None
-    return math.comb(n, k)
+def _check_work(what: str, cap: int, size, floor: int | None = None) -> None:
+    """Reject work whose closed-form size is above cap.
 
-
-def _check_work(what: str, size: int | None, cap: int) -> None:
-    """Reject work whose closed-form size is above cap (None: far above)."""
-    if size is None or size > cap:
-        estimate = f"more than {cap}" if size is None else _shown(size)
-        raise ValueError(f"{what} would be {estimate}, above the cap of {cap}")
-
-
-def _check_tree_size(spec: ModuliSpec, depth: int) -> None:
-    """Reject build_tree(spec, depth) above the caps, from closed forms, before it is built."""
-    levels = min(depth, spec.genus)
-    if levels < 1:
-        return
-    _check_work("decompose rank", spec.rank, MAX_RANK)
-    _check_work("decompose tree depth", levels, MAX_TREE_DEPTH)
-    n = _binomial(spec.rank + spec.level - 1, spec.rank, MAX_TREE_NODES)
-    # a tree with one level has 1 + n nodes, so n above the cap settles it
-    nodes = None if n is None or n > MAX_TREE_NODES else sum(n**i for i in range(levels + 1))
-    _check_work("decompose node count", nodes, MAX_TREE_NODES)
+    size is an int, or a function that computes it.  floor, if given, is a
+    cheap lower bound on size: above cap, it settles the check, the message
+    reads "more than" cap, and size is never computed.
+    """
+    if floor is not None and floor > cap:
+        raise ValueError(f"{what} would be more than {cap}, above the cap of {cap}")
+    size = size() if callable(size) else size
+    if size > cap:
+        raise ValueError(f"{what} would be {_shown(size)}, above the cap of {cap}")
 
 
 def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
     depth = spec.genus if depth is None else depth
     leaf_value, oracle_desc = _parse_oracle(oracle)
-    _check_tree_size(spec, depth)
+    # build_tree(spec, depth) is checked against the caps before it is built; a leaf root is one node
+    levels = min(depth, spec.genus)
+    if levels > 0:
+        _check_work("decompose rank", MAX_RANK, spec.rank)
+        _check_work("decompose tree depth", MAX_TREE_DEPTH, levels)
+        # C(n, rank) >= n once level > 1, so past the cap n stands in for the children per node
+        n = spec.rank + spec.level - 1
+        children = math.comb(n, spec.rank) if n <= MAX_TREE_NODES or spec.level == 1 else n
+        nodes = lambda: sum(children**i for i in range(levels + 1))
+        _check_work("decompose node count", MAX_TREE_NODES, nodes, children)
     tree = build_tree(spec, depth)
     aggregate = None
     if leaf_value is not None:
@@ -313,8 +312,9 @@ def _decompose(spec: ModuliSpec, depth: int | None, oracle: str | None) -> dict:
 def _branch(rank: int, power: int) -> dict:
     if rank < 1 or power < 0:
         raise ValueError("need rank >= 1 and power >= 0")
-    _check_work("branch rank", rank, MAX_RANK)
-    _check_work("branch row count", _binomial(rank + power, rank, MAX_BRANCH_ROWS), MAX_BRANCH_ROWS)
+    _check_work("branch rank", MAX_RANK, rank)
+    rows = lambda: math.comb(rank + power, rank)
+    _check_work("branch row count", MAX_BRANCH_ROWS, rows, rank + power if power else None)
     table = decompose_rectangular(rank, power)
     lhs, rhs, equal = table.identity()
     return {**table.to_json_dict(), "lhs": lhs, "rhs": rhs, "equal": equal}
@@ -325,11 +325,10 @@ def _dims(partition: list, vars: int) -> dict:
     if vars < 0:
         raise ValueError(f"--vars must be nonnegative, got {_shown(vars)}")
     if len(lam) <= vars:
-        # every factor has at least one digit, so a factor count above the cap settles it
+        # every factor has at least one digit and at most those of lam_1 + vars
         _, factors = _dimension_formula(lam, vars)
-        largest = (lam[0] if lam else 0) + vars
-        digits = None if factors > MAX_DIMS_DIGITS else factors * len(str(largest))
-        _check_work("dims numerator digit count", digits, MAX_DIMS_DIGITS)
+        digits = lambda: factors * len(str((lam[0] if lam else 0) + vars))
+        _check_work("dims numerator digit count", MAX_DIMS_DIGITS, digits, factors)
     dimension = dim_schur(lam, vars)
     limit = sys.get_int_max_str_digits()
     if limit and dimension >= 10**limit:
@@ -389,23 +388,12 @@ def _compositions(total: int):
         yield tuple(b - a for a, b in zip([0] + ends, ends))
 
 
-def _balance_cases(max_rank: int, max_level: int) -> int | None:
-    """Sum over r <= R, k <= K of C(r+k-1, r) = C(R+K+1, R+1) - K - 1.
-
-    Every (r, k) adds at least one case, so R*K above the cap settles it
-    (None) without the binomial.
-    """
-    if max_rank * max_level > MAX_BALANCE_CASES:
-        return None
-    return math.comb(max_rank + max_level + 1, max_rank + 1) - max_level - 1
-
-
 def _identities(max_rank: int, max_level: int) -> dict:
     if max_rank < 1 or max_level < 1:
         raise ValueError("need --max-rank >= 1 and --max-level >= 1")
-    _check_work("identities rank", max_rank, MAX_RANK)
-    cases = _balance_cases(max_rank, max_level)
-    _check_work("identities balance case count", cases, MAX_BALANCE_CASES)
+    _check_work("identities rank", MAX_RANK, max_rank)
+    cases = lambda: math.comb(max_rank + max_level + 1, max_rank + 1) - max_level - 1
+    _check_work("identities balance case count", MAX_BALANCE_CASES, cases, max_rank * max_level)
     balance = [_balance_worker(r, max_level) for r in range(1, max_rank + 1)]
     flags = [flag for r in range(1, 9) for flag in _compositions(r)]
     branching = [(r, m, *verify_branching_identity(r, m)) for r in (1, 2, 3) for m in range(0, 5)]

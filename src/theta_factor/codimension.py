@@ -65,8 +65,8 @@ def schubert_codim(datum: StratumDatum) -> int:
     )
 
 
-def stability_gap(n, m, a) -> Fraction:
-    """Left side minus right side of the weighted stability comparison.
+def stability_gap(n, m, a):
+    """Left side minus right side of the weighted stability comparison, a Fraction.
 
     n_j are positive multiplicities, 0 <= m_j <= n_j, and a_j are strictly
     increasing rationals in (0, 1].  The gap

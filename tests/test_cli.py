@@ -733,6 +733,10 @@ def cap_error(what, estimate, cap):
     return {"error": {"type": "validation", "message": f"{what} would be {estimate}, above the cap of {cap}"}}
 
 
+def no_binomial(n, k):
+    raise AssertionError("a binomial was computed where a lower bound settles the cap")
+
+
 class TestWorkBounds:
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_deep_chain_rejected_before_building(self, capsys, tmp_path, fmt):
@@ -823,7 +827,8 @@ class TestWorkBounds:
             message = "decompose node count would be 10001, above the cap of 10000"
             assert json.loads(err) == {"error": {"type": "validation", "message": message}}
 
-    def test_huge_box_rejected_without_the_binomial(self, capsys, tmp_path):
+    def test_huge_box_rejected_without_the_binomial(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.math, "comb", no_binomial)
         path = tmp_path / "huge.json"
         # C(rank + level - 1, rank) children per node: far above the cap
         spec = {"genus": 1, "rank": 1000, "degree": 1, "level": 10**9, "ell": 10**6, "points": []}
@@ -832,6 +837,29 @@ class TestWorkBounds:
         assert code == 1
         cap = cli.MAX_TREE_NODES
         assert json.loads(err) == cap_error("decompose node count", f"more than {cap}", cap)
+
+    @pytest.mark.parametrize(
+        "argv,what,cap",
+        [
+            (["branch", "--rank", "1000", "--power", "9" * 1000], "branch row count", cli.MAX_BRANCH_ROWS),
+            (
+                ["identities", "--max-rank", "1000", "--max-level", "9" * 1000],
+                "identities balance case count",
+                cli.MAX_BALANCE_CASES,
+            ),
+            (["decompose", "huge.json"], "decompose node count", cli.MAX_TREE_NODES),
+        ],
+    )
+    def test_floor_settles_the_check(self, capsys, tmp_path, monkeypatch, argv, what, cap):
+        # rank + power rows, R * K cases and rank + level - 1 children per node are far above
+        # the cap, so each check is settled without the binomial, which has about a million digits
+        monkeypatch.setattr(cli.math, "comb", no_binomial)
+        monkeypatch.chdir(tmp_path)
+        spec = {"genus": 1, "rank": 1000, "degree": 1, "level": 10**999, "ell": 1, "points": []}
+        (tmp_path / "huge.json").write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == cap_error(what, f"more than {cap}", cap)
 
     def test_branch_row_cap(self, capsys):
         code, out, err = run_cli(capsys, ["branch", "--rank", "6", "--power", "14"])
@@ -877,6 +905,30 @@ class TestWorkBounds:
         code, _, err = run_cli(capsys, argv)
         cap = cli.MAX_BALANCE_CASES
         assert json.loads(err) == cap_error("identities balance case count", f"more than {cap}", cap)
+
+    @pytest.mark.parametrize("power", [9_999, 10_000])
+    def test_branch_row_cap_boundary(self, capsys, power):
+        # rank 1: power + 1 rows, at the cap, and one above it where the floor rank + power settles it
+        code, out, err = run_cli(capsys, ["branch", "--rank", "1", "--power", str(power), "--format", "csv"])
+        if power == 9_999:
+            assert code == 0 and err == ""
+            assert len(out.splitlines()) == 3 + 1 + 10_000
+        else:
+            assert code == 1 and out == ""
+            cap = cli.MAX_BRANCH_ROWS
+            assert json.loads(err) == cap_error("branch row count", f"more than {cap}", cap)
+
+    @pytest.mark.parametrize("max_level", [315, 316])
+    def test_identities_case_cap_boundary(self, capsys, max_level):
+        # rank 1: k cases at level k, 49,770 up to level 315 and 50,086 up to 316; the floor 1 * 316 is below the cap
+        argv = ["identities", "--max-rank", "1", "--max-level", str(max_level), "--format", "text"]
+        code, out, err = run_cli(capsys, argv)
+        if max_level == 315:
+            assert code == 0 and err == ""
+            assert "balance: 49770 cases, 0 failures" in out.splitlines()
+        else:
+            assert code == 1 and out == ""
+            assert json.loads(err) == cap_error("identities balance case count", 50086, cli.MAX_BALANCE_CASES)
 
     def test_identities_tall_sweep_at_rank_cap(self, capsys):
         rank = cli.MAX_RANK

@@ -7,6 +7,7 @@ import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import theta_factor
@@ -220,6 +221,35 @@ def test_the_cli_loads_no_fractions():
     code = "import sys, theta_factor.cli; print('fractions' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+
+def defined_functions():
+    """(qualified name, function) for each function and method a src/theta_factor/*.py file defines.
+
+    A method is a class's function, staticmethod, classmethod or property
+    getter; a cached function is unwrapped; methods a decorator generates
+    (a dataclass's __init__) have their code elsewhere, and are left out.
+    """
+    for path in sorted(Path(theta_factor.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"theta_factor.{path.stem}" if path.stem != "__init__" else "theta_factor")
+        values = [value for value in vars(module).values() if getattr(value, "__module__", None) == module.__name__]
+        members = [member for cls in values if inspect.isclass(cls) for member in vars(cls).values()]
+        for value in values + members:
+            value = inspect.unwrap(getattr(value, "fget", None) or getattr(value, "__func__", value))
+            if inspect.isfunction(value) and Path(value.__code__.co_filename) == path:
+                yield f"{module.__name__}.{value.__qualname__}", value
+
+
+def test_every_annotation_resolves():
+    # an annotation names only what its module binds at run time, so typing can read it
+    found = dict(defined_functions())
+    assert {"theta_factor.codimension.stability_gap", "theta_factor.cli._check_work"} <= set(found)
+    assert "theta_factor.parabolic.ModuliSpec.from_json_dict" in found
+    for name, function in found.items():
+        try:
+            typing.get_type_hints(function)
+        except NameError as exc:
+            raise AssertionError(f"{name}: {exc}") from None
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
