@@ -15,6 +15,9 @@ from functools import lru_cache
 
 from .partitions import Partition, _shown, complement_in_box
 
+# expansions each route keeps, one per skew diagram up to translation (the 4 x 4 box has 651)
+MEMO_SIZE = 1024
+
 __all__ = [
     "ContainmentError",
     "SchurExpansion",
@@ -89,11 +92,32 @@ class SchurExpansion:
 
 
 def _skew_shape(lam, mu):
-    """(lam, mu) as Partitions, for either route; mu must lie inside lam."""
+    """The diagram of lam/mu up to translation (see _diagram); mu must lie inside lam."""
     lam, mu = Partition(lam), Partition(mu)
     if not lam.contains(mu):
         raise ContainmentError(f"{_shown(tuple(mu))} is not contained in {_shown(tuple(lam))}")
-    return lam, mu
+    return _diagram(lam, mu)
+
+
+def _diagram(lam, mu):
+    """Partitions lam and mu inside it -> the diagram lam/mu up to translation.
+
+    A skew Schur function depends only on it (Macdonald, I.5), so both
+    routes key their memo on it: the rows with no cells at the top and the
+    bottom are dropped, and every part is less the bottom row's inner part.
+    """
+    n = len(lam)
+    mup = mu + (0,) * (n - len(mu))
+    # no row to drop and no shift: mu is shorter than lam and its first row shorter too
+    if len(mu) < n and mup[0] < lam[0]:
+        return lam, mup
+    top, end = 0, n
+    while top < end and lam[top] == mup[top]:
+        top += 1
+    while end > top and lam[end - 1] == mup[end - 1]:
+        end -= 1
+    shift = mup[end - 1] if top < end else 0
+    return tuple([a - shift for a in lam[top:end]]), tuple([b - shift for b in mup[top:end]])
 
 
 def lr_coefficient(mu, nu, lam) -> int:
@@ -104,13 +128,13 @@ def lr_coefficient(mu, nu, lam) -> int:
     word (right to left, top to bottom) is a lattice word.  Returns 0 on
     degree mismatch or when mu is not contained in lam.  Otherwise nu is
     read from the whole table of lam/mu (see lr_expand), which is kept for
-    the last few shapes, so asking for every nu of one shape in turn
-    counts its tableaux once.
+    the last MEMO_SIZE diagrams up to translation, so asking for every nu
+    of one shape in turn counts its tableaux once.
     """
     mu, nu, lam = Partition(mu), Partition(nu), Partition(lam)
     if mu.size + nu.size != lam.size or not lam.contains(mu):
         return 0
-    return _lr_table(lam, mu).coefficient(nu)
+    return _lr_table(*_diagram(lam, mu))._terms.get(nu, 0)
 
 
 def lr_expand(lam, mu) -> SchurExpansion:
@@ -135,12 +159,12 @@ def lr_expand(lam, mu) -> SchurExpansion:
     return _lr_table(*_skew_shape(lam, mu))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=MEMO_SIZE)
 def _lr_table(lam, mu) -> SchurExpansion:
     """nu -> number of LR tableaux of lam/mu with content nu (see lr_expand).
 
-    The table is cached and handed out as it is, since a SchurExpansion has
-    no mutator.  Each content is a partition padded to len(lam) parts.
+    lam/mu is a diagram as _diagram makes it.  The table is cached and handed
+    out as it is (a SchurExpansion has no mutator); each content has len(lam) parts.
 
     A state is (T, run): T[u] counts the value u + 1 so far, and run is
     (0, C(1), ..., C(i + 1)) for the last row i.  A new row's run is built
@@ -148,10 +172,9 @@ def _lr_table(lam, mu) -> SchurExpansion:
     less T[u], as the larger values fill at most T[u] cells of the row
     (the lattice inequality, summed).
     """
-    mup = mu.padded(len(lam))
     states = {((), (0,)): 1}
-    for i, length in enumerate(a - b for a, b in zip(lam, mup)):
-        gap = mup[i - 1] - mup[i] if i else 0
+    for i, length in enumerate(a - b for a, b in zip(lam, mu)):
+        gap = mu[i - 1] - mu[i] if i else 0
         grown = {}
         for (content, prev), count in states.items():
             # partial rows: the run so far and the content T it makes
@@ -214,9 +237,8 @@ def _strip_extensions(cur, outer, size):
 def skew_schur_expand(lam, mu) -> SchurExpansion:
     """Expansion of the skew Schur function s_{lam/mu} in the Schur basis.
 
-    Rows with lam_i = mu_i at the top or the bottom hold no cells, and a
-    skew Schur function depends only on its diagram up to translation
-    (Macdonald, I.5), so they are dropped first: the n rows left are
+    The determinant route's counterpart of lr_expand.  It works on the
+    diagram up to translation that _skew_shape makes, so the n rows are
     those from the first to the last row with a cell.
 
     Evaluates the Jacobi-Trudi determinant det(h_{lam_i - mu_j - i + j})
@@ -245,15 +267,13 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
     is inside lam, so the shapes dropped are those whose signed total is
     zero anyway.
     """
-    lam, mu = _skew_shape(lam, mu)
-    mup = mu.padded(len(lam))
-    top, end = 0, len(lam)
-    while top < end and lam[top] == mup[top]:
-        top += 1
-    while end > top and lam[end - 1] == mup[end - 1]:
-        end -= 1
-    lamp, mup = lam[top:end], mup[top:end]
-    n = end - top
+    return _jacobi_trudi(*_skew_shape(lam, mu))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _jacobi_trudi(lamp, mup) -> SchurExpansion:
+    """skew_schur_expand's work on a diagram as _skew_shape makes it; cached and handed out as it is."""
+    n = len(lamp)
     # lam_i - i falls as i grows, so reach[j] counts a run of rows from the top
     reach, i = [], 0
     for j in range(n):

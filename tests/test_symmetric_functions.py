@@ -7,6 +7,7 @@ third, independent route used to pin expected values.
 
 import ast
 import inspect
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -27,10 +28,27 @@ from theta_factor import (
 
 from theta_factor import symmetric_functions
 from theta_factor.partitions import _shown
-from theta_factor.symmetric_functions import _lr_table, _strip_extensions
+from theta_factor.symmetric_functions import _jacobi_trudi, _lr_table, _strip_extensions
 
 import oracles
 from oracles import horizontal_strip_shapes, lr_via_polynomials
+
+
+def clear_memos():
+    _lr_table.cache_clear()
+    _jacobi_trudi.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cleared_memos():
+    """Each test starts on empty memos, so a spy or a count sees the work itself."""
+    clear_memos()
+
+
+def fresh(route, lam, mu):
+    """route(lam, mu) worked out anew, not read from either route's memo."""
+    clear_memos()
+    return route(lam, mu)
 
 
 @st.composite
@@ -216,28 +234,31 @@ class TestLRExpand:
         calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
         assert not [func for func in calls if isinstance(func, ast.Name) and func.id == "Partition"]
 
-    def test_same_answers_after_cache_clear_and_interleaved(self):
-        # more shapes than the table cache keeps, so tables are evicted and rebuilt
+    def test_same_answers_after_cache_clear_and_interleaved(self, monkeypatch):
+        # a table cache of 8 keeps fewer than the 15 shapes, so tables are evicted and rebuilt
+        small = lru_cache(maxsize=8)(inspect.unwrap(_lr_table))
+        monkeypatch.setattr(symmetric_functions, "_lr_table", small)
         shapes = [
             (lam, mu)
             for lam in [(4, 3, 2, 1), (4, 4, 2, 2), (3, 3, 3), (5, 3, 1), (4, 2, 2, 1)]
             for mu in [(), (1,), (2, 1)]
         ]
         first = {shape: lr_expand(*shape) for shape in shapes}
-        _lr_table.cache_clear()
+        small.cache_clear()
         assert {shape: lr_expand(*shape) for shape in shapes} == first
-        _lr_table.cache_clear()
+        small.cache_clear()
         # nu by nu, so calls for different shapes take turns
         asked = sorted((nu, lam, mu) for lam, mu in shapes for nu in partitions_of(sum(lam) - sum(mu)))
         for nu, lam, mu in asked:
             assert lr_coefficient(mu, nu, lam) == first[lam, mu].coefficient(nu), (lam, mu, nu)
+        assert small.cache_info().misses > len(shapes)
 
 
 class TestRouteIndependence:
     """The two routes and the oracles must not lean on one another."""
 
     TABLEAU = ("lr_coefficient", "lr_expand", "_lr_table", "rectangular_lr_is_delta")
-    DETERMINANT = ("skew_schur_expand", "_strip_extensions")
+    DETERMINANT = ("skew_schur_expand", "_jacobi_trudi", "_strip_extensions")
 
     @staticmethod
     def names_in(function):
@@ -354,10 +375,10 @@ class TestEmptyRows:
     @settings(max_examples=150, deadline=None)
     def test_added_empty_rows_change_nothing(self, shapes):
         lam, mu, outer, inner = shapes
-        untouched = lr_expand(lam, mu)
-        assert skew_schur_expand(lam, mu) == untouched
-        assert skew_schur_expand(outer, inner) == untouched
-        assert lr_expand(outer, inner) == untouched
+        untouched = fresh(lr_expand, lam, mu)
+        assert fresh(skew_schur_expand, lam, mu) == untouched
+        assert fresh(skew_schur_expand, outer, inner) == untouched
+        assert fresh(lr_expand, outer, inner) == untouched
 
     @pytest.mark.parametrize(
         "lam,mu,expected",
@@ -385,10 +406,11 @@ class TestEmptyRows:
             return _strip_extensions(cur, outer, size)
 
         monkeypatch.setattr(symmetric_functions, "_strip_extensions", spy)
-        # rows 0-1 and 4-5 are empty: lam/mu sits in rows 2-3
+        # rows 0-1 and 4-5 are empty: lam/mu sits in rows 2-3, as (4, 3)/(2, 1),
+        # which is (3, 2)/(1,) moved one column right
         lam, mu = (5, 5, 4, 3, 1, 1), (5, 5, 2, 1, 1, 1)
         assert skew_schur_expand(lam, mu) == lr_expand(lam, mu)
-        assert seen == {(4, 3)}
+        assert seen == {(3, 2)}
 
 
 class TestPieriChainRoute:
@@ -649,15 +671,29 @@ def skew_in_11x11_box(draw):
     return tuple(lam), tuple(mu), rows, columns
 
 
+@st.composite
+def translated_in_4x4_box(draw):
+    """(lam, mu, versions): a 4x4-box skew shape, and it and its version with
+    empty rows (skew_with_empty_rows) each moved right by the same c columns."""
+    lam, mu, outer, inner = draw(skew_with_empty_rows())
+    c = draw(st.integers(0, 3))
+
+    def moved(outer, inner):
+        return tuple(part + c for part in outer), tuple(part + c for part in inner.padded(len(outer)))
+
+    return lam, mu, [moved(lam, mu), moved(outer, inner)]
+
+
 def terms(route, lam, mu):
-    return {tuple(nu): coefficient for nu, coefficient in route(lam, mu).items()}
+    return {tuple(nu): coefficient for nu, coefficient in fresh(route, lam, mu).items()}
 
 
 ROUTES = pytest.mark.parametrize("route", [lr_expand, skew_schur_expand], ids=["tableaux", "determinant"])
 
 
 class TestMetamorphic:
-    """Each route against itself on shapes too large for the polynomial oracle (Macdonald, I.5).
+    """Each route against itself on shapes too large for the polynomial oracle, and
+    against the oracle on translated box shapes; each side is worked out anew (Macdonald, I.5).
 
     A fault shared by both routes, such as one in _skew_shape, Partition or
     SchurExpansion._of_shapes, passes their cross-check; these identities still see it.
@@ -681,3 +717,30 @@ class TestMetamorphic:
         outer = tuple(columns - part for part in reversed(mu))
         inner = tuple(columns - part for part in reversed(lam))
         assert terms(route, outer, inner) == terms(route, lam, mu)
+
+    @ROUTES
+    @given(translated_in_4x4_box())
+    @settings(max_examples=40, deadline=None)
+    def test_translation(self, route, shapes):
+        # the diagram moved right, and given empty rows above and below, has the same expansion
+        lam, mu, versions = shapes
+        expected = {}
+        # s_nu occurs in s_{lam/mu} only for nu inside lam
+        for nu in filter(lam.contains, partitions_of(lam.size - mu.size)):
+            coefficient = lr_via_polynomials(tuple(mu), tuple(nu), tuple(lam))
+            if coefficient:
+                expected[tuple(nu)] = coefficient
+        for outer, inner in [(lam, mu), *versions]:
+            assert terms(route, outer, inner) == expected, (outer, inner)
+
+    def test_box_sweep_works_out_each_diagram_once(self):
+        # the 1,764 skew shapes of the 4 x 4 box are 651 diagrams up to translation
+        shapes = [(lam, mu) for lam in enumerate_in_box(4, 4) for mu in enumerate_in_box(4, 4) if lam.contains(mu)]
+        assert len(shapes) == 1764
+        for lam, mu in shapes:
+            for nu in skew_schur_expand(lam, mu):
+                lr_coefficient(mu, nu, lam)
+        for memo in (_jacobi_trudi, _lr_table):
+            info = memo.cache_info()
+            assert (info.misses, info.currsize) == (651, 651)
+        assert _jacobi_trudi.cache_info().hits == 1764 - 651
