@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import accumulate
+from operator import ge
 
 __all__ = [
     "BoxViolationError",
@@ -57,6 +58,10 @@ class BoxViolationError(ValueError):
     """A partition does not fit inside the stated box."""
 
 
+# the part types a Partition takes without a second look (a bool is an int subclass, so not one)
+_INT_ONLY = frozenset((int,))
+
+
 class Partition(tuple):
     """Weakly decreasing tuple of nonnegative integers."""
 
@@ -65,9 +70,11 @@ class Partition(tuple):
         if type(parts) is cls:
             return parts
         parts = tuple(parts)
-        for p in parts:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise ValueError(f"parts must be nonnegative integers: {_shown(parts)}")
+        # one pass over the part types; only a failing one looks part by part
+        if not _INT_ONLY.issuperset(map(type, parts)):
+            for p in parts:
+                if not isinstance(p, int) or isinstance(p, bool):
+                    raise ValueError(f"parts must be nonnegative integers: {_shown(parts)}")
         # a negative part anywhere is reported before the order; sorted, the
         # smallest part is the last, and the zeros to strip are all at the end
         if parts != tuple(sorted(parts, reverse=True)):
@@ -76,7 +83,7 @@ class Partition(tuple):
             raise ValueError(f"parts must be weakly decreasing: {_shown(parts)}")
         if parts and parts[-1] < 0:
             raise ValueError(f"parts must be nonnegative integers: {_shown(parts)}")
-        return super().__new__(cls, parts[: len(parts) - parts.count(0)])
+        return tuple.__new__(cls, parts[: len(parts) - parts.count(0)])
 
     @property
     def size(self) -> int:
@@ -93,9 +100,7 @@ class Partition(tuple):
     def contains(self, other) -> bool:
         """Componentwise containment of Young diagrams."""
         other = Partition(other)
-        if len(other) > len(self):
-            return False
-        return all(a >= b for a, b in zip(self, other))
+        return len(other) <= len(self) and all(map(ge, self, other))
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram (column lengths)."""

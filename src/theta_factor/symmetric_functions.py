@@ -15,7 +15,8 @@ from functools import lru_cache
 
 from .partitions import Partition, _shown, complement_in_box
 
-# expansions each route keeps, one per skew diagram up to translation (the 4 x 4 box has 651)
+# entries each of the three memos keeps: each route's expansions, one per skew diagram up to
+# translation (the 4 x 4 box has 651), and the determinant route's Pieri strips (1,763 on the box)
 MEMO_SIZE = 1024
 
 __all__ = [
@@ -117,6 +118,9 @@ def _diagram(lam, mu):
     while end > top and lam[end - 1] == mup[end - 1]:
         end -= 1
     shift = mup[end - 1] if top < end else 0
+    # only rows to drop: the slices are already tuples
+    if not shift:
+        return lam[top:end], mup[top:end]
     return tuple([a - shift for a in lam[top:end]]), tuple([b - shift for b in mup[top:end]])
 
 
@@ -132,7 +136,7 @@ def lr_coefficient(mu, nu, lam) -> int:
     of one shape in turn counts its tableaux once.
     """
     mu, nu, lam = Partition(mu), Partition(nu), Partition(lam)
-    if mu.size + nu.size != lam.size or not lam.contains(mu):
+    if sum(mu) + sum(nu) != sum(lam) or not lam.contains(mu):
         return 0
     return _lr_table(*_diagram(lam, mu))._terms.get(nu, 0)
 
@@ -199,6 +203,7 @@ def _lr_table(lam, mu) -> SchurExpansion:
     return SchurExpansion._of_shapes(table)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _strip_extensions(cur, outer, size):
     """Shapes reachable from cur by adding a horizontal strip of the given size.
 
@@ -211,6 +216,14 @@ def _strip_extensions(cur, outer, size):
     left - below[i] and at most min(caps[i], left), and once none are left
     the remaining rows keep cur's parts.  The stack hands the shapes out
     in reverse order, so they are sorted once at the end.
+
+    The shapes come back as one tuple, kept in an lru_cache of MEMO_SIZE
+    entries (_strip_extensions.cache_clear()) and shared by every
+    expansion that asks for the same (cur, outer, size), so no caller may
+    change what another reads.  The caps pass thus runs once per distinct
+    key rather than once per call: on the 4 x 4 box sweep, 1,763 passes
+    for 5,549 calls.  One shape extended by several sizes still takes a
+    pass per size (633 distinct (cur, outer) on that sweep).
     """
     n = len(cur)
     caps, below, total = [0] * n, [0] * n, 0
@@ -219,7 +232,7 @@ def _strip_extensions(cur, outer, size):
         caps[i], below[i] = cap, total
         total += cap
     if size > total:
-        return []
+        return ()
     found = []
     stack = [(0, (), size)]
     while stack:
@@ -231,7 +244,7 @@ def _strip_extensions(cur, outer, size):
         for a in range(left - rest if left > rest else 0, (cap if cap < left else left) + 1):
             stack.append((i + 1, acc + (c + a,), left - a))
     found.sort()
-    return found
+    return tuple(found)
 
 
 def skew_schur_expand(lam, mu) -> SchurExpansion:

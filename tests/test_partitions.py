@@ -135,6 +135,26 @@ class TestPartition:
             Partition((1,)).padded(bad)
         assert str(info.value) == f"length must be an integer, got {message}"
 
+    @given(boxed_partitions(5, 5), st.one_of(boxed_partitions(7, 6), mixed_part_lists()))
+    @example(Partition((2, 1)), [1, 1, 1])
+    @example(Partition((2, 1)), [2, 1, 0, 0, 0])
+    @example(Partition((3, 3)), [1, True])
+    @example(Partition((3, 3)), [2, -1])
+    @example(Partition((3, 3)), [1, 2])
+    @settings(max_examples=300, deadline=None)
+    def test_contains_as_the_zip_reference(self, lam, other):
+        """contains equals the zip over both diagrams' rows; a raw list with a bad
+        part raises Partition's own message."""
+        try:
+            inner = partition_parts_as_before(other)
+        except ValueError as error:
+            with pytest.raises(ValueError) as got:
+                lam.contains(other)
+            assert str(got.value) == str(error)
+        else:
+            want = len(inner) <= len(lam) and all(a >= b for a, b in zip(lam, inner))
+            assert lam.contains(other) is want
+
     def test_contains(self):
         assert Partition((3, 2)).contains(Partition((2, 2)))
         assert not Partition((3, 2)).contains(Partition((2, 2, 1)))
