@@ -412,9 +412,18 @@ def _identities(max_rank: int, max_level: int) -> dict:
 _compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _mu_path(path, rank: int) -> str:
-    """A node's mu path as text and CSV show it: each mu padded to rank, joined by >."""
-    return ">".join(_compact(mu.padded(rank)) for mu in path)
+def _mu_paths(tree: DecompositionTree):
+    """Yield (depth, mu path) for every node of tree, preorder, as text and CSV show the path.
+
+    A path is its mus, each padded to the rank and made text once, joined by >; the root's is empty.
+    """
+    texts = [_compact(mu.padded(tree.spec.rank)) for mu in reversed(tree.mus)]  # the stack pops them in order
+    stack = [(0, "")]
+    while stack:
+        depth, path = stack.pop()
+        yield depth, path
+        if depth < tree.depth:
+            stack.extend([(depth + 1, f"{path}>{text}" if depth else text) for text in texts])
 
 
 def _text_rows(command: str, result: dict):
@@ -439,12 +448,11 @@ def _text_rows(command: str, result: dict):
         for key in ("depth", "nodes", "leaves", "aggregate"):
             if result[key] is not None:
                 yield f"{key} = {_compact(result[key])}"
-        for depth, path, spec in result["tree"].walk():
-            label = _mu_path(path, spec.rank) or "(root)"
-            yield (
-                "  " * depth
-                + f"{label}: genus={spec.genus} degree={spec.degree} points={len(spec.points)}"
-            )
+        root = result["tree"].spec
+        for depth, path in _mu_paths(result["tree"]):
+            # a node at depth d has the root's degree, d less genus and 2*d more points
+            points = len(root.points) + 2 * depth
+            yield "  " * depth + f"{path or '(root)'}: genus={root.genus - depth} degree={root.degree} points={points}"
     else:
         for key, value in result.items():
             yield f"{key} = {_compact(value)}"
@@ -457,10 +465,12 @@ def _branch_csv(result: dict):
 
 
 def _decompose_csv(result: dict):
+    tree = result["tree"]
     yield "level,mu_path,leaf_sha256"
-    for path, spec in result["tree"].leaves():
-        # the digest an --oracle table keys the leaf on
-        yield f"{len(path)},\"{_mu_path(path, spec.rank)}\",{spec.sha256()}"
+    # the leaves' paths and specs, both preorder; the digest is what an --oracle table keys a leaf on
+    paths = (path for depth, path in _mu_paths(tree) if depth == tree.depth)
+    for path, spec in zip(paths, tree._leaf_specs()):
+        yield f"{tree.depth},\"{path}\",{spec.sha256()}"
 
 
 # The commands that offer --format csv, with their row writers.

@@ -168,10 +168,9 @@ class DecompositionTree:
     boundary-balance identity (verify_boundary_balance) keeps every node
     balanced.  A leaf never enumerates the mu box.
 
-    A node is its ModuliSpec: walk makes each spec below the root from
-    the rows as it reaches it, leaves makes only the leaf specs, and
-    neither makes a tree object.  ==, hash and repr are the dataclass
-    methods, flat at any depth.
+    A node is its ModuliSpec, and the nodes at level d are the leaves of
+    build_tree(spec, d): leaves makes only the leaf specs, and no tree
+    object.  ==, hash and repr are the dataclass methods, flat at any depth.
     """
 
     spec: ModuliSpec
@@ -192,7 +191,7 @@ class DecompositionTree:
             first = _next_label_level(spec.points)
             labels = [(f"x1@{level}", f"x2@{level}") for level in range(first, first + depth)]
             rows = tuple(tuple(mu_to_boundary(mu, spec.rank, spec.level, xs) for mu in mus) for xs in labels)
-            # every node that takes a row has spec's rank and level, so ModuliSpec._child checks nothing
+            # every node that takes a row has spec's rank and level, so ModuliSpec._unchecked checks nothing
             for data in chain.from_iterable(rows):
                 spec._check_point(data.point1)
                 spec._check_point(data.point2)
@@ -200,23 +199,12 @@ class DecompositionTree:
         for name, value in zip(("depth", "mus", "rows"), (depth, mus, rows)):
             object.__setattr__(self, name, value)
 
-    def walk(self):
-        """Yield (depth, mu path, spec) for every node, preorder; each spec below the root is made once."""
-        # per level, the (mu, BoundaryData) pairs reversed, so the stack pops them in mus order
-        rows = [tuple(zip(self.mus, row))[::-1] for row in self.rows]
-        stack = [(0, (), self.spec)]
-        while stack:
-            depth, path, spec = stack.pop()
-            yield depth, path, spec
-            if depth < len(rows):
-                stack.extend([(depth + 1, path + (mu,), spec._child(d.point1, d.point2)) for mu, d in rows[depth]])
-
     def leaves(self):
-        """Yield (mu path, spec) for every leaf, in walk order; the paths are the depth-fold product of mus."""
+        """Yield (mu path, spec) for every leaf, preorder; the paths are the depth-fold product of mus."""
         return zip(product(self.mus, repeat=self.depth), self._leaf_specs())
 
     def _leaf_specs(self):
-        """Yield each leaf spec in walk order, the root at depth 0: the one leaf descent.
+        """Yield each leaf spec, preorder, the root at depth 0: the one descent that makes specs.
 
         A node above the leaves is only its (depth, points), so each spec
         made is a leaf's, once, by ModuliSpec._unchecked.

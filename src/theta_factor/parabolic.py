@@ -4,12 +4,12 @@ All validation of values happens when they are constructed, so the
 arithmetic operations below never see malformed data.  Two private
 constructors check nothing, as their callers derive the values from
 checked ones, and fill the slots through setters bound once at import.
-ModuliSpec._unchecked makes each spec below a degeneration tree's root,
-whose new points were checked once, with their boundary row.  The point
-pair of factorization._boundary_data (MarkedPoint._unchecked, with a
-FlagType and a WeightVector made by tuple.__new__) is valid under the
-precondition its docstring states.  A comment at each says why the values
-are valid.
+ModuliSpec._unchecked makes each leaf spec below a degeneration tree's
+root (DecompositionTree._leaf_specs), whose new points were checked once,
+with their boundary row.  The point pair of factorization._boundary_data
+(MarkedPoint._unchecked, with a FlagType and a WeightVector made by
+tuple.__new__) is valid under the precondition its docstring states.  A
+comment at each says why the values are valid.
 The from_json_dict readers also reject what only a JSON spec can get
 wrong: unknown keys and integers longer than MAX_INT_DIGITS digits.
 """
@@ -186,8 +186,9 @@ class ModuliSpec:
         """spec's rank, degree, level and ell with genus and points (a tuple); nothing is checked.
 
         The caller ensures 0 <= genus and checked each point not in spec.points
-        against a spec of spec's rank and level, with a new label (as a
-        factorization.DecompositionTree does once per row, labels x1@L, x2@L).
+        against a spec of spec's rank and level, with a new label: the one
+        caller, factorization.DecompositionTree._leaf_specs, adds the points
+        its tree checked once per row, labels x1@L, x2@L.
         """
         # the slot setters bound at import, past the frozen __setattr__
         new = object.__new__(ModuliSpec)
@@ -198,10 +199,6 @@ class ModuliSpec:
         _set_ell(new, spec.ell)
         _set_points(new, points)
         return new
-
-    def _child(self, point1, point2) -> "ModuliSpec":
-        """The spec of genus one less with point1 and point2 added (_unchecked); self has positive genus."""
-        return ModuliSpec._unchecked(self, self.genus - 1, self.points + (point1, point2))
 
     def derived_n(self) -> int:
         return self.degree + self.rank * (1 - self.genus)

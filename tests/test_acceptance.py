@@ -111,11 +111,12 @@ def test_criterion_04_boundary_balance_and_tree_star():
                 cases += 1
     root = ModuliSpec(genus=3, rank=2, degree=6, level=3, ell=3, points=())
     assert check_star(root)[2]
-    tree = build_tree(root, 3)
     nodes = 0
-    for _, _, spec in tree.walk():
-        assert check_star(spec)[2], spec
-        nodes += 1
+    # the nodes at depth d are the leaves of the depth-d tree
+    for depth in range(4):
+        for _, spec in build_tree(root, depth).leaves():
+            assert check_star(spec)[2], spec
+            nodes += 1
     expected_nodes = 1 + 6 + 36 + 216
     ok = nodes == expected_nodes
     report(

@@ -764,12 +764,17 @@ class TestWorkBounds:
                 (edge,) = node["children"]
                 node, levels = edge["node"], levels + 1
             assert levels == depth
-        elif fmt == "text":
-            assert f"nodes = {depth + 1}" in out.splitlines()
-            assert out.splitlines()[-1].startswith("  " * depth + ">".join(["[0]"] * depth))
         else:
-            rows = [line for line in out.splitlines() if not line.startswith("#")]
-            assert len(rows) == 2 and rows[1].startswith(f"{depth},")
+            # the longest mu paths the caps allow: the whole report is what the JSON report says
+            code, report, err = run_cli(capsys, argv[:-1] + ["json"])
+            assert code == 0 and err == ""
+            assert out == "\n".join(lines_from_json_report(json.loads(report), fmt)) + "\n"
+            if fmt == "text":
+                assert f"nodes = {depth + 1}" in out.splitlines()
+                assert out.splitlines()[-1].startswith("  " * depth + ">".join(["[0]"] * depth))
+            else:
+                rows = [line for line in out.splitlines() if not line.startswith("#")]
+                assert len(rows) == 2 and rows[1].startswith(f"{depth},")
 
     def test_depth_flag_bounds_the_tree(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -1491,8 +1496,10 @@ def command_argv(draw, command, flags, formats=("json", "text")):
 
 
 def _leaf_digests():
-    tree = factorization.build_tree(ModuliSpec.from_json_dict(SPEC), SPEC["genus"])
-    return sorted({spec.sha256() for _, _, spec in tree.walk()})
+    # the nodes at depth d are the leaves of the depth-d tree
+    spec = ModuliSpec.from_json_dict(SPEC)
+    trees = [factorization.build_tree(spec, depth) for depth in range(SPEC["genus"] + 1)]
+    return sorted({node.sha256() for tree in trees for _, node in tree.leaves()})
 
 
 LEAF_DIGESTS = _leaf_digests()

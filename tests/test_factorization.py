@@ -9,7 +9,7 @@ from itertools import groupby
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from theta_factor import factorization
+from theta_factor import cli, factorization
 from theta_factor.partitions import _shown
 from theta_factor import (
     BoundaryData,
@@ -99,8 +99,21 @@ def reference_walk(tree, depth=0, path=()):
 
 
 def walk_specs(rows):
-    """(depth, mu path, spec) for each (depth, mu path, node) of a reference walk: what walk() yields."""
-    return [(depth, path, node.spec) for depth, path, node in rows]
+    """(depth, mu path, spec) for each (depth, mu path, node) of a reference walk, level by level.
+
+    Within a level the walk's preorder is kept, which is the mus-product
+    order of the paths: what nodes_by_level yields.
+    """
+    return sorted(((depth, path, node.spec) for depth, path, node in rows), key=lambda row: row[0])
+
+
+def nodes_by_level(spec, depth):
+    """(depth, mu path, spec) for every node of build_tree(spec, depth), level by level.
+
+    The nodes at level d are the leaves of build_tree(spec, d).
+    """
+    levels = range(min(depth, spec.genus) + 1)
+    return [(d, path, node) for d in levels for path, node in build_tree(spec, d).leaves()]
 
 
 def json_point_dicts(data):
@@ -446,7 +459,7 @@ class TestBuildTree:
         spec = balanced_spec()
         tree = build_tree(spec, 0)
         assert tree.depth == 0 and tree.mus == () and tree.rows == ()
-        assert list(tree.walk()) == [(0, (), spec)] and list(tree.leaves()) == [((), spec)]
+        assert nodes_by_level(spec, 0) == [(0, (), spec)] and list(tree.leaves()) == [((), spec)]
         assert tree.node_count() == 1 and tree.leaf_count() == 1
 
     def test_rank_one_level_two(self):
@@ -469,8 +482,9 @@ class TestBuildTree:
 
     def test_every_node_satisfies_star(self):
         spec = balanced_spec()
-        tree = build_tree(spec, 2)
-        for _, _, node in tree.walk():
+        nodes = nodes_by_level(spec, 2)
+        assert len(nodes) == 1 + 6 + 36
+        for _, _, node in nodes:
             assert check_star(node)[2]
 
     def test_determinism(self):
@@ -480,13 +494,14 @@ class TestBuildTree:
     @given(small_trees())
     @settings(max_examples=100, deadline=None)
     def test_counts_match_walk(self, tree):
-        assert tree.node_count() == sum(1 for _ in tree.walk())
+        rows = list(reference_walk(reference_tree(tree.spec, tree.depth)))
+        assert tree.node_count() == len(rows)
+        assert tree.leaf_count() == sum(1 for _, _, node in rows if not node.children)
         assert tree.leaf_count() == sum(1 for _ in tree.leaves())
 
     def test_walk_paths(self):
         spec = balanced_spec(genus=2, rank=1, level=2, ell=2)
-        tree = build_tree(spec, 1)
-        paths = [(depth, tuple(tuple(mu) for mu in path)) for depth, path, _ in tree.walk()]
+        paths = [(depth, tuple(tuple(mu) for mu in path)) for depth, path, _ in nodes_by_level(spec, 1)]
         assert paths == [(0, ()), (1, ((),)), (1, ((1,),))]
 
     def test_json_shape(self):
@@ -507,9 +522,9 @@ class TestBuildTree:
             calls.append(spec)
             return check_star(spec)
 
+        internal = sum(1 for level, _, _ in reference_walk(reference_tree(balanced_spec(genus=3), 3)) if level < 3)
         monkeypatch.setattr(factorization, "check_star", counting_check_star)
-        tree = build_tree(balanced_spec(genus=3), 3)
-        internal = sum(1 for level, _, _ in tree.walk() if level < tree.depth)
+        build_tree(balanced_spec(genus=3), 3)
         assert internal == 1 + 6 + 36
         assert 0 < len(calls) <= internal + 1
         # no leaf is checked: children stay balanced by construction
@@ -531,7 +546,7 @@ class TestTreeEngine:
         tree = build_tree(spec, depth)
         expected = reference_tree(spec, depth)
         # the specs, mu labels and child order of every node
-        assert list(tree.walk()) == walk_specs(reference_walk(expected))
+        assert nodes_by_level(spec, depth) == walk_specs(reference_walk(expected))
         if spec.genus:
             assert degenerate(spec) == [(mu, child.spec) for mu, child in reference_tree(spec, 1).children]
         assert tree.node_count() == sum(1 for _ in reference_walk(expected))
@@ -539,7 +554,7 @@ class TestTreeEngine:
         data = tree.to_json_dict()
         assert data == reference_json(expected, spec.rank)
         # one dict per distinct point, shared by every node that carries it
-        distinct = {pt for _, _, node in tree.walk() for pt in node.points}
+        distinct = {pt for _, _, node in nodes_by_level(spec, depth) for pt in node.points}
         assert len({id(point) for point in json_point_dicts(data)}) == len(distinct)
         value = lambda leaf: len(leaf.points) + leaf.degree
         expected_sum = sum(value(node.spec) for _, _, node in reference_walk(expected) if not node.children)
@@ -550,14 +565,17 @@ class TestTreeEngine:
     def test_every_subtree_is_a_built_tree(self, spec, depth):
         n = math.comb(spec.rank + spec.level - 1, spec.rank)
         assume(sum(n**i for i in range(min(depth, spec.genus) + 1)) <= 500)
-        rows = list(build_tree(spec, depth).walk())
+        rows = list(reference_walk(reference_tree(spec, depth)))
+        nodes = nodes_by_level(spec, depth)
+        assert nodes == walk_specs(rows)
         for i, (level, path, node) in enumerate(rows):
-            # the node and those below it: the walk up to the next node at its level or above
+            # the node and those below it: the reference walk up to the next node at its level or above
             end = next((j for j in range(i + 1, len(rows)) if rows[j][0] <= level), len(rows))
-            below = [(d - level, p[level:], other) for d, p, other in rows[i:end]]
-            assert list(build_tree(node, depth - level).walk()) == below
-            assert all(p[:level] == path for _, p, _ in rows[i:end])
-        assert rows == walk_specs(reference_walk(reference_tree(spec, depth)))
+            below = [(d - level, p[level:], other) for d, p, other in walk_specs(rows[i:end])]
+            assert nodes_by_level(node.spec, depth - level) == below
+            # and the built tree's nodes under the node's path
+            under = [(d - level, p[level:], other) for d, p, other in nodes if d >= level and p[:level] == path]
+            assert under == below
 
     @given(small_trees())
     @settings(max_examples=100, deadline=None)
@@ -579,7 +597,7 @@ class TestTreeEngine:
         # every slot of a node build_tree makes, against the public constructor
         n = math.comb(spec.rank + spec.level - 1, spec.rank)
         assume(sum(n**i for i in range(min(depth, spec.genus) + 1)) <= 500)
-        for _, _, child in build_tree(spec, depth).walk():
+        for _, _, child in nodes_by_level(spec, depth):
             public = ModuliSpec(
                 child.genus, child.rank, child.degree, child.level, child.ell, child.points
             )
@@ -629,10 +647,12 @@ class TestTreeEngine:
         tree = build_tree(spec, 3)
         # two new points per mu and tree level, each checked once
         assert len(checked) == len(set(checked)) == 2 * n * 3
-        added = {pt for _, _, node in tree.walk() for pt in node.points}
+        # every point a node carries is on a leaf below it
+        added = {pt for _, leaf in tree.leaves() for pt in leaf.points}
         assert added == set(checked)
+        level_one = [child.spec for _, child in reference_tree(spec, 1).children]
         checked.clear()
-        assert [child for _, child in degenerate(spec)] == [child for level, _, child in tree.walk() if level == 1]
+        assert [child for _, child in degenerate(spec)] == level_one
         assert len(checked) == 2 * n
 
     def test_children_skip_the_full_check(self, monkeypatch):
@@ -674,7 +694,7 @@ class TestTreeEngine:
     def test_siblings_share_boundary_points(self):
         tree = build_tree(balanced_spec(genus=2), 2)
         # the first grandchild under each of the first two children
-        grandchildren = [node for level, _, node in tree.walk() if level == 2]
+        grandchildren = [node for _, node in tree.leaves()]
         assert grandchildren[0].points[-1] is grandchildren[len(tree.mus)].points[-1]
         data = tree.to_json_dict()
         assert data == reference_json(reference_tree(tree.spec, 2), 2)
@@ -686,7 +706,7 @@ class TestTreeEngine:
 
     @pytest.mark.parametrize(
         "owner,name",
-        [(MarkedPoint, "__hash__"), (DecompositionTree, "walk"), (ModuliSpec, "_child")],
+        [(MarkedPoint, "__hash__")],
     )
     def test_json_reads_only_rows_and_points(self, monkeypatch, owner, name):
         # a root with points of its own, one of them with two flag steps (mu = (2, 1)):
@@ -730,9 +750,9 @@ class TestTreeEngine:
         (path, leaf), = tree.leaves()
         assert len(path) == 1100 and leaf.genus == 0
         assert leaf.points[-1].label == "x2@1100"
-        rows = list(tree.walk())
-        assert [depth for depth, _, _ in rows] == list(range(1101))
-        assert rows[-1][1] == path and rows[-1][2] == leaf
+        paths = list(cli._mu_paths(tree))
+        assert [depth for depth, _ in paths] == list(range(1101))
+        assert paths[0] == (0, "") and paths[-1] == (1100, ">".join(["[0]"] * len(path)))
 
     def test_json_dict_of_a_deep_chain(self):
         # 1,101 nested node dicts, built without recursion
@@ -789,32 +809,25 @@ class TestTreeEngine:
 
     def test_build_makes_no_node_below_the_root(self, monkeypatch):
         # specs are made as the tree is read, once per read; a node is its spec, and
-        # leaves() and aggregate_dimension make a spec only at each leaf
-        calls, made = [], []
-        make_child, make = ModuliSpec._child, ModuliSpec._unchecked
-
-        def counting_child(self, point1, point2):
-            calls.append(self)
-            return make_child(self, point1, point2)
+        # leaves() and aggregate_dimension make a spec only at each leaf, the mu path labels none
+        made = []
+        make = ModuliSpec._unchecked
 
         def counting_unchecked(spec, genus, points):
             made.append(genus)
             return make(spec, genus, points)
 
-        monkeypatch.setattr(ModuliSpec, "_child", counting_child)
         monkeypatch.setattr(ModuliSpec, "_unchecked", staticmethod(counting_unchecked))
         tree = build_tree(balanced_spec(genus=3), 3)
         assert tree.node_count() == 1 + 6 + 6**2 + 6**3 and tree.leaf_count() == 6**3
-        assert calls == [] and made == []
-        assert [type(node) for _, _, node in tree.walk()] == [ModuliSpec] * tree.node_count()
-        assert len(calls) == tree.node_count() - 1
-        calls.clear()
-        made.clear()
+        assert made == []
+        assert sum(1 for _ in cli._mu_paths(tree)) == tree.node_count()
+        assert made == []
         assert [type(leaf) for _, leaf in tree.leaves()] == [ModuliSpec] * tree.leaf_count()
-        assert calls == [] and made == [0] * tree.leaf_count()
+        assert made == [0] * tree.leaf_count()
         made.clear()
         assert aggregate_dimension(tree, lambda leaf: 1) == tree.leaf_count()
-        assert calls == [] and made == [0] * tree.leaf_count()
+        assert made == [0] * tree.leaf_count()
 
     def test_constructor_runs_the_checks(self):
         spec = balanced_spec()
@@ -846,7 +859,7 @@ class TestTreeEngine:
 
 
 class TestWalkReaders:
-    """walk, leaves, to_json_dict and the counts each match a recursion over reference_tree's children."""
+    """Each level's leaves, leaves, to_json_dict and the counts match a recursion over reference_tree's children."""
 
     @given(small_trees())
     @settings(max_examples=150, deadline=None)
@@ -854,7 +867,7 @@ class TestWalkReaders:
         expected = reference_tree(tree.spec, tree.depth)
         assert tree.to_json_dict() == reference_json(expected, tree.spec.rank)
         rows = list(reference_walk(expected))
-        assert list(tree.walk()) == walk_specs(rows)
+        assert nodes_by_level(tree.spec, tree.depth) == walk_specs(rows)
         assert list(tree.leaves()) == [(path, node.spec) for _, path, node in rows if not node.children]
         assert tree.node_count() == len(rows)
         assert tree.leaf_count() == sum(1 for _, _, node in rows if not node.children)
@@ -949,7 +962,8 @@ class TestLeafDescent:
     @settings(max_examples=150, deadline=None)
     def test_leaves_are_the_deepest_walk_nodes(self, tree):
         leaves = list(tree.leaves())
-        assert leaves == [(path, spec) for depth, path, spec in tree.walk() if depth == tree.depth]
+        rows = reference_walk(reference_tree(tree.spec, tree.depth))
+        assert leaves == [(path, node.spec) for depth, path, node in rows if depth == tree.depth]
         for _, leaf in leaves:
             # the unchecked leaf equals the one the checking constructor makes of its fields
             checked = ModuliSpec(leaf.genus, leaf.rank, leaf.degree, leaf.level, leaf.ell, leaf.points)
@@ -970,7 +984,7 @@ class TestLeafDescent:
     )
     def test_oracle_fails_at_the_kth_leaf(self, k, fail):
         tree = build_tree(balanced_spec(genus=2), 2)
-        leaves = [spec for depth, _, spec in tree.walk() if depth == tree.depth]
+        leaves = [node.spec for depth, _, node in reference_walk(reference_tree(tree.spec, 2)) if depth == 2]
         assert len(leaves) == 36
         calls = []
 

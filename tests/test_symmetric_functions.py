@@ -594,8 +594,12 @@ class TestSchurExpansion:
     def test_equality_reads_a_dict_as_the_constructor_does(self):
         exp = SchurExpansion({(1,): 1})
         assert exp == {(1, 0): 1} and exp != {(1,): 2}
-        # dicts the constructor rejects: two keys for (1,), in either order, and bad keys or values
-        for other in ({(1,): 2, (1, 0): 1}, {(1, 0): 1, (1,): 2}, {"x": 1}, {1: 1}, {(1,): 0}, {(1,): True}):
+        # dicts the constructor rejects: two keys for (1,), in either order, and bad keys or values;
+        # then values that are no dict, for which __eq__ returns NotImplemented
+        for other in (
+            {(1,): 2, (1, 0): 1}, {(1, 0): 1, (1,): 2}, {"x": 1}, {1: 1}, {(1,): 0}, {(1,): True},
+            None, 1, "x", [((1,), 1)],
+        ):
             assert exp != other and not exp == other
 
     def test_trailing_zero_keys(self):
