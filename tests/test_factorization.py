@@ -706,7 +706,7 @@ class TestTreeEngine:
 
     @pytest.mark.parametrize(
         "owner,name",
-        [(MarkedPoint, "__hash__")],
+        [(MarkedPoint, "__hash__"), (DecompositionTree, "_leaf_specs"), (ModuliSpec, "_unchecked")],
     )
     def test_json_reads_only_rows_and_points(self, monkeypatch, owner, name):
         # a root with points of its own, one of them with two flag steps (mu = (2, 1)):
