@@ -7,9 +7,9 @@ table below records the pieces and the dimension identity that pins it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .partitions import Partition, _check_int, box_count, dim_schur, enumerate_in_box
+from .partitions import Partition, _check_int, _Record, box_count, dim_schur, enumerate_in_box
 
 __all__ = [
     "BranchingTable",
@@ -18,17 +18,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BranchingTable:
+class BranchingTable(_Record, namedtuple("BranchingTable", "r m rows")):
     """Rows (mu, dim_left, dim_right), one per partition in the r x m box.
 
     dim_left is dim S_mu(C^r); dim_right is the dimension of the dual
     factor, which equals dim_left.
     """
 
-    r: int
-    m: int
-    rows: tuple
+    __slots__ = ()
 
     def product_sum(self) -> int:
         """Sum of dim_left * dim_right over all rows."""

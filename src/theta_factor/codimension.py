@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .parabolic import FlagType
-from .partitions import _check_int, _shown, partial_sums
+from .partitions import _check_int, _Record, _shown, partial_sums
 
 __all__ = [
     "StratumDatum",
@@ -19,25 +19,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StratumDatum:
+class StratumDatum(_Record, namedtuple("StratumDatum", "r1 n m")):
     """Incidence data: sub-rank r1, flag multiplicities n, and a split m of r1.
 
     m_j counts the dimensions of the sub-space falling into the j-th
     graded piece, so 0 <= m_j <= n_j and the m_j sum to r1.
     """
 
-    r1: int
-    n: tuple
-    m: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", FlagType(self.n))
-        m = _check_split(self.m, self.n)
-        object.__setattr__(self, "m", m)
-        _check_int("r1", self.r1, 1)
-        if sum(m) != self.r1:
-            raise ValueError(f"m must sum to r1={_shown(self.r1)}, got {_shown(sum(m))}")
+    def __new__(cls, r1: int, n, m):
+        n = FlagType(n)
+        m = _check_split(m, n)
+        _check_int("r1", r1, 1)
+        if sum(m) != r1:
+            raise ValueError(f"m must sum to r1={_shown(r1)}, got {_shown(sum(m))}")
+        return tuple.__new__(cls, (r1, n, m))
 
 
 def _check_split(m, n: FlagType) -> tuple:

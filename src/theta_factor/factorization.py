@@ -9,11 +9,11 @@ attaches those two points; iterating yields a decomposition tree.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain, product
 
 from .parabolic import MAX_INT_DIGITS, FlagType, MarkedPoint, ModuliSpec, WeightVector, check_star
-from .partitions import BoxViolationError, Partition, _check_int, _shown, enumerate_in_box
+from .partitions import BoxViolationError, Partition, _check_int, _Record, _shown, enumerate_in_box
 
 __all__ = [
     "BoundaryData",
@@ -28,16 +28,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class BoundaryData:
+class BoundaryData(_Record, namedtuple("BoundaryData", "point1 point2")):
     """Parabolic data a mu index induces at the two branch points.
 
     point2 carries the reversed jump data, which is the convention the
     balance check needs.
     """
 
-    point1: MarkedPoint
-    point2: MarkedPoint
+    __slots__ = ()
 
     def balance(self, r: int, k: int):
         """(contribution, contribution == k*r) at rank r and level k.
@@ -88,11 +86,10 @@ def _boundary_data(mu, r: int, k: int, label1: str, label2: str) -> BoundaryData
     # strictly increase from base = mu_r >= 0 (the first alpha), because the run values
     # strictly increase bottom up; and alpha = k - mu_1 >= 1, because mu fits the r x (k - 1) box.
     weights1 = tuple.__new__(WeightVector, map((top + base).__sub__, reversed(values)))
-    make = MarkedPoint._unchecked
-    return BoundaryData(
-        make(label1, tuple.__new__(FlagType, sizes[::-1]), weights1, base),
-        make(label2, tuple.__new__(FlagType, sizes), tuple.__new__(WeightVector, values), k - top),
-    )
+    flag1, flag2 = tuple.__new__(FlagType, sizes[::-1]), tuple.__new__(FlagType, sizes)
+    point1 = tuple.__new__(MarkedPoint, (label1, flag1, weights1, base))
+    point2 = tuple.__new__(MarkedPoint, (label2, flag2, tuple.__new__(WeightVector, values), k - top))
+    return tuple.__new__(BoundaryData, (point1, point2))
 
 
 def mu_to_boundary(mu, r: int, k: int, labels=("x1", "x2")) -> BoundaryData:
@@ -156,8 +153,7 @@ def degenerate(spec: ModuliSpec):
     return [(mu, child) for (mu,), child in build_tree(spec, 1).leaves()]
 
 
-@dataclass(frozen=True, slots=True)
-class DecompositionTree:
+class DecompositionTree(_Record, namedtuple("DecompositionTree", "spec depth mus rows")):
     """The degeneration tree of spec to depth min(depth, spec.genus).
 
     Every node at tree level d gains the same two boundary points, labeled
@@ -170,21 +166,19 @@ class DecompositionTree:
 
     A node is its ModuliSpec, and the nodes at level d are the leaves of
     build_tree(spec, d): leaves makes only the leaf specs, and no tree
-    object.  ==, hash and repr are the dataclass methods, flat at any depth.
+    object.  A tree is the record (spec, depth, mus, rows): == and hash read
+    all four, flat at any depth, but repr shows, and pickle, copy and
+    _replace take, only spec and depth, as mus and rows are derived.
     """
 
-    spec: ModuliSpec
-    depth: int
-    mus: tuple = field(init=False, repr=False)
-    rows: tuple = field(init=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        spec = self.spec
-        _check_int("depth", self.depth, 0)
+    def __new__(cls, spec: ModuliSpec, depth: int):
+        _check_int("depth", depth, 0)
         lhs, rhs, ok = check_star(spec)
         if not ok:
             raise ValueError(f"spec fails the balance condition: lhs={_shown(lhs)} rhs={_shown(rhs)}")
-        depth = min(self.depth, spec.genus)
+        depth = min(depth, spec.genus)
         mus, rows = (), ()
         if depth:
             mus = tuple(mu_indices(spec.rank, spec.level))
@@ -195,9 +189,22 @@ class DecompositionTree:
             for data in chain.from_iterable(rows):
                 spec._check_point(data.point1)
                 spec._check_point(data.point2)
-        # past the frozen __setattr__
-        for name, value in zip(("depth", "mus", "rows"), (depth, mus, rows)):
-            object.__setattr__(self, name, value)
+        return tuple.__new__(cls, (spec, depth, mus, rows))
+
+    def __repr__(self):
+        return f"DecompositionTree(spec={self.spec!r}, depth={self.depth!r})"
+
+    def __getnewargs__(self):
+        return self.spec, self.depth
+
+    def _replace(self, /, **changes):
+        """The tree of self's spec and depth with changes to them; mus and rows, derived, take none."""
+        spec, depth = changes.pop("spec", self.spec), changes.pop("depth", self.depth)
+        if changes:
+            raise ValueError(f"only spec and depth can be replaced, got {_shown(list(changes))}")
+        return DecompositionTree(spec, depth)
+
+    __replace__ = _replace  # for copy.replace (3.13 on): the namedtuple's passes mus and rows to __new__
 
     def leaves(self):
         """Yield (mu path, spec) for every leaf, preorder; the paths are the depth-fold product of mus."""
@@ -214,8 +221,9 @@ class DecompositionTree:
             yield root
             return
         make, genus = ModuliSpec._unchecked, root.genus - depth
-        # per level, each mu's point pair; the stack pops the upper levels' reversed, in mus order
-        *upper, last = [[(d.point1, d.point2) for d in row] for row in self.rows]
+        # per level, each mu's point pair (a BoundaryData is one); the stack pops the upper levels'
+        # reversed, in mus order
+        *upper, last = self.rows
         upper = [row[::-1] for row in upper]
         stack = [(0, root.points)]
         while stack:

@@ -1,15 +1,15 @@
 """Parabolic bookkeeping: flags, weights, marked points, and the level balance.
 
 All validation of values happens when they are constructed, so the
-arithmetic operations below never see malformed data.  Two private
-constructors check nothing, as their callers derive the values from
-checked ones, and fill the slots through setters bound once at import.
-ModuliSpec._unchecked makes each leaf spec below a degeneration tree's
-root (DecompositionTree._leaf_specs), whose new points were checked once,
-with their boundary row.  The point pair of factorization._boundary_data
-(MarkedPoint._unchecked, with a FlagType and a WeightVector made by
-tuple.__new__) is valid under the precondition its docstring states.  A
-comment at each says why the values are valid.
+arithmetic operations below never see malformed data.  MarkedPoint and
+ModuliSpec are records (partitions._Record): their __new__ makes the
+checks, and a value that needs none is made by tuple.__new__, as its
+callers derive it from checked ones.  ModuliSpec._unchecked makes each
+leaf spec below a degeneration tree's root (DecompositionTree._leaf_specs),
+whose new points were checked once, with their boundary row.  The point
+pair of factorization._boundary_data (with a FlagType and a WeightVector
+made the same way) is valid under the precondition its docstring states.
+A comment at each says why the values are valid.
 The from_json_dict readers also reject what only a JSON spec can get
 wrong: unknown keys and integers longer than MAX_INT_DIGITS digits.
 """
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from operator import mul, sub
 
-from .partitions import _check_int, _shown
+from .partitions import _check_int, _Record, _shown
 
 __all__ = [
     "FlagType",
@@ -77,18 +77,18 @@ class WeightVector(tuple):
         return super().__new__(cls, weights)
 
 
-@dataclass(frozen=True, slots=True)
-class MarkedPoint:
+class MarkedPoint(_Record, namedtuple("MarkedPoint", "label flag weights alpha")):
     """A marked point: label, flag type, weights, and polarization weight."""
 
-    label: str
-    flag: FlagType
-    weights: WeightVector
-    alpha: int
+    __slots__ = ()
+
+    def __new__(cls, label: str, flag, weights, alpha: int):
+        point = tuple.__new__(cls, (label, FlagType(flag), WeightVector(weights), alpha))
+        point.__post_init__()
+        return point
 
     def __post_init__(self):
-        object.__setattr__(self, "flag", FlagType(self.flag))
-        object.__setattr__(self, "weights", WeightVector(self.weights))
+        """The checks that follow the flag's and the weights' own."""
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("point label must be a nonempty string")
         if len(self.flag) != len(self.weights):
@@ -97,17 +97,6 @@ class MarkedPoint:
             )
         if not isinstance(self.alpha, int) or isinstance(self.alpha, bool) or self.alpha < 0:
             raise ValueError(f"point {_shown(self.label)}: alpha must be a nonnegative integer")
-
-    @staticmethod
-    def _unchecked(label, flag, weights, alpha) -> "MarkedPoint":
-        """The point of values that pass __post_init__ as they are (a FlagType, a WeightVector); none is checked."""
-        # the slot setters bound at import, past the frozen __setattr__
-        point = object.__new__(MarkedPoint)
-        _set_label(point, label)
-        _set_flag(point, flag)
-        _set_weights(point, weights)
-        _set_alpha(point, alpha)
-        return point
 
     def star_term(self) -> int:
         """Sum of d_i * r_i over the flag steps, in one pass."""
@@ -142,25 +131,24 @@ class MarkedPoint:
             raise ValueError(f"marked point is missing field {missing}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class ModuliSpec:
+class ModuliSpec(_Record, namedtuple("ModuliSpec", "genus rank degree level ell points")):
     """The data (genus, rank, degree, level, ell, marked points).
 
     The quantity n = degree + rank*(1 - genus) used by the balance
     condition is always derived, never stored.
     """
 
-    genus: int
-    rank: int
-    degree: int
-    level: int
-    ell: int
-    points: tuple = ()
+    __slots__ = ()
+
+    def __new__(cls, genus: int, rank: int, degree: int, level: int, ell: int, points=()):
+        for name, value, least in zip(cls._fields, (genus, rank, degree, level, ell), (0, 1, None, 1, 1)):
+            _check_int(name, value, least)
+        spec = tuple.__new__(cls, (genus, rank, degree, level, ell, tuple(points)))
+        spec.__post_init__()
+        return spec
 
     def __post_init__(self):
-        for name, least in (("genus", 0), ("rank", 1), ("degree", None), ("level", 1), ("ell", 1)):
-            _check_int(name, getattr(self, name), least)
-        object.__setattr__(self, "points", tuple(self.points))
+        """The checks of the points: each against the spec, and the labels distinct."""
         labels = set()
         for pt in self.points:
             self._check_point(pt)
@@ -185,20 +173,13 @@ class ModuliSpec:
     def _unchecked(spec, genus, points) -> "ModuliSpec":
         """spec's rank, degree, level and ell with genus and points (a tuple); nothing is checked.
 
-        The caller ensures 0 <= genus and checked each point not in spec.points
-        against a spec of spec's rank and level, with a new label: the one
-        caller, factorization.DecompositionTree._leaf_specs, adds the points
-        its tree checked once per row, labels x1@L, x2@L.
+        It is tuple.__new__, which skips __new__'s checks and __post_init__.
+        The caller ensures 0 <= genus and checked each point not in
+        spec.points against a spec of spec's rank and level, with a new
+        label: the one caller, factorization.DecompositionTree._leaf_specs,
+        adds the points its tree checked once per row, labels x1@L, x2@L.
         """
-        # the slot setters bound at import, past the frozen __setattr__
-        new = object.__new__(ModuliSpec)
-        _set_genus(new, genus)
-        _set_rank(new, spec.rank)
-        _set_degree(new, spec.degree)
-        _set_level(new, spec.level)
-        _set_ell(new, spec.ell)
-        _set_points(new, points)
-        return new
+        return tuple.__new__(ModuliSpec, (genus, spec.rank, spec.degree, spec.level, spec.ell, points))
 
     def derived_n(self) -> int:
         return self.degree + self.rank * (1 - self.genus)
@@ -232,15 +213,6 @@ class ModuliSpec:
 
     def sha256(self) -> str:
         return _canonical_sha256(self.to_json_dict())
-
-
-# Each slot's setter, bound once: the private constructors call these, with no class lookup per call.
-_set_label, _set_flag, _set_weights, _set_alpha = (
-    getattr(MarkedPoint, name).__set__ for name in ("label", "flag", "weights", "alpha")
-)
-_set_genus, _set_rank, _set_degree, _set_level, _set_ell, _set_points = (
-    getattr(ModuliSpec, name).__set__ for name in ("genus", "rank", "degree", "level", "ell", "points")
-)
 
 
 def _canonical_sha256(value) -> str:

@@ -9,7 +9,8 @@ explicitly rather than trusting padded lengths.
 Every module imports this one, so it owns the rules validation messages
 share: _shown caps what a message echoes of an input, and _check_int is
 the one check of a scalar integer argument.  Per-element checks of hot
-sequence types such as Partition stay inline.
+sequence types such as Partition stay inline.  It also owns _Record, the
+equality, hash and _make that the other modules' record classes share.
 """
 
 from __future__ import annotations
@@ -52,6 +53,30 @@ def _check_int(what: str, value, least: int | None = None) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
         kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[least]
         raise ValueError(f"{what} must be {kind} integer, got {_shown(value)}")
+
+
+class _Record(tuple):
+    """The base of the package's records, each a subclass of it and of a namedtuple of its fields.
+
+    A record equals only a record of its own class, never a plain tuple
+    with the same items, and hashes as the tuple of its fields.  _make, and
+    so _replace, builds through the record's own __new__, which checks the
+    fields; the namedtuple's would check nothing.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 class BoxViolationError(ValueError):

@@ -1,7 +1,8 @@
 """Boundary data, balance, and the genus-reduction recursion."""
 
-import dataclasses
+import copy
 import math
+import pickle
 import re
 from collections import namedtuple
 from itertools import groupby
@@ -14,17 +15,20 @@ from theta_factor.partitions import _shown
 from theta_factor import (
     BoundaryData,
     BoxViolationError,
+    BranchingTable,
     DecompositionTree,
     FlagType,
     LeafOracleError,
     MarkedPoint,
     ModuliSpec,
     Partition,
+    StratumDatum,
     WeightVector,
     aggregate_dimension,
     box_count,
     build_tree,
     check_star,
+    decompose_rectangular,
     degenerate,
     enumerate_in_box,
     mu_indices,
@@ -429,7 +433,7 @@ class TestDegenerate:
             assert str(info.value) == message
         # 1,000 digits are still a level
         point = MarkedPoint("p@" + "9" * 1000, (1,), (0,), 0)
-        (_, child), = degenerate(dataclasses.replace(spec, points=(point,)))
+        (_, child), = degenerate(spec._replace(points=(point,)))
         assert child.points[-1].label == "x2@1" + "0" * 1000
 
     def test_rejects_genus_zero(self):
@@ -579,10 +583,10 @@ class TestTreeEngine:
 
     @given(small_trees())
     @settings(max_examples=100, deadline=None)
-    def test_dataclass_methods_read_the_fields(self, tree):
-        # ==, hash and repr are the dataclass methods over (spec, depth, mus, rows)
+    def test_record_methods_read_the_fields(self, tree):
+        # == and hash read the record (spec, depth, mus, rows), repr only spec and depth
         fields = (tree.spec, tree.depth, tree.mus, tree.rows)
-        assert [field.name for field in dataclasses.fields(tree)] == ["spec", "depth", "mus", "rows"]
+        assert tree._fields == ("spec", "depth", "mus", "rows")
         assert hash(tree) == hash(fields)
         assert repr(tree) == f"DecompositionTree(spec={tree.spec!r}, depth={tree.depth!r})"
         assert tree.depth == min(tree.depth, tree.spec.genus)
@@ -604,8 +608,8 @@ class TestTreeEngine:
             assert child == public and hash(child) == hash(public)
             assert repr(child) == repr(public)
             # every slot holds the very value the public constructor stores
-            for field in dataclasses.fields(ModuliSpec):
-                assert getattr(child, field.name) is getattr(public, field.name)
+            for field in ModuliSpec._fields:
+                assert getattr(child, field) is getattr(public, field)
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -622,7 +626,7 @@ class TestTreeEngine:
 
         def bad_last_point(mu, r, k, labels):
             data = mu_to_boundary(mu, r, k, labels)
-            return dataclasses.replace(data, point2=bad) if mu == last else data
+            return data._replace(point2=bad) if mu == last else data
 
         monkeypatch.setattr(factorization, "mu_to_boundary", bad_last_point)
         with pytest.raises(ValueError, match=message):
@@ -775,7 +779,7 @@ class TestTreeEngine:
         points = [id(point) for node in nodes for point in node["spec"]["points"]]
         assert len(points) == 1100 * 1101 and len(set(points)) == 2200
 
-    def test_dataclass_methods_on_a_deep_chain(self):
+    def test_record_methods_on_a_deep_chain(self):
         # ==, hash and repr read the root, the depth, one mu and 1,100 rows of one pair
         chain = ModuliSpec(genus=1100, rank=1, degree=1100, level=1, ell=1, points=())
         tree = build_tree(chain, 1100)
@@ -805,7 +809,7 @@ class TestTreeEngine:
         for variant in variants:
             assert variant != tree and tree != variant
         assert build_tree(spec, 5) == tree
-        assert tree.__eq__(spec) is NotImplemented
+        assert tree.__eq__(spec) is False and tree != spec and spec != tree
 
     def test_build_makes_no_node_below_the_root(self, monkeypatch):
         # specs are made as the tree is read, once per read; a node is its spec, and
@@ -837,11 +841,13 @@ class TestTreeEngine:
         with pytest.raises(ValueError, match="balance"):
             DecompositionTree(unbalanced, 1)
         with pytest.raises(ValueError, match="balance"):
-            dataclasses.replace(tree, spec=unbalanced)
-        assert dataclasses.replace(tree, depth=1) == build_tree(spec, 1)
+            tree._replace(spec=unbalanced)
+        assert tree._replace(depth=1) == build_tree(spec, 1)
+        # copy.replace (Python 3.13 on) calls __replace__, which must be this _replace
+        assert tree.__replace__(depth=1) == build_tree(spec, 1)
         # the derived fields are no arguments
         with pytest.raises(ValueError):
-            dataclasses.replace(tree, rows=())
+            tree._replace(rows=())
         with pytest.raises(TypeError):
             DecompositionTree(spec, 1, tree.mus)
 
@@ -1003,3 +1009,69 @@ class TestLeafDescent:
         calls = []
         assert aggregate_dimension(build_tree(spec, 0), lambda leaf: calls.append(leaf) or 5) == 5
         assert len(calls) == 1 and calls[0] is spec
+
+
+@st.composite
+def stratum_data(draw):
+    """StratumDatum values: flags of 1 to 3 pieces of 1 to 3, and a split m with r1 = sum(m) >= 1."""
+    n = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    m = [draw(st.integers(0, n_j)) for n_j in n]
+    assume(sum(m) >= 1)
+    return StratumDatum(sum(m), n, m)
+
+
+boundary_data = st.integers(1, 3).flatmap(
+    lambda r: st.integers(1, 4).flatmap(
+        lambda k: st.sampled_from(list(mu_indices(r, k))).map(lambda mu: mu_to_boundary(mu, r, k))
+    )
+)
+
+# Per record class: a strategy for its values, the fields its constructor takes, and a
+# change to one of them that the constructor refuses (None where it checks nothing).
+RECORDS = {
+    MarkedPoint: (boundary_data.map(lambda data: data.point2), ("label", "flag", "weights", "alpha"), ("alpha", -1)),
+    ModuliSpec: (small_balanced_specs(), ("genus", "rank", "degree", "level", "ell", "points"), ("rank", 0)),
+    BoundaryData: (boundary_data, ("point1", "point2"), None),
+    DecompositionTree: (small_trees(), ("spec", "depth"), ("depth", -1)),
+    BranchingTable: (st.builds(decompose_rectangular, st.integers(1, 3), st.integers(0, 3)), ("r", "m", "rows"), None),
+    StratumDatum: (stratum_data(), ("r1", "n", "m"), ("r1", 0)),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_records_are_checked_immutable_values(self, cls, data):
+        values, arguments, refused = RECORDS[cls]
+        record = data.draw(values)
+        assert type(record) is cls
+        fields = tuple(getattr(record, name) for name in record._fields)
+        # repr names the constructor's fields, == and hash read every field
+        shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in arguments)
+        assert repr(record) == f"{cls.__name__}({shown})"
+        assert hash(record) == hash(fields)
+        assert record == cls(*(getattr(record, name) for name in arguments))
+        # equal only to a record of its own class: not a plain tuple, nor a subclass, either way round
+        twin = tuple.__new__(type("Twin", (cls,), {"__slots__": ()}), record)
+        for other in (fields, tuple(record), twin):
+            assert not record == other and not other == record
+            assert record != other and other != record
+        # immutable: no field is set, and no attribute added
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(copied) is cls and copied == record
+        assert record._replace() == record
+        if refused is None:
+            name = data.draw(st.sampled_from(arguments))
+            assert record._replace(**{name: fields[0]}) == cls(**{**record._asdict(), name: fields[0]})
+            return
+        # _replace goes through the constructor: a refused value raises its message
+        name, value = refused
+        with pytest.raises(ValueError) as direct:
+            cls(**{**{arg: getattr(record, arg) for arg in arguments}, name: value})
+        with pytest.raises(ValueError) as replaced:
+            record._replace(**{name: value})
+        assert str(replaced.value) == str(direct.value)

@@ -1,6 +1,7 @@
 """The package's public names are the modules' __all__ lists, joined."""
 
 import ast
+import collections
 import dataclasses
 import importlib
 import inspect
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import typing
 from pathlib import Path
+
+import pytest
 
 import theta_factor
 from theta_factor import branching, codimension, factorization, parabolic, partitions, symmetric_functions
@@ -109,8 +112,9 @@ def read_attributes(source: str) -> set[str]:
 
 
 def public_attributes(cls) -> set[str]:
-    """The public methods, properties and dataclass fields that cls itself defines."""
+    """The public methods, properties and dataclass or namedtuple fields that cls itself defines."""
     names = {field.name for field in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    names.update(getattr(cls, "_fields", ()))
     for name, value in vars(cls).items():
         if not name.startswith("_") and (
             inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod))
@@ -150,6 +154,23 @@ def test_public_attributes_are_found():
             pass
 
     assert public_attributes(Example) == {"field", "derived", "method", "prop", "maker"}
+
+    # a record, as the package's are: a subclass of _Record and of a namedtuple of its fields
+    class Record(partitions._Record, collections.namedtuple("Record", "field derived")):
+        __slots__ = ()
+
+        def method(self):
+            pass
+
+        @property
+        def prop(self):
+            pass
+
+        @staticmethod
+        def _private():
+            pass
+
+    assert public_attributes(Record) == {"field", "derived", "method", "prop"}
 
 
 def test_every_public_attribute_is_read():
@@ -223,12 +244,38 @@ def test_the_cli_loads_no_fractions():
     assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["dims", "--partition", "[2,1]", "--vars", "3"],
+    ["decompose", "SPEC", "--oracle", "const:1", "--format", "text"],
+    ["decompose", "SPEC"],
+    ["verify-star", "SPEC"],
+    ["identities", "--max-rank", "3", "--max-level", "3"],
+    ["branch", "--rank", "2", "--power", "3"],
+    ["codim", "schubert", "--r1", "2", "--n", "[2,2]", "--m", "[0,2]"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_no_cli_command_loads_dataclasses_inspect_or_fractions(tmp_path, argv):
+    # each command in a fresh interpreter: the records are tuples, and only stability_gap imports fractions
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"genus": 2, "rank": 2, "degree": 4, "level": 3, "ell": 3, "points": []}')
+    argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(theta_factor.__file__).parents[1]))
+    code = (
+        "import sys\nfrom theta_factor import cli\nstatus = cli.run(sys.argv[1:])\n"
+        "loaded = [name for name in ('dataclasses', 'fractions', 'inspect') if name in sys.modules]\n"
+        "sys.stderr.write(repr(loaded))\nsys.exit(status)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "[]")
+    assert run.stdout
+
+
 def defined_functions():
     """(qualified name, function) for each function and method a src/theta_factor/*.py file defines.
 
     A method is a class's function, staticmethod, classmethod or property
-    getter; a cached function is unwrapped; methods a decorator generates
-    (a dataclass's __init__) have their code elsewhere, and are left out.
+    getter; a cached function is unwrapped; methods a class inherits (a
+    record's namedtuple base makes its field getters, and __new__ where the
+    record defines none) are not its own, and are left out.
     """
     for path in sorted(Path(theta_factor.__file__).parent.glob("*.py")):
         module = importlib.import_module(f"theta_factor.{path.stem}" if path.stem != "__init__" else "theta_factor")
