@@ -15,8 +15,9 @@ from functools import lru_cache
 
 from .partitions import Partition, _shown, complement_in_box
 
-# entries each of the three memos keeps: each route's expansions, one per skew diagram up to
-# translation (the 4 x 4 box has 651), and the determinant route's Pieri strips (1,763 on the box)
+# entries each of the four memos keeps: each route's expansions, one per skew diagram up to
+# translation (the 4 x 4 box has 651), and the determinant route's Pieri strips (1,763 on the
+# box) and Laplace plans (23 on the box)
 MEMO_SIZE = 1024
 
 __all__ = [
@@ -271,8 +272,9 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
     exist, and Hall's condition then drops every state in which some
     remaining columns cannot find free rows: columns 0..c need c + 1
     distinct rows below reach[c].  Every completion of a dropped state is
-    zero.  The verdict depends only on the row set, which has n - j rows
-    at column j, so it is worked out once per row set.
+    zero.  The verdicts and the signs depend only on reach, so they are
+    worked out once per reach profile (_laplace_plan) and shared by every
+    diagram with that profile.
 
     Every intermediate shape is kept inside lam.  This is exact: Pieri
     steps never shrink a shape, so a product reaching nu only passes
@@ -281,6 +283,49 @@ def skew_schur_expand(lam, mu) -> SchurExpansion:
     zero anyway.
     """
     return _jacobi_trudi(*_skew_shape(lam, mu))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _laplace_plan(reach):
+    """The Laplace steps that Hall's condition allows for one reach profile (see skew_schur_expand).
+
+    For each column j, last first, a pair (j, steps).  A step (used, rows,
+    sign, i) takes entry (i, j) into the row set used, making rows, and its
+    sign is -1 to the number of used rows above i.  The steps come in the
+    expansion's order: the row sets used as the previous column first made
+    them, then rows i ascending.  The verdicts and the signs read nothing
+    but reach, so one plan, kept in an lru_cache of MEMO_SIZE entries
+    (_laplace_plan.cache_clear()), serves every diagram with that profile:
+    the 4 x 4 box's 651 diagrams have 23.  A plan holds at most
+    n * 2^(n - 1) steps, one per row set and free row, the same order as
+    the row sets one expansion holds.
+    """
+    # column c's rows below reach[c], and how many used ones leave columns 0..c too few
+    hall_checks = [((1 << r) - 1, r - c) for c, r in enumerate(reach)]
+    plan, layer = [], (0,)
+    for j in reversed(range(len(reach))):
+        checks = hall_checks[:j]
+        # row set -> whether each column c < j finds c + 1 free rows below reach[c]
+        hall, steps = {}, []
+        for used in layer:
+            for i in range(reach[j]):
+                bit = 1 << i
+                if used & bit:
+                    continue
+                rows = used | bit
+                fits = hall.get(rows)
+                if fits is None:
+                    fits = True
+                    for mask, need in checks:
+                        if (rows & mask).bit_count() >= need:
+                            fits = False
+                            break
+                    hall[rows] = fits
+                if fits:
+                    steps.append((used, rows, -1 if (used & (bit - 1)).bit_count() & 1 else 1, i))
+        plan.append((j, tuple(steps)))
+        layer = [rows for rows, fits in hall.items() if fits]
+    return tuple(plan)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -294,37 +339,17 @@ def _jacobi_trudi(lamp, mup) -> SchurExpansion:
             i += 1
         reach.append(i)
 
-    # column c's rows below reach[c], and how many used ones leave columns 0..c too few
-    hall_checks = [((1 << r) - 1, r - c) for c, r in enumerate(reach)]
-    # row set -> whether columns 0..c find c + 1 free rows below reach[c]
-    hall = {}
     states = {0: {(0,) * n: 1}}
-    for j in reversed(range(n)):
-        entries = [(1 << i, lamp[i] - mup[j] - i + j) for i in range(reach[j])]
-        checks = hall_checks[:j]
+    for j, steps in _laplace_plan(tuple(reach)):
         grown = {}
-        for used, expansion in states.items():
-            for bit, t in entries:
-                if used & bit:
-                    continue
-                rows = used | bit
-                fits = hall.get(rows)
-                if fits is None:
-                    fits = True
-                    for mask, need in checks:
-                        if (rows & mask).bit_count() >= need:
-                            fits = False
-                            break
-                    hall[rows] = fits
-                if not fits:
-                    continue
-                sign = -1 if (used & (bit - 1)).bit_count() & 1 else 1
-                target = grown.setdefault(rows, {})
-                for shape, coeff in expansion.items():
-                    if coeff:
-                        coeff *= sign
-                        for ext in _strip_extensions(shape, lamp, t) if t else (shape,):
-                            target[ext] = target.get(ext, 0) + coeff
+        for used, rows, sign, i in steps:
+            t = lamp[i] - mup[j] - i + j
+            target = grown.setdefault(rows, {})
+            for shape, coeff in states[used].items():
+                if coeff:
+                    coeff *= sign
+                    for ext in _strip_extensions(shape, lamp, t) if t else (shape,):
+                        target[ext] = target.get(ext, 0) + coeff
         states = grown
     return SchurExpansion._of_shapes({s: c for s, c in states.get((1 << n) - 1, {}).items() if c})
 

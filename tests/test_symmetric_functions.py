@@ -8,7 +8,7 @@ third, independent route used to pin expected values.
 import ast
 import inspect
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +28,7 @@ from theta_factor import (
 
 from theta_factor import symmetric_functions
 from theta_factor.partitions import _shown
-from theta_factor.symmetric_functions import _jacobi_trudi, _lr_table, _strip_extensions
+from theta_factor.symmetric_functions import _jacobi_trudi, _laplace_plan, _lr_table, _strip_extensions
 
 import oracles
 from oracles import horizontal_strip_shapes, lr_via_polynomials
@@ -111,6 +111,12 @@ def unpruned_h_product(alpha):
     return {Partition(shape): ways for shape, ways in levels.items()}
 
 
+def permutation_sign(w):
+    """-1 to the number of inversions of w, a tuple of distinct numbers."""
+    inversions = sum(w[i] > w[j] for i in range(len(w)) for j in range(i + 1, len(w)))
+    return -1 if inversions % 2 else 1
+
+
 def unpruned_jacobi_trudi(lam, mu):
     """s_{lam/mu} from the full Jacobi-Trudi expansion, no shape ever dropped.
 
@@ -125,8 +131,7 @@ def unpruned_jacobi_trudi(lam, mu):
         parts = [lamp[i] - mup[w[i]] - i + w[i] for i in range(n)]
         if min(parts) < 0:
             continue
-        inversions = sum(w[i] > w[j] for i in range(n) for j in range(i + 1, n))
-        sign = -1 if inversions % 2 else 1
+        sign = permutation_sign(w)
         alpha = sorted((p for p in parts if p), reverse=True)
         for nu, ways in unpruned_h_product(alpha).items():
             totals[nu] = totals.get(nu, 0) + sign * ways
@@ -260,7 +265,7 @@ class TestRouteIndependence:
     """The two routes and the oracles must not lean on one another."""
 
     TABLEAU = ("lr_coefficient", "lr_expand", "_lr_table", "rectangular_lr_is_delta")
-    DETERMINANT = ("skew_schur_expand", "_jacobi_trudi", "_strip_extensions")
+    DETERMINANT = ("skew_schur_expand", "_jacobi_trudi", "_laplace_plan", "_strip_extensions")
 
     @staticmethod
     def names_in(function):
@@ -352,6 +357,41 @@ class TestSkewSchurExpand:
                         mu,
                         nu,
                     )
+
+
+def reach_profiles(n):
+    """Every reach a diagram of n rows has: weakly increasing, with j < reach[j] <= n, since
+    rows 0..j of lam reach past mu_j - j when mu_j <= lam_j."""
+    return [r for r in combinations_with_replacement(range(1, n + 1), n) if all(j < c for j, c in enumerate(r))]
+
+
+class TestLaplacePlan:
+    @pytest.mark.parametrize("n", range(7))
+    def test_chains_are_the_nonzero_permutation_terms(self, n):
+        # the plan's chains of steps from no row to all n rows are exactly the permutations
+        # whose Jacobi-Trudi entries are all nonzero, each with its sign, and every step lies
+        # on one: Hall's condition drops only dead row sets and never a live term
+        for reach in reach_profiles(n):
+            plan = _laplace_plan(reach)
+            assert [j for j, _ in plan] == list(reversed(range(n)))
+            # row set -> the chains reaching it, as (rows by column, last column first; sign)
+            chains = {0: [((), 1)]}
+            for j, steps in plan:
+                grown = {}
+                for used, rows, sign, i in steps:
+                    assert used in chains and not used >> i & 1 and rows == used | 1 << i and i < reach[j]
+                    grown.setdefault(rows, []).extend((taken + (i,), s * sign) for taken, s in chains[used])
+                chains = grown
+            # a step off every chain to the full row set is a dead one Hall should have dropped
+            alive = {(1 << n) - 1}
+            for j, steps in reversed(plan):
+                assert all(rows in alive for _, rows, _, _ in steps), (reach, j)
+                alive = {used for used, _, _, _ in steps}
+            # taken[n - 1 - j] is column j's row; w maps each row to its column, as in unpruned_jacobi_trudi
+            complete = chains.get((1 << n) - 1, [])
+            got = sorted((tuple(n - 1 - taken.index(i) for i in range(n)), s) for taken, s in complete)
+            want = [(w, permutation_sign(w)) for w in permutations(range(n)) if all(i < reach[w[i]] for i in range(n))]
+            assert got == want, reach
 
 
 @st.composite
@@ -753,3 +793,9 @@ class TestMetamorphic:
         # the 651 expansions ask for 5,549 Pieri strips, 1,763 of them distinct
         strips = _strip_extensions.cache_info()
         assert (strips.misses, strips.hits) == (1763, 5549 - 1763)
+        # Hall's verdicts and the signs read only reach: the 651 diagrams have 23 profiles
+        plans = _laplace_plan.cache_info()
+        assert (plans.misses, plans.hits) == (23, 651 - 23)
+        clear_memos()
+        for memo in (_jacobi_trudi, _lr_table, _strip_extensions, _laplace_plan):
+            assert memo.cache_info().currsize == 0
