@@ -5,8 +5,6 @@ multiplicity one into pairs (S_mu, S_mu dual) over the r x m box; the
 table below records the pieces and the dimension identity that pins it.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .partitions import Partition, _check_int, _Record, box_count, dim_schur, enumerate_in_box

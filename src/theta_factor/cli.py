@@ -8,8 +8,6 @@ the same input.  Exit status is 0 on success, 1 on validation errors
 identity sweep reports a failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import json

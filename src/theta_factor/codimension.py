@@ -1,7 +1,5 @@
 """Closed-form codimension and dimension formulas for the boundary strata."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .parabolic import FlagType

@@ -6,8 +6,6 @@ preimages x1, x2 of the node.  Degenerating drops the genus by one and
 attaches those two points; iterating yields a decomposition tree.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, product

@@ -1,10 +1,10 @@
 """Parabolic bookkeeping: flags, weights, marked points, and the level balance.
 
-All validation of values happens when they are constructed, so the
-arithmetic operations below never see malformed data.  MarkedPoint and
-ModuliSpec are records (partitions._Record): their __new__ makes the
-checks, and a value that needs none is made by tuple.__new__, as its
-callers derive it from checked ones.  ModuliSpec._unchecked makes each
+Every value is checked when it is built, so the arithmetic operations
+below never see malformed data: the __new__ of FlagType, of WeightVector
+and of the records MarkedPoint and ModuliSpec (partitions._Record) checks
+whatever it is given.  Only tuple.__new__ skips the checks, for a value
+its callers derive from checked ones.  ModuliSpec._unchecked makes each
 leaf spec below a degeneration tree's root (DecompositionTree._leaf_specs),
 whose new points were checked once, with their boundary row.  The point
 pair of factorization._boundary_data (with a FlagType and a WeightVector
@@ -13,8 +13,6 @@ A comment at each says why the values are valid.
 The from_json_dict readers also reject what only a JSON spec can get
 wrong: unknown keys and integers longer than MAX_INT_DIGITS digits.
 """
-
-from __future__ import annotations
 
 import hashlib
 import json
@@ -40,12 +38,9 @@ MAX_INT_DIGITS = 1_000
 
 
 class FlagType(tuple):
-    """Multiplicities (n_1, ..., n_{l+1}) of the graded pieces of a flag."""
+    """Multiplicities (n_1, ..., n_{l+1}) of a flag's graded pieces, checked unless made by tuple.__new__."""
 
     def __new__(cls, multiplicities):
-        # a value of this very class was checked when it was made
-        if type(multiplicities) is cls:
-            return multiplicities
         multiplicities = tuple(multiplicities)
         if not multiplicities:
             raise ValueError("a flag needs at least one piece")
@@ -60,12 +55,9 @@ class FlagType(tuple):
 
 
 class WeightVector(tuple):
-    """Strictly increasing nonnegative integer weights (a_1, ..., a_{l+1})."""
+    """Strictly increasing nonnegative integer weights (a_1, ..., a_{l+1}), checked unless made by tuple.__new__."""
 
     def __new__(cls, weights):
-        # a value of this very class was checked when it was made
-        if type(weights) is cls:
-            return weights
         weights = tuple(weights)
         if not weights:
             raise ValueError("a weight vector needs at least one entry")

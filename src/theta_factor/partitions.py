@@ -13,8 +13,6 @@ sequence types such as Partition stay inline.  It also owns _Record, the
 equality, hash and _make that the other modules' record classes share.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from itertools import accumulate

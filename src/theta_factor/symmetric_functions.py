@@ -9,8 +9,6 @@ horizontal strip (Pieri's rule) per entry and never leaving lam.  Neither
 calls the other, and tests insist the two agree.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .partitions import Partition, _shown, complement_in_box
@@ -215,8 +213,8 @@ def _strip_extensions(cur, outer, size):
     in all.  A depth-first walk over one stack then picks the cells of
     each row in turn: with left cells still to place, row i takes at least
     left - below[i] and at most min(caps[i], left), and once none are left
-    the remaining rows keep cur's parts.  The stack hands the shapes out
-    in reverse order, so they are sorted once at the end.
+    the remaining rows keep cur's parts.  Each row's choices go on the
+    stack largest first, so it hands the shapes out in lexicographic order.
 
     The shapes come back as one tuple, kept in an lru_cache of MEMO_SIZE
     entries (_strip_extensions.cache_clear()) and shared by every
@@ -242,9 +240,8 @@ def _strip_extensions(cur, outer, size):
             found.append(acc + cur[i:])
             continue
         c, rest, cap = cur[i], below[i], caps[i]
-        for a in range(left - rest if left > rest else 0, (cap if cap < left else left) + 1):
+        for a in range(cap if cap < left else left, (left - rest if left > rest else 0) - 1, -1):
             stack.append((i + 1, acc + (c + a,), left - a))
-    found.sort()
     return tuple(found)
 
 

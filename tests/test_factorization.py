@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import re
+import sys
 from collections import namedtuple
 from itertools import groupby
 
@@ -851,6 +852,14 @@ class TestTreeEngine:
         with pytest.raises(TypeError):
             DecompositionTree(spec, 1, tree.mus)
 
+    @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+    def test_copy_replace_takes_only_spec_and_depth(self):
+        spec = balanced_spec()
+        tree = build_tree(spec, 2)
+        assert copy.replace(tree, depth=1) == build_tree(spec, 1)
+        with pytest.raises(ValueError, match="only spec and depth can be replaced"):
+            copy.replace(tree, mus=())
+
     @pytest.mark.parametrize("children", [(), "children", "nested"], ids=["empty", "children", "nested"])
     def test_children_argument_raises(self, children):
         # a tuple of (mu, subtree) children is no depth: it raises, and builds no leaf
@@ -1075,3 +1084,30 @@ class TestRecords:
         with pytest.raises(ValueError) as replaced:
             record._replace(**{name: value})
         assert str(replaced.value) == str(direct.value)
+
+    @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+    @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_copy_replace_is_replace(self, cls, data):
+        values, arguments, refused = RECORDS[cls]
+        record = data.draw(values)
+        # a field of a second drawn record: copy.replace gives what _replace gives, or raises its message
+        name = data.draw(st.sampled_from(arguments))
+        change = {name: getattr(data.draw(values), name)}
+        try:
+            expected = record._replace(**change)
+        except ValueError as error:
+            with pytest.raises(ValueError) as replaced:
+                copy.replace(record, **change)
+            assert str(replaced.value) == str(error)
+        else:
+            assert copy.replace(record, **change) == expected
+        if refused is not None:
+            # through the checking constructor: a refused value raises its message
+            name, value = refused
+            with pytest.raises(ValueError) as direct:
+                cls(**{**{arg: getattr(record, arg) for arg in arguments}, name: value})
+            with pytest.raises(ValueError) as replaced:
+                copy.replace(record, **{name: value})
+            assert str(replaced.value) == str(direct.value)

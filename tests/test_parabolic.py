@@ -69,11 +69,16 @@ class TestWeightVector:
     ids=["FlagType", "WeightVector"],
 )
 class TestPassThrough:
-    """A value of the exact class was checked when made; everything else is checked."""
+    """Every value given to the constructor is checked, whatever its class."""
 
-    def test_value_passes_through(self, cls, good, bad):
-        value = cls(good)
-        assert cls(value) is value
+    def test_exact_class_values_are_checked(self, cls, good, bad):
+        # a value of the exact class that skipped the checks by tuple.__new__ is still checked
+        for entries, message in bad.items():
+            with pytest.raises(ValueError) as info:
+                cls(tuple.__new__(cls, entries))
+            assert str(info.value) == message
+        value = cls(cls(good))
+        assert type(value) is cls and value == good
 
     def test_lists_tuples_and_iterables_are_checked(self, cls, good, bad):
         for given_value in (list(good), tuple(good), iter(good)):
@@ -101,6 +106,11 @@ class TestMarkedPoint:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MarkedPoint("x", FlagType((1, 1)), WeightVector((0, 1, 2)), 0)
+
+    def test_flag_made_past_the_checks_is_rejected(self):
+        with pytest.raises(ValueError) as info:
+            MarkedPoint("p", tuple.__new__(FlagType, (0,)), WeightVector((0,)), 0)
+        assert str(info.value) == "flag multiplicities must be positive integers: (0,)"
 
     def test_star_term(self):
         # flag (2,1,1), weights (0,2,3): d=(2,1), partial sums (2,3)
